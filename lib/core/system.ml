@@ -88,18 +88,23 @@ type committee_ctx = {
          Merkle root over the whole state each block would be O(state) *)
 }
 
+(* What a transaction sends each participant shard, keyed by shard in
+   ascending order.  Computed once at submit: every leg, retry and
+   fallback sweep reads it instead of re-hashing the keys. *)
+type legs =
+  | Ops of (int * Tx.op list) list  (* prepare/decision legs: [Tx.placement] *)
+  | Deltas of (int * (string * Tx.delta) list) list  (* fast-lane delta legs *)
+
 (* Book-keeping for one in-flight cross-shard transaction. *)
 type tx_record = {
   tx : Tx.t;
-  participant_shards : int list;
+  legs : legs;
+  participant_shards : int list; (* the shards of [legs] *)
   mutable decided : bool;
   mutable legs_left : int;
   legs_done : (int, unit) Hashtbl.t;
   mutable outcome : tx_outcome;
   mutable relaying : bool; (* false once a malicious client went silent *)
-  lane_deltas : (string * Tx.delta) list option;
-      (* [Some _] iff this transaction rides the merge fast lane; retries
-         then re-send delta legs rather than commit/abort legs *)
   mutable prepare_started : float; (* -1 until the first prepare dispatch *)
   mutable decided_at : float; (* -1 until the decision is reached *)
   on_done : tx_outcome -> unit;
@@ -378,6 +383,14 @@ let finish_leg t txid shard =
         rec_.on_done rec_.outcome
       end
 
+(* The sub-ops [rec_] sends [shard] on a prepare or decision leg.  Only
+   locked transactions run those legs; a lane record falls back to
+   hashing. *)
+let ops_on t rec_ shard =
+  match rec_.legs with
+  | Ops placement -> Tx.on_shard placement shard
+  | Deltas _ -> Tx.ops_for_shard ~shards:t.cfg.shards rec_.tx shard
+
 let dispatch_decision t txid ok =
   match Hashtbl.find_opt t.inflight txid with
   | None -> ()
@@ -396,7 +409,7 @@ let dispatch_decision t txid ok =
         rec_.legs_left <- List.length rec_.participant_shards;
         List.iter
           (fun shard ->
-            let ops = Tx.ops_for_shard ~shards:t.cfg.shards rec_.tx shard in
+            let ops = ops_on t rec_ shard in
             let op =
               if ok then Coordination.Commit_tx { txid; ops }
               else Coordination.Abort_tx { txid; ops }
@@ -417,7 +430,7 @@ let dispatch_prepares t txid =
       end;
       List.iter
         (fun shard ->
-          let ops = Tx.ops_for_shard ~shards:t.cfg.shards rec_.tx shard in
+          let ops = ops_on t rec_ shard in
           send_to_committee t ~committee:shard ~client:rec_.tx.Tx.client
             (Coordination.Prepare_tx { txid; ops }))
         rec_.participant_shards
@@ -637,9 +650,6 @@ let execute_on_shard t ctx (req : Types.request) =
       | Coordination.Begin_tx _ | Coordination.Vote _ | Coordination.Batch _ ->
           () (* coordinator-only ops *))
 
-let merge_deltas_for t deltas shard =
-  List.filter (fun (key, _) -> Tx.shard_of_key ~shards:t.cfg.shards key = shard) deltas
-
 let observe_vote_leg t txid =
   if Probe.enabled t.probe then
     match Hashtbl.find_opt t.inflight txid with
@@ -769,7 +779,7 @@ and fallback_collect t txid =
          List.iter
            (fun shard ->
              if not (Hashtbl.mem rec_.legs_done shard) then begin
-               let ops = Tx.ops_for_shard ~shards:t.cfg.shards rec_.tx shard in
+               let ops = ops_on t rec_ shard in
                let op =
                  if rec_.outcome = Committed then Coordination.Commit_tx { txid; ops }
                  else Coordination.Abort_tx { txid; ops }
@@ -785,7 +795,7 @@ and fallback_collect t txid =
                  enqueue_step t ~committee:(coordinator_of t rec_) ~client:rec_.tx.Tx.client
                    (Coordination.Vote { txid; shard; ok })
              | None ->
-                 let ops = Tx.ops_for_shard ~shards:t.cfg.shards rec_.tx shard in
+                 let ops = ops_on t rec_ shard in
                  send_to_committee t ~committee:shard ~client:rec_.tx.Tx.client
                    (Coordination.Prepare_tx { txid; ops }))
            rec_.participant_shards);
@@ -960,14 +970,13 @@ let rec arm_retry t txid =
                 (fun shard ->
                   if not (Hashtbl.mem rec_.legs_done shard) then begin
                     let op =
-                      match rec_.lane_deltas with
-                      | Some deltas ->
+                      match rec_.legs with
+                      | Deltas lane ->
                           (* Fast lane: re-drive the delta leg itself; the
                              shard's applied table makes it append-once. *)
-                          Coordination.Merge_tx
-                            { txid; deltas = merge_deltas_for t deltas shard }
-                      | None ->
-                          let ops = Tx.ops_for_shard ~shards:t.cfg.shards rec_.tx shard in
+                          Coordination.Merge_tx { txid; deltas = Tx.on_shard lane shard }
+                      | Ops placement ->
+                          let ops = Tx.on_shard placement shard in
                           if rec_.outcome = Committed then Coordination.Commit_tx { txid; ops }
                           else Coordination.Abort_tx { txid; ops }
                     in
@@ -988,90 +997,64 @@ let rec arm_retry t txid =
    lock — deltas folded around a 2PC transaction's lock window would
    otherwise interleave with its validated read (the downgrade guard of
    DESIGN §18). *)
-let merge_lock_conflict t deltas =
+let merge_lock_conflict t lane =
   List.exists
-    (fun (key, _) ->
-      let shard = Tx.shard_of_key ~shards:t.cfg.shards key in
+    (fun (shard, deltas) ->
       let locks = Locks.create t.committees.(shard).state in
-      Option.is_some (Locks.holder locks key))
-    deltas
+      List.exists (fun (key, _) -> Option.is_some (Locks.holder locks key)) deltas)
+    lane
 
-let submit_merge t ~on_done ~malicious_client tx deltas =
+let new_record t ~on_done ~relaying tx legs =
+  let touched, lane =
+    match legs with
+    | Ops placement -> (List.map fst placement, false)
+    | Deltas deltas -> (List.map fst deltas, true)
+  in
+  {
+    tx;
+    legs;
+    participant_shards = touched;
+    (* The lane has no abort path: the transaction is decided the moment
+       it is classified; only its delta legs remain. *)
+    decided = lane;
+    legs_left = List.length touched;
+    legs_done = Hashtbl.create 4;
+    outcome = (if lane then Committed else Aborted);
+    relaying;
+    prepare_started = -1.0;
+    decided_at = (if lane then Engine.now t.engine else -1.0);
+    on_done;
+  }
+
+let submit_merge t ~on_done ~malicious_client tx lane =
   let txid = tx.Tx.txid in
-  let touched =
-    List.sort_uniq Int.compare
-      (List.map (fun (key, _) -> Tx.shard_of_key ~shards:t.cfg.shards key) deltas)
-  in
-  let rec_ =
-    {
-      tx;
-      participant_shards = touched;
-      (* The lane has no abort path: the transaction is decided the moment
-         it is classified; only its delta legs remain. *)
-      decided = true;
-      legs_left = List.length touched;
-      legs_done = Hashtbl.create 4;
-      outcome = Committed;
-      relaying = not malicious_client;
-      lane_deltas = Some deltas;
-      prepare_started = -1.0;
-      decided_at = Engine.now t.engine;
-      on_done;
-    }
-  in
+  let rec_ = new_record t ~on_done ~relaying:(not malicious_client) tx (Deltas lane) in
   Hashtbl.replace t.inflight txid rec_;
   Probe.incr t.probe "merge.lane_hits";
   List.iter
-    (fun shard ->
+    (fun (shard, deltas) ->
       send_to_committee t ~committee:shard ~client:tx.Tx.client
-        (Coordination.Merge_tx { txid; deltas = merge_deltas_for t deltas shard }))
-    touched;
+        (Coordination.Merge_tx { txid; deltas }))
+    lane;
   arm_retry t txid
 
-let submit_locked t ?(on_done = fun _ -> ()) ?(malicious_client = false) tx =
+let submit_locked t ~on_done ~malicious_client tx =
   let txid = tx.Tx.txid in
-  let touched = Tx.shards_touched ~shards:t.cfg.shards tx in
-  match touched with
+  match Tx.placement ~shards:t.cfg.shards tx with
   | [] -> on_done Aborted
-  | [ shard ] ->
+  | [ (shard, _) ] as placement ->
       Hashtbl.replace t.inflight txid
-        {
-          tx;
-          participant_shards = touched;
-          decided = false;
-          legs_left = 1;
-          legs_done = Hashtbl.create 4;
-          outcome = Aborted;
-          relaying = true;
-          lane_deltas = None;
-          prepare_started = -1.0;
-          decided_at = -1.0;
-          on_done;
-        };
+        (new_record t ~on_done ~relaying:true tx (Ops placement));
       send_to_committee t ~committee:shard ~client:tx.Tx.client
         (Coordination.Single { txid; ops = tx.Tx.ops });
       arm_retry t txid
-  | _ :: _ ->
-      let rec_ =
-        {
-          tx;
-          participant_shards = touched;
-          decided = false;
-          legs_left = List.length touched;
-          legs_done = Hashtbl.create 4;
-          outcome = Aborted;
-          relaying = not malicious_client;
-          lane_deltas = None;
-          prepare_started = -1.0;
-          decided_at = -1.0;
-          on_done;
-        }
-      in
+  | placement ->
+      let rec_ = new_record t ~on_done ~relaying:(not malicious_client) tx (Ops placement) in
       Hashtbl.replace t.inflight txid rec_;
       (match t.cfg.mode with
       | With_reference | Flattened ->
           enqueue_step t ~committee:(coordinator_of t rec_) ~client:tx.Tx.client
-            (Coordination.Begin_tx { txid; participants = touched });
+            (Coordination.Begin_tx { txid; participants = rec_.participant_shards });
           (* Pipelining (DESIGN §15): don't round-trip BeginTx through the
              coordinator's consensus before preparing — dispatch prepares
              immediately and let the coordinator's machine buffer any vote
@@ -1086,13 +1069,14 @@ let submit t ?(on_done = fun _ -> ()) ?(malicious_client = false) tx =
     match Merge.classify_tx t.merge_reg tx with
     | None -> submit_locked t ~on_done ~malicious_client tx
     | Some deltas ->
-        if merge_lock_conflict t deltas then begin
+        let lane = Tx.group_by_shard ~shards:t.cfg.shards ~key:fst deltas in
+        if merge_lock_conflict t lane then begin
           (* Downgrade: mergeable, but a touched key is exclusively locked
              by an in-flight 2PC transaction — take the full path. *)
           Probe.incr t.probe "merge.downgrades";
           submit_locked t ~on_done ~malicious_client tx
         end
-        else submit_merge t ~on_done ~malicious_client tx deltas
+        else submit_merge t ~on_done ~malicious_client tx lane
 
 let run t ~until = Engine.run t.engine ~until
 

@@ -1,110 +1,104 @@
 type digest = string
 
+(* The kernel works on native [int]s holding 32-bit words, masked back to
+   32 bits after every addition: an [int32] kernel would box each word it
+   writes to an array or a ref. *)
+
 (* Round constants: first 32 bits of the fractional parts of the cube roots
    of the first 64 primes. *)
 let k =
   [|
-    0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl; 0x59f111f1l;
-    0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l; 0x243185bel; 0x550c7dc3l;
-    0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l; 0xc19bf174l; 0xe49b69c1l; 0xefbe4786l;
-    0x0fc19dc6l; 0x240ca1ccl; 0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal;
-    0x983e5152l; 0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-    0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl; 0x53380d13l;
-    0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l; 0xa2bfe8a1l; 0xa81a664bl;
-    0xc24b8b70l; 0xc76c51a3l; 0xd192e819l; 0xd6990624l; 0xf40e3585l; 0x106aa070l;
-    0x19a4c116l; 0x1e376c08l; 0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al;
-    0x5b9cca4fl; 0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-    0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l;
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4;
+    0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe;
+    0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc; 0x2de92c6f;
+    0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7;
+    0xc6e00bf3; 0xd5a79147; 0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+    0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116;
+    0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f; 0x682e6ff3;
+    0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208; 0x90befffa; 0xa4506ceb; 0xbef9a3f7;
+    0xc67178f2;
   |]
 
 type state = {
-  h : int32 array; (* 8 words *)
+  h : int array; (* 8 words *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
-  mutable total : int64; (* total message bytes *)
-  w : int32 array; (* 64-word message schedule, reused across blocks *)
+  mutable total : int; (* total message bytes *)
+  w : int array; (* 64-word message schedule, reused across blocks *)
 }
 
 let init () =
   {
     h =
       [|
-        0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al;
-        0x510e527fl; 0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l;
+        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
+        0x5be0cd19;
       |];
     buf = Bytes.create 64;
     buf_len = 0;
-    total = 0L;
-    w = Array.make 64 0l;
+    total = 0;
+    w = Array.make 64 0;
   }
 
-let ( >>> ) x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
-let ( ^^ ) = Int32.logxor
-let ( &&& ) = Int32.logand
-let ( +% ) = Int32.add
+let mask = 0xFFFFFFFF
+
+let ( >>> ) x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
 (* The message schedule is loaded by input-specific loaders so whole
    blocks are consumed in place — directly from the caller's string or
    from the partial-block buffer — without an intermediate copy. *)
 
 let load_block_bytes st block offset =
-  let w = st.w in
   for i = 0 to 15 do
-    let b j = Int32.of_int (Char.code (Bytes.get block (offset + (4 * i) + j))) in
-    w.(i) <-
-      Int32.logor
-        (Int32.shift_left (b 0) 24)
-        (Int32.logor (Int32.shift_left (b 1) 16) (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
+    st.w.(i) <- Int32.to_int (Bytes.get_int32_be block (offset + (4 * i))) land mask
   done
 
 let load_block_string st s offset =
-  let w = st.w in
   for i = 0 to 15 do
-    let b j = Int32.of_int (Char.code (String.get s (offset + (4 * i) + j))) in
-    w.(i) <-
-      Int32.logor
-        (Int32.shift_left (b 0) 24)
-        (Int32.logor (Int32.shift_left (b 1) 16) (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
+    st.w.(i) <- Int32.to_int (String.get_int32_be s (offset + (4 * i))) land mask
   done
 
 (* Rounds over the already-loaded schedule w.(0..15). *)
 let compress_rounds st =
   let w = st.w in
   for i = 16 to 63 do
-    let s0 = (w.(i - 15) >>> 7) ^^ (w.(i - 15) >>> 18) ^^ Int32.shift_right_logical w.(i - 15) 3 in
-    let s1 = (w.(i - 2) >>> 17) ^^ (w.(i - 2) >>> 19) ^^ Int32.shift_right_logical w.(i - 2) 10 in
-    w.(i) <- w.(i - 16) +% s0 +% w.(i - 7) +% s1
+    let x = w.(i - 15) and y = w.(i - 2) in
+    let s0 = (x >>> 7) lxor (x >>> 18) lxor (x lsr 3) in
+    let s1 = (y >>> 17) lxor (y >>> 19) lxor (y lsr 10) in
+    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
   done;
-  let a = ref st.h.(0) and b = ref st.h.(1) and c = ref st.h.(2) and d = ref st.h.(3) in
-  let e = ref st.h.(4) and f = ref st.h.(5) and g = ref st.h.(6) and h = ref st.h.(7) in
+  let hs = st.h in
+  let a = ref hs.(0) and b = ref hs.(1) and c = ref hs.(2) and d = ref hs.(3) in
+  let e = ref hs.(4) and f = ref hs.(5) and g = ref hs.(6) and h = ref hs.(7) in
   for i = 0 to 63 do
-    let s1 = (!e >>> 6) ^^ (!e >>> 11) ^^ (!e >>> 25) in
-    let ch = (!e &&& !f) ^^ (Int32.lognot !e &&& !g) in
-    let temp1 = !h +% s1 +% ch +% k.(i) +% w.(i) in
-    let s0 = (!a >>> 2) ^^ (!a >>> 13) ^^ (!a >>> 22) in
-    let maj = (!a &&& !b) ^^ (!a &&& !c) ^^ (!b &&& !c) in
-    let temp2 = s0 +% maj in
+    let e_ = !e and a_ = !a in
+    let s1 = (e_ >>> 6) lxor (e_ >>> 11) lxor (e_ >>> 25) in
+    let ch = (e_ land !f) lxor (lnot e_ land !g) in
+    let temp1 = !h + s1 + ch + k.(i) + w.(i) in
+    let s0 = (a_ >>> 2) lxor (a_ >>> 13) lxor (a_ >>> 22) in
+    let maj = (a_ land !b) lxor (a_ land !c) lxor (!b land !c) in
     h := !g;
     g := !f;
-    f := !e;
-    e := !d +% temp1;
+    f := e_;
+    e := (!d + temp1) land mask;
     d := !c;
     c := !b;
-    b := !a;
-    a := temp1 +% temp2
+    b := a_;
+    a := (temp1 + s0 + maj) land mask
   done;
-  st.h.(0) <- st.h.(0) +% !a;
-  st.h.(1) <- st.h.(1) +% !b;
-  st.h.(2) <- st.h.(2) +% !c;
-  st.h.(3) <- st.h.(3) +% !d;
-  st.h.(4) <- st.h.(4) +% !e;
-  st.h.(5) <- st.h.(5) +% !f;
-  st.h.(6) <- st.h.(6) +% !g;
-  st.h.(7) <- st.h.(7) +% !h
+  hs.(0) <- (hs.(0) + !a) land mask;
+  hs.(1) <- (hs.(1) + !b) land mask;
+  hs.(2) <- (hs.(2) + !c) land mask;
+  hs.(3) <- (hs.(3) + !d) land mask;
+  hs.(4) <- (hs.(4) + !e) land mask;
+  hs.(5) <- (hs.(5) + !f) land mask;
+  hs.(6) <- (hs.(6) + !g) land mask;
+  hs.(7) <- (hs.(7) + !h) land mask
 
 let feed st s =
   let len = String.length s in
-  st.total <- Int64.add st.total (Int64.of_int len);
+  st.total <- st.total + len;
   let pos = ref 0 in
   (* Fill a partial block first. *)
   if st.buf_len > 0 then begin
@@ -134,12 +128,11 @@ let feed st s =
 (* A 64-byte block fed without growing the buffer: HMAC's key pads are
    exactly one block, so they compress directly. *)
 let feed_block st block =
-  st.total <- Int64.add st.total 64L;
+  st.total <- st.total + 64;
   load_block_bytes st block 0;
   compress_rounds st
 
 let finish st =
-  let bit_len = Int64.mul st.total 8L in
   (* Pad in place inside the block buffer: append 0x80, zeros, and the
      64-bit big-endian length — no intermediate tail string. *)
   let b = st.buf in
@@ -154,20 +147,13 @@ let finish st =
     Bytes.fill b 0 56 '\x00'
   end
   else Bytes.fill b (len + 1) (56 - len - 1) '\x00';
-  for i = 0 to 7 do
-    Bytes.set b (56 + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len (8 * (7 - i))) 0xFFL)))
-  done;
+  Bytes.set_int64_be b 56 (Int64.mul (Int64.of_int st.total) 8L);
   load_block_bytes st b 0;
   compress_rounds st;
   st.buf_len <- 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let word = st.h.(i) in
-    Bytes.set out (4 * i) (Char.chr (Int32.to_int (Int32.shift_right_logical word 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr (Int32.to_int (Int32.shift_right_logical word 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr (Int32.to_int (Int32.shift_right_logical word 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (Int32.to_int word land 0xFF))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int st.h.(i))
   done;
   Bytes.unsafe_to_string out
 
@@ -200,8 +186,6 @@ let of_raw_exn s =
 let to_raw d = d
 
 let equal = String.equal
-
-let compare = String.compare
 
 let hmac ~key msg =
   let block = 64 in

@@ -27,7 +27,5 @@ val to_raw : digest -> string
 
 val equal : digest -> digest -> bool
 
-val compare : digest -> digest -> int
-
 val hmac : key:string -> string -> digest
 (** HMAC-SHA256 (RFC 2104); the basis of simulated signing and sealing. *)

@@ -39,13 +39,38 @@ let shard_of_key ~shards key =
   in
   v mod shards
 
-let shards_touched ~shards t =
-  List.sort_uniq Int.compare (List.map (fun op -> shard_of_key ~shards (key_of_op op)) t.ops)
+let group_by_shard ~shards ~key items =
+  (* One hash per item; the stable sort keeps each shard's items in their
+     original order. *)
+  let tagged =
+    List.stable_sort
+      (fun (a, _) (b, _) -> Int.compare a b)
+      (List.map (fun item -> (shard_of_key ~shards (key item), item)) items)
+  in
+  let rec group = function
+    | [] -> []
+    | (shard, item) :: rest ->
+        let rec take acc = function
+          | (s, item) :: rest when Int.equal s shard -> take (item :: acc) rest
+          | rest -> (List.rev acc, rest)
+        in
+        let items, rest = take [ item ] rest in
+        (shard, items) :: group rest
+  in
+  group tagged
+
+let placement ~shards t = group_by_shard ~shards ~key:key_of_op t.ops
+
+let on_shard placement shard =
+  match List.find_opt (fun (s, _) -> Int.equal s shard) placement with
+  | Some (_, items) -> items
+  | None -> []
+
+let shards_touched ~shards t = List.map fst (placement ~shards t)
 
 let is_cross_shard ~shards t = List.length (shards_touched ~shards t) > 1
 
-let ops_for_shard ~shards t shard =
-  List.filter (fun op -> shard_of_key ~shards (key_of_op op) = shard) t.ops
+let ops_for_shard ~shards t shard = on_shard (placement ~shards t) shard
 
 let pp_delta fmt = function
   | Add n -> Format.fprintf fmt "add %d" n

@@ -38,6 +38,21 @@ val shard_of_key : shards:int -> string -> int
 (** Stable hash partitioning (SHA-256 based, matching Appendix B's
     uniformly-random argument-to-shard mapping). *)
 
+val group_by_shard : shards:int -> key:('a -> string) -> 'a list -> (int * 'a list) list
+(** [group_by_shard ~shards ~key items] hashes each item's [key] once and
+    returns the touched shards in ascending order, each paired with its
+    items in their original order. *)
+
+val placement : shards:int -> t -> (int * op list) list
+(** [group_by_shard] over the ops: every touched shard, ascending, with
+    the sub-ops it must prepare/commit in their original order.  Computed
+    once per transaction, this replaces repeated {!ops_for_shard} calls,
+    each of which re-hashes every key. *)
+
+val on_shard : (int * 'a list) list -> int -> 'a list
+(** The items a {!group_by_shard} result holds for one shard ([[]] for an
+    untouched shard). *)
+
 val shards_touched : shards:int -> t -> int list
 (** Sorted distinct shard ids. *)
 

@@ -1,7 +1,9 @@
 open Repro_util
 
 type t = {
-  mutable clock : float;
+  clock : float ref;
+      (* a flat float record: advancing the clock stores the float in
+         place instead of writing a fresh box through the write barrier *)
   queue : (unit -> unit) Heap.t;
   root_rng : Rng.t;
   mutable processed : int;
@@ -10,19 +12,19 @@ type t = {
 type cancel = bool ref
 
 let create ~seed =
-  { clock = 0.0; queue = Heap.create (); root_rng = Rng.create seed; processed = 0 }
+  { clock = ref 0.0; queue = Heap.create (); root_rng = Rng.create seed; processed = 0 }
 
-let now t = t.clock
+let now t = !(t.clock)
 
 let rng t = t.root_rng
 
 let schedule_at t ~time f =
-  let time = Float.max time t.clock in
+  let time = Float.max time !(t.clock) in
   Heap.push t.queue time f
 
 let schedule t ~delay f =
   if delay < 0.0 then Sim_error.invalid "Engine.schedule: negative delay";
-  schedule_at t ~time:(t.clock +. delay) f
+  schedule_at t ~time:(!(t.clock) +. delay) f
 
 let timer t ~delay f =
   let flag = ref false in
@@ -33,23 +35,30 @@ let cancel flag = flag := true
 
 let cancelled flag = !flag
 
+(* Fire the minimum event, whose key the caller has read as [time]. *)
+let fire t time =
+  t.clock := time;
+  let f = Heap.take_min t.queue in
+  t.processed <- t.processed + 1;
+  f ()
+
 let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
-      t.clock <- time;
-      t.processed <- t.processed + 1;
-      f ();
-      true
+  if Heap.is_empty t.queue then false
+  else begin
+    fire t (Heap.min_key t.queue);
+    true
+  end
 
 let run t ~until =
   let continue = ref true in
   while !continue do
-    match Heap.peek_key t.queue with
-    | Some time when time <= until -> ignore (step t)
-    | Some _ | None -> continue := false
+    if Heap.is_empty t.queue then continue := false
+    else begin
+      let time = Heap.min_key t.queue in
+      if time <= until then fire t time else continue := false
+    end
   done;
-  t.clock <- Float.max t.clock until
+  t.clock := Float.max !(t.clock) until
 
 let run_until_idle ?(max_events = max_int) t =
   let n = ref 0 in

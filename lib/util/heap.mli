@@ -2,7 +2,13 @@
 
     This is the event queue of the discrete-event simulator: events with
     equal timestamps pop in insertion order, which keeps simulations
-    deterministic regardless of heap internals. *)
+    deterministic regardless of heap internals.  Formally, entries pop in
+    ascending (key, insertion sequence) order.
+
+    Keys are stored unboxed and values in their own array, so {!push} and
+    {!take_min} allocate nothing once the heap has grown to its high-water
+    mark, and {!min_key} at most the float it returns.  A removed value is
+    released by the heap at once. *)
 
 type 'a t
 
@@ -21,4 +27,10 @@ val pop : 'a t -> (float * 'a) option
 val peek_key : 'a t -> float option
 (** Key of the minimum element without removing it. *)
 
-val clear : 'a t -> unit
+val min_key : 'a t -> float
+(** Key of the minimum element, without an option.
+    Raises {!Invariant.Violation} on an empty heap. *)
+
+val take_min : 'a t -> 'a
+(** Removes and returns the minimum element, exactly as {!pop} would, but
+    without allocating.  Raises {!Invariant.Violation} on an empty heap. *)

@@ -700,6 +700,32 @@ let test_end_to_end_smallbank_run () =
   Alcotest.(check bool) "throughput positive" true (System.throughput sys ~warmup:5.0 > 0.0);
   Alcotest.(check bool) "latency sane" true (Stats.mean (System.latency_stats sys) < 5.0)
 
+(* Pins the simulated event order: a small seeded run must process the
+   same number of events, commit the same transactions and reach the same
+   2PC decisions at the same instants.  The constants were recorded before
+   the simulator's hot-path rewrite (unboxed event queue, native-int
+   SHA-256, per-transaction placement); any change to event order, tie
+   breaking or key placement moves at least one of them. *)
+let test_event_order_pinned () =
+  let sys =
+    System.create { (System.default_config ~shards:2 ~committee_size:4) with System.seed = 7L }
+  in
+  let wl = Workload.create Workload.Smallbank ~keyspace:200 ~theta:0.6 ~rng:(Rng.create 11L) in
+  Workload.setup wl sys ~initial_balance:1000;
+  Workload.start_closed_loop wl sys ~clients:4 ~outstanding:8;
+  System.run sys ~until:3.0;
+  let trace =
+    System.decision_trace sys
+    |> List.map (fun (d : System.decision_event) ->
+           Printf.sprintf "%h/%d/%d/%b" d.at d.txid d.shard d.commit)
+    |> String.concat ";"
+  in
+  Alcotest.(check int) "events processed" 11185
+    (Repro_sim.Engine.events_processed (System.engine sys));
+  Alcotest.(check int) "committed" 314 (System.committed sys);
+  Alcotest.(check int) "decisions" 520 (List.length (System.decision_trace sys));
+  Alcotest.(check int) "decision trace hash" 37053465258793442 (Det.stable_hash trace)
+
 let test_reshard_batched_beats_swap_all () =
   let run strategy =
     let sys = make_system ~shards:2 () in
@@ -845,6 +871,7 @@ let () =
       ( "end-to-end",
         [
           Alcotest.test_case "smallbank run" `Slow test_end_to_end_smallbank_run;
+          Alcotest.test_case "event order pinned" `Quick test_event_order_pinned;
           Alcotest.test_case "tampered snapshot rejected" `Slow (fun () ->
               (* Section 5.3's verify-before-serve rule: a member whose
                  missed slots were pruned from every peer's replay ring

@@ -44,6 +44,37 @@ let test_sha256_incremental_matches_oneshot () =
         (Sha256.to_hex (Sha256.digest_concat parts)))
     [ 1; 63; 64; 65; 127; 128; 129; 299 ]
 
+(* Lengths on both sides of [finish]'s two-block padding branch (a tail of
+   56+ bytes leaves no room for the length).  Messages are "abc...z"
+   repeated; expected digests come from coreutils' sha256sum. *)
+let padding_boundary_vectors =
+  [
+    (55, "595615dbe4f0f407ae397d08b4c2cb870cb9b0e11937416f950c5160acf9c005");
+    (56, "784f623b787495078e93ff28a25b581df0584055a7e71d8cd90c454716b92f51");
+    (57, "808f0738aa4401bdee842e5a15a7baad5809f976d8eb6f9bd2683cebd2e8d671");
+    (63, "5ca3e1ef5207490eac01a795e5cc94d59582a5118bf9534665c8668d87aa647c");
+    (64, "2fcd5a0d60e4c941381fcc4e00a4bf8be422c3ddfafb93c809e8d1e2bfffae8e");
+    (65, "1b3cd1877ab2f2f19f7be001722554f336cb799df0329de0bb4c118dc6abc06d");
+    (119, "faef67da856d6fd9c8d12f9ed0a4fefd3cf0ce085ab43e2907418d457e3c354b");
+    (120, "c9512b08619c19fbb503c7da6b46ef20301e5f7a7a5f43989182398536f5c5c8");
+  ]
+
+let alphabet_message n = String.init n (fun i -> Char.chr (Char.code 'a' + (i mod 26)))
+
+let test_sha256_padding_boundaries () =
+  List.iter
+    (fun (n, expected) ->
+      let msg = alphabet_message n in
+      Alcotest.(check string) (Printf.sprintf "%d bytes" n) expected (hex_of msg);
+      for cut = 0 to n do
+        let parts = [ String.sub msg 0 cut; String.sub msg cut (n - cut) ] in
+        Alcotest.(check string)
+          (Printf.sprintf "%d bytes split at %d" n cut)
+          expected
+          (Sha256.to_hex (Sha256.digest_concat parts))
+      done)
+    padding_boundary_vectors
+
 let test_sha256_of_raw_roundtrip () =
   let d = Sha256.digest_string "roundtrip" in
   let d' = Sha256.of_raw_exn (Sha256.to_raw d) in
@@ -284,6 +315,7 @@ let () =
           Alcotest.test_case "896-bit vector" `Quick test_sha256_896_bits;
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "incremental chunking" `Quick test_sha256_incremental_matches_oneshot;
+          Alcotest.test_case "padding boundaries" `Quick test_sha256_padding_boundaries;
           Alcotest.test_case "raw roundtrip" `Quick test_sha256_of_raw_roundtrip;
           Alcotest.test_case "raw rejects bad length" `Quick test_sha256_of_raw_rejects_bad_length;
           Alcotest.test_case "hmac rfc4231 case 1" `Quick test_hmac_rfc4231_case1;

@@ -590,6 +590,35 @@ let prop_tx_serialize_roundtrip =
       | Ok t -> t.Tx.ops = tx.Tx.ops && t.Tx.txid = tx.Tx.txid
       | Error _ -> false)
 
+(* [Tx.placement] (one hash per op) must agree with the filter-based
+   definitions it replaced: the sorted distinct shards of the ops, and per
+   shard the ops whose key hashes there, in their original order. *)
+let prop_tx_placement_matches_filter =
+  QCheck.Test.make ~name:"tx placement agrees with per-shard filters" ~count:300
+    QCheck.(pair (int_range 1 16) (list_of_size Gen.(0 -- 10) (pair (int_bound 40) (int_bound 2))))
+    (fun (shards, raw_ops) ->
+      let ops =
+        List.mapi
+          (fun i (k, kind) ->
+            let key = "k" ^ string_of_int k in
+            match kind with
+            | 0 -> Tx.Put { key; value = string_of_int i }
+            | 1 -> Tx.Get { key }
+            | _ -> Tx.Debit { account = key; amount = i })
+          raw_ops
+      in
+      let tx = Tx.make ~txid:1 ops in
+      let shard_of op = Tx.shard_of_key ~shards (Tx.key_of_op op) in
+      let touched = List.sort_uniq Int.compare (List.map shard_of ops) in
+      let placement = Tx.placement ~shards tx in
+      List.map fst placement = touched
+      && Tx.shards_touched ~shards tx = touched
+      && List.for_all
+           (fun s ->
+             let expected = List.filter (fun op -> shard_of op = s) ops in
+             Tx.on_shard placement s = expected && Tx.ops_for_shard ~shards tx s = expected)
+           (List.init shards Fun.id))
+
 let prop_prepare_abort_is_identity =
   QCheck.Test.make ~name:"prepare then abort leaves state unchanged" ~count:100
     QCheck.(pair (int_range 1 200) (int_range 1 200))
@@ -731,6 +760,7 @@ let qsuite =
       prop_utxo_value_never_increases;
       prop_prepare_abort_is_identity;
       prop_tx_serialize_roundtrip;
+      prop_tx_placement_matches_filter;
       prop_merge_combine_commutative;
       prop_merge_combine_associative;
       prop_merge_identity;

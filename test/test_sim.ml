@@ -44,6 +44,31 @@ let test_engine_run_until_horizon () =
   Engine.run e ~until:6.0;
   Alcotest.(check bool) "now fired" true !fired
 
+(* [run ~until] fires every event at or before the horizon, same-time
+   events (including ones scheduled while their time is being processed)
+   in FIFO order, keeps later events queued, and ends at [until]. *)
+let test_engine_run_until_fifo () =
+  let e = Engine.create ~seed:1L in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  Engine.schedule e ~delay:1.0 (fun () ->
+      note "a" ();
+      Engine.schedule e ~delay:0.0 (note "a'"));
+  List.iter (fun s -> Engine.schedule e ~delay:1.0 (note s)) [ "b"; "c" ];
+  Engine.schedule e ~delay:2.0 (note "at-horizon");
+  Engine.schedule_at e ~time:2.5 (note "late-1");
+  Engine.schedule_at e ~time:2.5 (note "late-2");
+  Engine.run e ~until:2.0;
+  Alcotest.(check (list string)) "fired in (time, FIFO) order" [ "a"; "b"; "c"; "a'"; "at-horizon" ]
+    (List.rev !log);
+  Alcotest.(check int) "later events stay queued" 2 (Engine.pending e);
+  Alcotest.(check int) "events processed" 5 (Engine.events_processed e);
+  check_float "clock ends at until" 2.0 (Engine.now e);
+  Engine.run e ~until:3.0;
+  Alcotest.(check (list string)) "late events FIFO" [ "late-1"; "late-2" ]
+    (List.filteri (fun i _ -> i >= 5) (List.rev !log));
+  Alcotest.(check int) "drained" 0 (Engine.pending e)
+
 let test_engine_nested_scheduling () =
   let e = Engine.create ~seed:1L in
   let count = ref 0 in
@@ -514,6 +539,7 @@ let () =
           Alcotest.test_case "FIFO ties" `Quick test_engine_fifo_at_same_time;
           Alcotest.test_case "clock advances" `Quick test_engine_clock_advances_to_event_time;
           Alcotest.test_case "horizon" `Quick test_engine_run_until_horizon;
+          Alcotest.test_case "run until: FIFO, queued, clock" `Quick test_engine_run_until_fifo;
           Alcotest.test_case "nested scheduling" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "timer cancel" `Quick test_engine_timer_cancel;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_rejected;

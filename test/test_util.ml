@@ -183,6 +183,45 @@ let test_heap_random_against_sort () =
       | None -> Alcotest.fail "heap exhausted early")
     sorted
 
+(* A popped value must not stay reachable from the heap's vacated slots:
+   neither the slot it left nor the slot of an entry moved to replace it. *)
+let test_heap_releases_popped () =
+  let h = Heap.create () in
+  let w = Weak.create 3 in
+  let push_fresh slot key =
+    let v = Sys.opaque_identity (ref slot) in
+    Weak.set w slot (Some v);
+    Heap.push h key v
+  in
+  let collected slot =
+    Gc.full_major ();
+    not (Weak.check w slot)
+  in
+  push_fresh 0 1.0;
+  ignore (Heap.pop h);
+  Alcotest.(check bool) "popped value collected" true (collected 0);
+  push_fresh 1 1.0;
+  ignore (Heap.take_min h);
+  Alcotest.(check bool) "taken value collected" true (collected 1);
+  Heap.push h 1.0 (ref 0);
+  push_fresh 2 2.0;
+  ignore (Heap.take_min h);
+  ignore (Heap.pop h);
+  Alcotest.(check bool) "moved-then-popped value collected" true (collected 2);
+  Alcotest.(check bool) "empty" true (Heap.is_empty h)
+
+let test_heap_take_min () =
+  let h = Heap.create () in
+  List.iter (fun (k, v) -> Heap.push h k v) [ (2.0, "b"); (1.0, "a"); (2.0, "c") ];
+  check_float "min key" 1.0 (Heap.min_key h);
+  Alcotest.(check string) "take a" "a" (Heap.take_min h);
+  check_float "next min key" 2.0 (Heap.min_key h);
+  Alcotest.(check string) "take b" "b" (Heap.take_min h);
+  Alcotest.(check string) "take c" "c" (Heap.take_min h);
+  Alcotest.(check bool) "empty" true (Heap.is_empty h);
+  Alcotest.(check bool) "take_min on empty raises" true
+    (match Heap.take_min h with _ -> false | exception Invariant.Violation _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -493,6 +532,48 @@ let prop_heap_ties_fifo =
       in
       drain [] = expected)
 
+let prop_heap_interleaved_matches_stable_sort =
+  (* Random interleavings of push / pop / take_min over a 3-key range
+     (many ties): every removal must return the pending entry that a stable
+     sort by key, i.e. by (key, insertion order), puts first, and peek_key
+     must always report its key. *)
+  QCheck.Test.make ~name:"heap interleavings match a stable sort" ~count:300
+    QCheck.(list (pair (int_bound 3) (int_bound 2)))
+    (fun ops ->
+      let h = Heap.create () in
+      let pending = ref [] (* (key, id), insertion order *) and next = ref 0 in
+      let model_min () =
+        match List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) !pending with
+        | [] -> None
+        | first :: _ -> Some first
+      in
+      let remove ((_, id) as entry) =
+        pending := List.filter (fun (_, i) -> i <> id) !pending;
+        entry
+      in
+      List.for_all
+        (fun (kind, key) ->
+          let ok =
+            match (kind, model_min ()) with
+            | (0 | 1), _ ->
+                Heap.push h (float_of_int key) !next;
+                pending := !pending @ [ (key, !next) ];
+                incr next;
+                true
+            | 2, None -> Heap.pop h = None
+            | 2, Some m ->
+                let k, id = remove m in
+                Heap.pop h = Some (float_of_int k, id)
+            | _, None -> Heap.is_empty h
+            | _, Some m ->
+                let k, id = remove m in
+                Heap.min_key h = float_of_int k && Heap.take_min h = id
+          in
+          ok
+          && Heap.size h = List.length !pending
+          && Heap.peek_key h = Option.map (fun (k, _) -> float_of_int k) (model_min ()))
+        ops)
+
 let prop_permutation_bijective =
   QCheck.Test.make ~name:"permutation is bijective" ~count:100
     QCheck.(pair small_int (int_bound 1000))
@@ -542,6 +623,7 @@ let qsuite =
     [
       prop_heap_pop_sorted;
       prop_heap_ties_fifo;
+      prop_heap_interleaved_matches_stable_sort;
       prop_permutation_bijective;
       prop_stats_mean_bounded;
       prop_zipf_sample_in_range;
@@ -577,6 +659,8 @@ let () =
           Alcotest.test_case "empty" `Quick test_heap_empty;
           Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
           Alcotest.test_case "random vs sort" `Quick test_heap_random_against_sort;
+          Alcotest.test_case "take_min / min_key" `Quick test_heap_take_min;
+          Alcotest.test_case "popped values released" `Quick test_heap_releases_popped;
         ] );
       ( "pool",
         [

@@ -4,7 +4,7 @@
    Usage: ahl_check [--variant NAME] [--n N] [--f F] [--trials T]
                     [--seed S] [--budget B] [--json]
           ahl_check --cross-shard [--mode diff|ref|client|flat]
-                    [--concurrency 2pl|waitdie] [--batching] [--fast-lane]
+                    [--concurrency 2pl|waitdie] [--fast-lane]
                     [--shards K] [--committee N] [--trials T] [--seed S]
                     [--budget B] [--json]
 
@@ -22,12 +22,13 @@
    atomicity / durable-decision / conservation / stuck-lock / liveness
    oracles.  --mode diff runs the silent-client differential
    (With_reference survives, Client_driven leaves locks stuck); --mode
-   ref, client, or flat explores that coordination mode.  --batching runs
-   the system under test on the batched + pipelined commit path (the
-   witness line is unchanged: batching is a run parameter).  --fast-lane
-   turns the commutative fast lane on: honest transfers become mergeable
-   delta pairs, schedules also fault the delta legs, and the
-   merge-convergence oracle is armed (also a run parameter).
+   ref, client, or flat explores that coordination mode.  The system
+   under test always runs the batched + pipelined commit path the figures
+   run (DESIGN §15), so a witness replays on the protocol it was found on.
+   --fast-lane turns the commutative fast lane on: honest transfers
+   become mergeable delta pairs, schedules also fault the delta legs, and
+   the merge-convergence oracle is armed (a run parameter: the witness
+   line is unchanged).
 
    Exit codes: 0 property holds / no violation, 1 otherwise, 2 usage
    errors.  Every reported witness is replayable from
@@ -45,7 +46,6 @@ let () =
   let budget = ref 32 in
   let json = ref false in
   let cross = ref false in
-  let batching = ref false in
   let lane = ref false in
   let mode = ref "diff" in
   let concurrency = ref "2pl" in
@@ -64,9 +64,6 @@ let () =
       ("--budget", Arg.Set_int budget, "B max shrink replays per violation (default: 32)");
       ("--json", Arg.Set json, " emit a machine-readable summary on stdout");
       ("--cross-shard", Arg.Set cross, " explore whole-system cross-shard schedules");
-      ( "--batching",
-        Arg.Set batching,
-        " run the cross-shard system on the batched + pipelined commit path" );
       ( "--fast-lane",
         Arg.Set lane,
         " run the cross-shard system with the commutative fast lane on (delta-leg faults + \
@@ -127,10 +124,7 @@ let () =
             "ahl_check: --fast-lane does not apply to the silent-client differential\n";
           exit 2
         end;
-        let d =
-          Xexplore.differential ~batching:!batching ~shards:!shards ~committee_size:!committee
-            ~seed ()
-        in
+        let d = Xexplore.differential ~shards:!shards ~committee_size:!committee ~seed () in
         if !json then print_endline (Xexplore.json_of_differential d)
         else Format.printf "%a" Xexplore.pp_differential d;
         exit (if d.Xexplore.holds then 0 else 1)
@@ -141,7 +135,7 @@ let () =
             exit 2
         | Some mode ->
             let r =
-              Xexplore.run ~batching:!batching ~lane:!lane ~mode ~concurrency ~shards:!shards
+              Xexplore.run ~lane:!lane ~mode ~concurrency ~shards:!shards
                 ~committee_size:!committee ~trials:!trials ~seed ~budget:!budget ()
             in
             if !json then print_endline (Xexplore.json_of_report r)

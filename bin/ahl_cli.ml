@@ -142,7 +142,7 @@ let beacon_cmd =
 (* ------------------------------------------------------------------ *)
 
 let shards_cmd =
-  let run shards committee duration no_reference coordination batching fast_lane theta =
+  let run shards committee duration no_reference coordination fast_lane theta =
     let mode =
       match coordination with
       | Some m -> m
@@ -154,9 +154,10 @@ let shards_cmd =
       | System.Client_driven -> "client-driven"
       | System.Flattened -> "flattened"
     in
-    let base = System.default_config ~shards ~committee_size:committee in
-    let batching = if batching then base.System.batching else None in
-    let sys = System.create { base with System.mode; batching; fast_lane } in
+    let sys =
+      System.create
+        { (System.default_config ~shards ~committee_size:committee) with System.mode; fast_lane }
+    in
     (* The fast lane needs commutative work to route: under --fast-lane the
        driver mixes credit-only hot-key increments (mergeable) with
        sendPayments (conditional debits, always locked). *)
@@ -215,12 +216,6 @@ let shards_cmd =
              (client-driven, no fallback), or $(b,flattened) (SharPer-style, the 2PC state \
              machine rides the coordinator shard's own committee)")
   in
-  let batching =
-    Arg.(
-      value & opt bool true
-      & info [ "batching" ]
-          ~doc:"Batched + pipelined cross-shard commit (use $(b,--batching=false) for the legacy path)")
-  in
   let fast_lane =
     Arg.(
       value & flag
@@ -234,8 +229,7 @@ let shards_cmd =
   Cmd.v
     (Cmd.info "shards" ~doc:"Run the full sharded blockchain under SmallBank")
     Term.(
-      const run $ shards $ committee $ duration $ no_ref $ coordination $ batching $ fast_lane
-      $ theta)
+      const run $ shards $ committee $ duration $ no_ref $ coordination $ fast_lane $ theta)
 
 (* ------------------------------------------------------------------ *)
 (* contract                                                            *)

@@ -220,15 +220,7 @@ let pp_leader_differential fmt (d : differential) =
 
 (* Machine-readable summary; [wall_time] is measured by the caller so this
    module stays free of wall-clock reads. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
+let json_escape = Repro_obs.Sink.json_escape
 
 let json_of_report r =
   let trial_json t =

@@ -33,12 +33,12 @@ let candidates (s : Schedule.t) =
   in
   drop_events @ simpler_flags @ fewer_byz @ fewer_requests
 
-let minimize ~replay ~budget schedule violation =
+let greedy ~candidates ~same_kind ~replay ~budget schedule violation =
   let reruns = ref 0 in
   let reproduces s =
     incr reruns;
     match replay s with
-    | Some v -> Oracle.same_kind v violation
+    | Some v -> same_kind v violation
     | None -> false
   in
   let rec fixpoint s =
@@ -55,3 +55,6 @@ let minimize ~replay ~budget schedule violation =
   in
   let shrunk = fixpoint schedule in
   (shrunk, !reruns)
+
+let minimize ~replay ~budget schedule violation =
+  greedy ~candidates ~same_kind:Oracle.same_kind ~replay ~budget schedule violation

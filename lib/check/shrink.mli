@@ -10,6 +10,20 @@
 val candidates : Schedule.t -> Schedule.t list
 (** One-step simplifications of a schedule, most aggressive first. *)
 
+val greedy :
+  candidates:('s -> 's list) ->
+  same_kind:('v -> 'v -> bool) ->
+  replay:('s -> 'v option) ->
+  budget:int ->
+  's ->
+  'v ->
+  's * int
+(** The loop behind every minimizer: walk [candidates] of the current
+    schedule in order, adopt the first whose [replay] yields a violation
+    of the [same_kind], and restart from it until no candidate reproduces
+    or [budget] replays are spent.  Returns the shrunk schedule and the
+    replays spent. *)
+
 val minimize :
   replay:(Schedule.t -> Oracle.violation option) ->
   budget:int ->

@@ -28,7 +28,6 @@ type trial = {
 
 type report = {
   mode : System.coordination_mode;
-  batching : bool;
   lane : bool;
   shards : int;
   committee_size : int;
@@ -37,11 +36,9 @@ type report = {
   liveness_violations : int;
 }
 
-let replay ?(batching = false) ?(lane = false) ~mode ~concurrency ~shards ~committee_size
-    ~engine_seed schedule =
+let replay ?(lane = false) ~mode ~concurrency ~shards ~committee_size ~engine_seed schedule =
   Xoracle.check
-    (Xtestbed.run ~batching ~lane ~engine_seed ~mode ~concurrency ~shards ~committee_size
-       schedule)
+    (Xtestbed.run ~lane ~engine_seed ~mode ~concurrency ~shards ~committee_size schedule)
 
 let schedule_for ?(lane = false) ~seed ~shards ~committee_size index =
   let rng = Rng.split_named (Rng.create seed) (string_of_int index) in
@@ -50,13 +47,13 @@ let schedule_for ?(lane = false) ~seed ~shards ~committee_size index =
 
 let engine_seed_for ~seed index = Int64.add seed (Int64.of_int index)
 
-let run ?(batching = false) ?(lane = false) ~mode ~concurrency ~shards ~committee_size ~trials
-    ~seed ~budget () =
+let run ?(lane = false) ~mode ~concurrency ~shards ~committee_size ~trials ~seed ~budget
+    () =
   let run_trial index =
     let schedule = schedule_for ~lane ~seed ~shards ~committee_size index in
     let engine_seed = engine_seed_for ~seed index in
     let violations =
-      replay ~batching ~lane ~mode ~concurrency ~shards ~committee_size ~engine_seed schedule
+      replay ~lane ~mode ~concurrency ~shards ~committee_size ~engine_seed schedule
     in
     (* Unlike the single-committee explorer, liveness-class findings
        (stuck locks) are first-class bugs here, so any violation is worth
@@ -66,9 +63,7 @@ let run ?(batching = false) ?(lane = false) ~mode ~concurrency ~shards ~committe
       | [] -> (None, 0)
       | first :: _ ->
           let replay_one s =
-            match
-              replay ~batching ~lane ~mode ~concurrency ~shards ~committee_size ~engine_seed s
-            with
+            match replay ~lane ~mode ~concurrency ~shards ~committee_size ~engine_seed s with
             | [] -> None
             | v :: _ -> Some v
           in
@@ -81,7 +76,6 @@ let run ?(batching = false) ?(lane = false) ~mode ~concurrency ~shards ~committe
   let count p = List.length (List.filter p all) in
   {
     mode;
-    batching;
     lane;
     shards;
     committee_size;
@@ -114,9 +108,9 @@ type differential = {
   holds : bool;
 }
 
-let differential ?(batching = false) ~shards ~committee_size ~seed () =
+let differential ~shards ~committee_size ~seed () =
   let go mode =
-    replay ~batching ~mode ~concurrency:System.Two_phase_locking ~shards ~committee_size
+    replay ~mode ~concurrency:System.Two_phase_locking ~shards ~committee_size
       ~engine_seed:seed silent_client_schedule
   in
   let with_ref = go System.With_reference in
@@ -145,10 +139,9 @@ let pp_trial fmt t =
 
 let pp_report fmt r =
   Format.fprintf fmt
-    "cross-shard %s%s%s shards=%d committee=%d: %d/%d trials with safety violations, %d \
+    "cross-shard %s%s shards=%d committee=%d: %d/%d trials with safety violations, %d \
      liveness@."
     (mode_name r.mode)
-    (if r.batching then " (batched)" else "")
     (if r.lane then " (fast-lane)" else "")
     r.shards r.committee_size r.safety_violations (List.length r.trials) r.liveness_violations;
   List.iter (pp_trial fmt) r.trials
@@ -165,15 +158,7 @@ let pp_differential fmt d =
   Format.fprintf fmt "silent-client differential %s@."
     (if d.holds then "holds" else "DOES NOT HOLD")
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
+let json_escape = Repro_obs.Sink.json_escape
 
 let json_violations vs =
   String.concat ","
@@ -193,8 +178,8 @@ let json_of_report r =
       t.shrink_reruns
   in
   Printf.sprintf
-    "{\"mode\":\"%s\",\"batching\":%b,\"fast_lane\":%b,\"shards\":%d,\"committee_size\":%d,\"trials\":%d,\"safety_violations\":%d,\"liveness_violations\":%d,\"results\":[%s]}"
-    (mode_name r.mode) r.batching r.lane r.shards r.committee_size (List.length r.trials)
+    "{\"mode\":\"%s\",\"fast_lane\":%b,\"shards\":%d,\"committee_size\":%d,\"trials\":%d,\"safety_violations\":%d,\"liveness_violations\":%d,\"results\":[%s]}"
+    (mode_name r.mode) r.lane r.shards r.committee_size (List.length r.trials)
     r.safety_violations r.liveness_violations
     (String.concat "," (List.map trial_json r.trials))
 

@@ -25,7 +25,6 @@ type trial = {
 
 type report = {
   mode : Repro_core.System.coordination_mode;
-  batching : bool;  (** true when the trials ran the batched commit path *)
   lane : bool;  (** true when the trials ran the fast lane (mergeable deltas) *)
   shards : int;
   committee_size : int;
@@ -35,7 +34,6 @@ type report = {
 }
 
 val replay :
-  ?batching:bool ->
   ?lane:bool ->
   mode:Repro_core.System.coordination_mode ->
   concurrency:Repro_core.System.concurrency_control ->
@@ -45,10 +43,9 @@ val replay :
   Xschedule.t ->
   Xoracle.violation list
 (** Deterministically re-run one witness and re-check the oracles.
-    [batching] (default false) replays over the batched commit path;
-    [lane] (default false) over the commutative fast lane with the honest
-    transfers rewritten as delta pairs ({!Xtestbed.run}).  Both are run
-    parameters, not part of the witness line. *)
+    [lane] (default false) replays over the commutative fast lane with
+    the honest transfers rewritten as delta pairs ({!Xtestbed.run}) — a
+    run parameter, not part of the witness line. *)
 
 val schedule_for :
   ?lane:bool -> seed:int64 -> shards:int -> committee_size:int -> int -> Xschedule.t
@@ -59,7 +56,6 @@ val schedule_for :
 val engine_seed_for : seed:int64 -> int -> int64
 
 val run :
-  ?batching:bool ->
   ?lane:bool ->
   mode:Repro_core.System.coordination_mode ->
   concurrency:Repro_core.System.concurrency_control ->
@@ -72,10 +68,9 @@ val run :
   report
 (** Explore [trials] seeded schedules; every violation (stuck locks
     included — they are first-class bugs here) is shrunk with at most
-    [budget] replays.  [batching] (default false) explores the batched +
-    pipelined commit path on the same schedules; [lane] (default false)
-    explores the fast lane under delta-leg faults with the
-    merge-convergence and conservation oracles armed. *)
+    [budget] replays.  [lane] (default false) explores the fast lane
+    under delta-leg faults with the merge-convergence and conservation
+    oracles armed. *)
 
 val silent_client_schedule : Xschedule.t
 (** Two cross-shard transfers, the first from a silent client, no
@@ -90,11 +85,7 @@ type differential = {
           while client-driven coordination leaves its locks stuck *)
 }
 
-val differential :
-  ?batching:bool -> shards:int -> committee_size:int -> seed:int64 -> unit -> differential
-(** [batching] (default false) runs both sides of the differential over
-    the batched commit path — the Figure-14 argument must survive the
-    optimization. *)
+val differential : shards:int -> committee_size:int -> seed:int64 -> unit -> differential
 
 val pp_report : Format.formatter -> report -> unit
 

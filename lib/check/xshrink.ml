@@ -1,7 +1,5 @@
-(* Greedy delta-debugging over cross-shard schedules, mirroring {!Shrink}:
-   try structurally smaller candidates, keep any that still reproduces the
-   same kind of violation under deterministic replay, repeat to fixpoint
-   or budget exhaustion. *)
+(* Greedy delta-debugging over cross-shard schedules: the cross-shard
+   candidates and oracle kinds driven by {!Shrink.greedy}'s loop. *)
 
 let restrict indices ~txs = List.filter (fun i -> i < txs) indices
 
@@ -40,24 +38,4 @@ let candidates (s : Xschedule.t) =
   drop_faults @ simpler_flags @ fewer_malicious @ fewer_txs
 
 let minimize ~replay ~budget schedule violation =
-  let reruns = ref 0 in
-  let reproduces s =
-    incr reruns;
-    match replay s with
-    | Some v -> Xoracle.same_kind v violation
-    | None -> false
-  in
-  let rec fixpoint s =
-    if !reruns >= budget then s
-    else
-      let rec try_candidates = function
-        | [] -> s
-        | cand :: rest ->
-            if !reruns >= budget then s
-            else if reproduces cand then fixpoint cand
-            else try_candidates rest
-      in
-      try_candidates (candidates s)
-  in
-  let shrunk = fixpoint schedule in
-  (shrunk, !reruns)
+  Shrink.greedy ~candidates ~same_kind:Xoracle.same_kind ~replay ~budget schedule violation

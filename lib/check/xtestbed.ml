@@ -49,23 +49,18 @@ let key_on ~shards ~prefix shard =
   in
   find 0
 
-let run ?(probe = Repro_obs.Probe.none) ?(batching = false) ?(lane = false) ~engine_seed
-    ~mode ~concurrency ~shards ~committee_size (sched : Xschedule.t) =
-  let base = System.default_config ~shards ~committee_size in
+let run ?(probe = Repro_obs.Probe.none) ?(lane = false) ~engine_seed ~mode ~concurrency
+    ~shards ~committee_size (sched : Xschedule.t) =
   let sys =
     System.create
       {
-        base with
+        (System.default_config ~shards ~committee_size) with
         System.mode;
         concurrency;
         seed = engine_seed;
-        (* Default off: legacy witnesses replay bit-identically on the
-           one-request-per-leg path; [batching:true] explores the batched
-           commit path instead. *)
-        batching = (if batching then base.System.batching else None);
-        (* Like [batching], a run parameter rather than part of the
-           witness: [lane:true] turns the fast lane on and rewrites the
-           honest transfers as mergeable delta pairs (below). *)
+        (* A run parameter rather than part of the witness: [lane:true]
+           turns the fast lane on and rewrites the honest transfers as
+           mergeable delta pairs (below). *)
         fast_lane = lane;
       }
   in

@@ -56,7 +56,6 @@ type outcome = {
 
 val run :
   ?probe:Repro_obs.Probe.t ->
-  ?batching:bool ->
   ?lane:bool ->
   engine_seed:int64 ->
   mode:Repro_core.System.coordination_mode ->
@@ -70,16 +69,13 @@ val run :
     view-change events, epoch-transition waves — so a shrunk witness can
     be replayed with [--trace] and read in Perfetto.
 
-    [batching] (default [false], keeping every legacy witness
-    bit-replayable on the one-request-per-leg path) runs the system with
-    {!Repro_core.System.default_batching} instead, so the adversary
-    exercises the batched + pipelined commit path; a schedule's fault
-    probabilities apply per constituent leg either way, and it is a run
-    parameter — deliberately not part of the witness line.
+    The system runs the batched + pipelined commit path the figures run
+    (DESIGN §15); a schedule's fault probabilities apply per constituent
+    leg of a batch carrier.
 
     [lane] (default [false]) turns {!Repro_core.System.config.fast_lane}
     on and rewrites the schedule's honest, in-funds transfers as
     unconditional delta pairs over per-shard mergeable keys disjoint from
     the locked-path accounts (malicious and overdraft transactions keep
-     2PC, so both paths run mixed).  Like [batching], a run parameter —
-    deliberately not part of the witness line. *)
+     2PC, so both paths run mixed).  A run parameter — deliberately not
+    part of the witness line. *)

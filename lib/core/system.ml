@@ -16,8 +16,6 @@ type concurrency_control =
           whose prepare hits a lock parks and retries when the lock frees
           (younger ones still die, so no deadlocks) *)
 
-type batching = { window : float; max_steps : int; pipeline : bool }
-
 type config = {
   shards : int;
   committee_size : int;
@@ -29,13 +27,10 @@ type config = {
   seed : int64;
   tune : Config.t -> Config.t;
   client_fallback_timeout : float;
-  batching : batching option;
   fast_lane : bool;
       (* DESIGN §18: route all-mergeable transactions down the lock-free
          delta lane instead of 2PC+2PL *)
 }
-
-let default_batching = { window = 0.02; max_steps = 128; pipeline = true }
 
 let default_config ~shards ~committee_size =
   {
@@ -49,7 +44,6 @@ let default_config ~shards ~committee_size =
     seed = 1L;
     tune = Fun.id;
     client_fallback_timeout = 5.0;
-    batching = Some default_batching;
     fast_lane = false;
   }
 
@@ -179,8 +173,6 @@ let coordinator_of t (rec_ : tx_record) =
   | Client_driven ->
       Sim_error.invalid "System.coordinator_of: no coordinator committee in client-driven mode"
 
-let pipelining t = match t.cfg.batching with Some b -> b.pipeline | None -> false
-
 (* ------------------------------------------------------------------ *)
 (* Request plumbing                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -256,6 +248,12 @@ let send_to_committee t ~committee ~client op =
    forever; release them after a generous grace period instead. *)
 let batch_gc_period = 120.0
 
+(* A pending step waits at most [batch_window] seconds for co-travellers;
+   a destination's batch flushes at once when it reaches [batch_max_steps]. *)
+let batch_window = 0.02
+
+let batch_max_steps = 128
+
 let send_batch t ~committee ~client steps =
   match steps with
   | [] -> ()
@@ -323,37 +321,34 @@ let flush_batcher t ~committee b =
               Engine.schedule t.engine ~delay:d (fun () -> send_batch t ~committee ~client ss))
             (groups delayed))
 
-(* Coordinator-bound steps (Begin/Vote) ride batches when batching is on;
-   everything else keeps the one-request-per-step path. *)
+(* Coordinator-bound steps (Begin/Vote) always ride batches; every other
+   step keeps the one-request-per-step path. *)
 let enqueue_step t ~committee ~client op =
-  match t.cfg.batching with
-  | None -> send_to_committee t ~committee ~client op
-  | Some bcfg ->
-      let b =
-        match Hashtbl.find_opt t.batchers committee with
-        | Some b -> b
-        | None ->
-            let b = { steps = []; count = 0; bclient = client; armed = false } in
-            Hashtbl.replace t.batchers committee b;
-            b
-      in
-      if b.count = 0 then b.bclient <- client;
-      b.steps <- op :: b.steps;
-      b.count <- b.count + 1;
-      if b.count >= bcfg.max_steps then begin
-        Probe.incr t.probe "2pc.batch.flush.full";
-        flush_batcher t ~committee b
-      end
-      else if not b.armed then begin
-        b.armed <- true;
-        Engine.schedule t.engine ~delay:bcfg.window (fun () ->
-            b.armed <- false;
-            match b.steps with
-            | [] -> ()
-            | _ :: _ ->
-                Probe.incr t.probe "2pc.batch.flush.window";
-                flush_batcher t ~committee b)
-      end
+  let b =
+    match Hashtbl.find_opt t.batchers committee with
+    | Some b -> b
+    | None ->
+        let b = { steps = []; count = 0; bclient = client; armed = false } in
+        Hashtbl.replace t.batchers committee b;
+        b
+  in
+  if b.count = 0 then b.bclient <- client;
+  b.steps <- op :: b.steps;
+  b.count <- b.count + 1;
+  if b.count >= batch_max_steps then begin
+    Probe.incr t.probe "2pc.batch.flush.full";
+    flush_batcher t ~committee b
+  end
+  else if not b.armed then begin
+    b.armed <- true;
+    Engine.schedule t.engine ~delay:batch_window (fun () ->
+        b.armed <- false;
+        match b.steps with
+        | [] -> ()
+        | _ :: _ ->
+            Probe.incr t.probe "2pc.batch.flush.window";
+            flush_batcher t ~committee b)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Coordination driver (the client relay + coordinator fallback)       *)
@@ -660,26 +655,21 @@ let observe_vote_leg t txid =
 let rec react_begin t txid decision =
   match decision with
   | Reference.Now_started -> (
+      (* A relaying client already dispatched prepares alongside BeginTx
+         (pipelining); only a silent one leaves the work to the coordinator. *)
       match Hashtbl.find_opt t.inflight txid with
-      | None -> ()
-      | Some rec_ ->
-          if rec_.relaying then begin
-            (* Under the pipelined path the submitting client already
-               dispatched prepares alongside BeginTx; the coordinator only
-               dispatches here on the legacy (unpipelined) path. *)
-            if not (pipelining t) then dispatch_prepares t txid
-          end
-          else
-            (* Fallback: the coordinator's nodes dispatch PrepareTx
-               themselves if the client relay stays silent, then sweep for
-               the shards' prepare evidence until the tx is done. *)
-            Engine.schedule t.engine ~delay:t.cfg.client_fallback_timeout (fun () ->
-                (match coord_state t rec_ ~txid with
-                | Some (Reference.Preparing _) | Some Reference.Started ->
-                    dispatch_prepares t txid
-                | Some Reference.Committed | Some Reference.Aborted | None -> ());
-                Engine.schedule t.engine ~delay:t.cfg.client_fallback_timeout (fun () ->
-                    fallback_collect t txid)))
+      | Some rec_ when not rec_.relaying ->
+          (* Fallback: the coordinator's nodes dispatch PrepareTx
+             themselves if the client relay stays silent, then sweep for
+             the shards' prepare evidence until the tx is done. *)
+          Engine.schedule t.engine ~delay:t.cfg.client_fallback_timeout (fun () ->
+              (match coord_state t rec_ ~txid with
+              | Some (Reference.Preparing _) | Some Reference.Started ->
+                  dispatch_prepares t txid
+              | Some Reference.Committed | Some Reference.Aborted | None -> ());
+              Engine.schedule t.engine ~delay:t.cfg.client_fallback_timeout (fun () ->
+                  fallback_collect t txid))
+      | Some _ | None -> ())
   | Reference.Now_committed ->
       (* Buffered early votes completed the machine inside BeginTx. *)
       dispatch_decision t txid true
@@ -697,65 +687,47 @@ and coord_state t rec_ ~txid =
   | None -> None
   | Some sm -> Reference.state_of sm ~txid
 
-(* Run coordinator chaincode steps at the hosting committee's observer.
-   One [Batch] carrier applies a whole consensus slot's worth of legs via
-   [Reference.step_batch], reacting to each step's decision exactly as the
-   per-request path would. *)
-and execute_coord t ctx (req : Types.request) =
+(* Run one [Batch] carrier's coordinator chaincode steps at the hosting
+   committee's observer: [Reference.step_batch] applies the whole consensus
+   slot's worth of legs, and each step's decision is reacted to in order. *)
+and execute_coord t ctx ~batch steps =
   match ctx.coordsm with
   | None -> ()
-  | Some refsm -> (
-      match Coordination.lookup t.registry req.Types.op_tag with
-      | None -> ()
-      | Some op -> (
-          match op with
-          | Coordination.Begin_tx { txid; participants } ->
-              react_begin t txid (Reference.step refsm ~txid (Reference.Begin { participants }))
-          | Coordination.Vote { txid; shard; ok } ->
-              observe_vote_leg t txid;
-              let event =
-                if ok then Reference.Prepare_ok { shard } else Reference.Prepare_not_ok { shard }
-              in
-              react_vote t txid (Reference.step refsm ~txid event)
-          | Coordination.Batch { batch; steps } ->
-              Probe.observe t.probe "2pc.slot_steps" (float_of_int (List.length steps));
-              let events =
-                List.filter_map
-                  (fun s ->
-                    match s with
-                    | Coordination.Begin_tx { txid; participants } ->
-                        Some (s, (txid, Reference.Begin { participants }))
-                    | Coordination.Vote { txid; shard; ok } ->
-                        Some
-                          ( s,
-                            ( txid,
-                              if ok then Reference.Prepare_ok { shard }
-                              else Reference.Prepare_not_ok { shard } ) )
-                    | Coordination.Single _ | Coordination.Prepare_tx _
-                    | Coordination.Commit_tx _ | Coordination.Abort_tx _
-                    | Coordination.Merge_tx _ | Coordination.Batch _ ->
-                        None)
-                  steps
-              in
-              List.iter
-                (fun (s, (txid, _)) ->
-                  match s with Coordination.Vote _ -> observe_vote_leg t txid | _ -> ())
-                events;
-              let decisions = Reference.step_batch refsm (List.map snd events) in
-              List.iter2
-                (fun (s, _) (txid, d) ->
-                  match s with
-                  | Coordination.Begin_tx _ -> react_begin t txid d
-                  | _ -> react_vote t txid d)
-                events decisions;
-              if Hashtbl.mem t.live_batches batch then begin
-                Hashtbl.remove t.live_batches batch;
-                t.batches_inflight <- t.batches_inflight - 1
-              end;
-              Coordination.release t.registry ~txid:(Coordination.batch_txid batch)
-          | Coordination.Single _ | Coordination.Prepare_tx _ | Coordination.Commit_tx _
-          | Coordination.Abort_tx _ | Coordination.Merge_tx _ ->
-              ()))
+  | Some refsm ->
+      Probe.observe t.probe "2pc.slot_steps" (float_of_int (List.length steps));
+      let events =
+        List.filter_map
+          (fun s ->
+            match s with
+            | Coordination.Begin_tx { txid; participants } ->
+                Some (s, (txid, Reference.Begin { participants }))
+            | Coordination.Vote { txid; shard; ok } ->
+                Some
+                  ( s,
+                    ( txid,
+                      if ok then Reference.Prepare_ok { shard }
+                      else Reference.Prepare_not_ok { shard } ) )
+            | Coordination.Single _ | Coordination.Prepare_tx _ | Coordination.Commit_tx _
+            | Coordination.Abort_tx _ | Coordination.Merge_tx _ | Coordination.Batch _ ->
+                None)
+          steps
+      in
+      List.iter
+        (fun (s, (txid, _)) ->
+          match s with Coordination.Vote _ -> observe_vote_leg t txid | _ -> ())
+        events;
+      let decisions = Reference.step_batch refsm (List.map snd events) in
+      List.iter2
+        (fun (s, _) (txid, d) ->
+          match s with
+          | Coordination.Begin_tx _ -> react_begin t txid d
+          | _ -> react_vote t txid d)
+        events decisions;
+      if Hashtbl.mem t.live_batches batch then begin
+        Hashtbl.remove t.live_batches batch;
+        t.batches_inflight <- t.batches_inflight - 1
+      end;
+      Coordination.release t.registry ~txid:(Coordination.batch_txid batch)
 
 (* When the client never relays votes, the coordinator's members sweep the
    participants: each shard observer keeps the quorum outcome of every
@@ -868,9 +840,7 @@ let create cfg =
             List.iter
               (fun req ->
                 match Coordination.lookup t.registry req.Types.op_tag with
-                | Some (Coordination.Begin_tx _ | Coordination.Vote _ | Coordination.Batch _)
-                  ->
-                    execute_coord t ctx req
+                | Some (Coordination.Batch { batch; steps }) -> execute_coord t ctx ~batch steps
                 | Some _ | None -> execute_on_shard t ctx req)
               batch;
             record_block t ctx batch
@@ -1059,7 +1029,7 @@ let submit_locked t ~on_done ~malicious_client tx =
              coordinator's consensus before preparing — dispatch prepares
              immediately and let the coordinator's machine buffer any vote
              that outruns its Begin. *)
-          if pipelining t && rec_.relaying then dispatch_prepares t txid
+          if rec_.relaying then dispatch_prepares t txid
       | Client_driven -> dispatch_prepares t txid);
       arm_retry t txid
 

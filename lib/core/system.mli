@@ -9,12 +9,13 @@
     optimization) and R's own nodes falling back to direct dispatch when a
     client goes silent, which is what defeats malicious coordinators.
 
-    The batched + pipelined commit path (DESIGN §15) lifts the Fig.-13
-    reference-committee plateau: coordinator-bound Begin/Vote steps are
-    accumulated into per-slot {!Coordination.op.Batch} carriers so one
-    consensus slot orders many transactions, and prepares are dispatched
-    at submit time so the coordinator's consensus on BeginTx overlaps the
-    shards' prepare work. *)
+    The commit path is batched and pipelined (DESIGN §15), which lifts
+    the Fig.-13 reference-committee plateau: coordinator-bound Begin/Vote
+    steps always travel in per-destination {!Coordination.op.Batch}
+    carriers (flushed after a 20 ms window or at 128 steps) so one
+    consensus slot orders many transactions, and a relaying client
+    dispatches prepares at submit time so the coordinator's consensus on
+    BeginTx overlaps the shards' prepare work. *)
 
 type coordination_mode =
   | With_reference            (** 2PC state machine on a BFT committee R *)
@@ -33,17 +34,6 @@ type concurrency_control =
           hits a lock parks (bounded wait) and retries on release; younger
           transactions still die, so no deadlocks *)
 
-type batching = {
-  window : float;  (** seconds a pending step may wait for co-travellers *)
-  max_steps : int;  (** flush immediately at this many pending steps *)
-  pipeline : bool;
-      (** dispatch prepares at submit time instead of waiting for BeginTx
-          to clear the coordinator's consensus (the coordinator buffers
-          votes that outrun their Begin) *)
-}
-(** Knobs of the batched commit path; [None] in {!config.batching}
-    restores the legacy one-consensus-request-per-leg protocol. *)
-
 type config = {
   shards : int;
   committee_size : int;
@@ -57,9 +47,6 @@ type config = {
   client_fallback_timeout : float;
       (** how long R waits for the client relay before its nodes dispatch
           PrepareTx/CommitTx themselves *)
-  batching : batching option;
-      (** [Some] batches coordinator-bound steps per destination
-          committee; {!default_config} turns it on *)
   fast_lane : bool;
       (** route all-mergeable transactions down the lock-free delta lane
           (DESIGN §18): deltas append per shard with no prepare/vote round
@@ -67,10 +54,6 @@ type config = {
           mixed/non-commutative transactions keep 2PC+2PL.  Off in
           {!default_config}. *)
 }
-
-val default_batching : batching
-(** 20 ms window, 128-step flush, pipelining on — the configuration the
-    fig13 batched curves run with. *)
 
 val default_config : shards:int -> committee_size:int -> config
 

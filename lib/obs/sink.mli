@@ -3,6 +3,10 @@
     metrics summaries.  Output order is sorted by trace/registry name, so
     artifacts are byte-identical across runs and worker counts. *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal for [s] (no surrounding quotes):
+    quotes, backslashes and every control character are escaped. *)
+
 val chrome_json : (string * Trace.t) list -> string
 (** Chrome trace-event JSON for the named traces.  Each trace becomes a
     process (pid assigned in sorted-name order) and each of its node scopes

@@ -599,17 +599,25 @@ let test_fallback_sweep_regression () =
   Alcotest.(check (list string)) "fixed sweep survives the witness" []
     (List.map Xoracle.to_string vs)
 
+(* The checker explores the protocol the figures run: the fallback-sweep
+   regression witness replays clean with its with-reference Begin/Vote
+   steps moved in batch carriers. *)
 let test_fallback_sweep_witness_batched () =
-  (* Batching is a run parameter, not part of the witness line: the PR-4
-     regression witness must replay with the identical verdict over the
-     batched + pipelined commit path. *)
-  let vs =
-    Xexplore.replay ~batching:true ~mode:System.With_reference
-      ~concurrency:System.Two_phase_locking ~shards:2 ~committee_size:4 ~engine_seed:58L
+  let metrics = Repro_obs.Metrics.create () in
+  let probe = Repro_obs.Probe.make ~trace:(Repro_obs.Trace.create ()) ~metrics in
+  let outcome =
+    Xtestbed.run ~probe ~engine_seed:58L ~mode:System.With_reference
+      ~concurrency:System.Two_phase_locking ~shards:2 ~committee_size:4
       (Xschedule.of_string prefix_bug_witness)
   in
+  let samples =
+    match Repro_obs.Metrics.histogram_stats metrics "2pc.batch.size" with
+    | Some s -> Repro_util.Stats.count s
+    | None -> 0
+  in
+  Alcotest.(check bool) "batch-size samples recorded" true (samples > 0);
   Alcotest.(check (list string)) "batched replay stays clean" []
-    (List.map Xoracle.to_string vs)
+    (List.map Xoracle.to_string (Xoracle.check outcome))
 
 (* The recovered-observer regression witnesses.  Before checkpoint
    catch-up existed, a crashed-and-recovered observer rejoined at its
@@ -671,8 +679,10 @@ let test_flattened_silent_client_clean () =
   Alcotest.(check (list string)) "flattened finishes the silent client" []
     (List.map Xoracle.to_string vs)
 
+(* The figure-14 argument on the batched commit path, at a wider
+   configuration than the json differential test. *)
 let test_differential_holds_batched () =
-  let d = Xexplore.differential ~batching:true ~shards:2 ~committee_size:3 ~seed:21L () in
+  let d = Xexplore.differential ~shards:3 ~committee_size:4 ~seed:34L () in
   Alcotest.(check bool) "figure-14 argument survives batching" true d.Xexplore.holds
 
 let test_xshrink_candidates_and_minimize () =

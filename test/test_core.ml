@@ -334,13 +334,7 @@ let test_malicious_client_fallback_commits () =
    the carrier slots leave their footprint in the batch histograms, and the
    registry drains once the batches execute. *)
 let test_batched_commit_probes_and_registry () =
-  let sys =
-    System.create
-      {
-        (System.default_config ~shards:2 ~committee_size:3) with
-        System.batching = Some System.default_batching;
-      }
-  in
+  let sys = System.create (System.default_config ~shards:2 ~committee_size:3) in
   let metrics = Repro_obs.Metrics.create () in
   System.set_probe sys (Repro_obs.Probe.make ~trace:(Repro_obs.Trace.create ()) ~metrics);
   (* Distinct account pairs so no transfer lock-conflicts with another. *)
@@ -376,21 +370,6 @@ let test_batched_commit_probes_and_registry () =
   Alcotest.(check bool) "pipeline-depth histogram recorded" true
     (hist_count "2pc.batch.pipeline_depth" > 0);
   Alcotest.(check int) "registry drained at quiescence" 0 (System.registry_size sys)
-
-let test_unbatched_legacy_path_commits () =
-  let sys =
-    System.create
-      { (System.default_config ~shards:2 ~committee_size:3) with System.batching = None }
-  in
-  let a = key_in sys 0 and b = key_in sys 1 in
-  fund sys a 100;
-  fund sys b 0;
-  let outcome = ref None in
-  System.submit sys ~on_done:(fun o -> outcome := Some o)
-    (transfer_tx ~txid:1 sys ~from_:a ~to_:b ~amount:30);
-  run_to_done sys;
-  Alcotest.(check bool) "committed" true (!outcome = Some System.Committed);
-  Alcotest.(check int) "credited" 30 (Executor.balance (System.shard_state sys 1) b)
 
 (* SharPer-style flattened coordination: no dedicated R, the coordinator
    shard's own committee orders the 2PC machine. *)
@@ -773,8 +752,6 @@ let () =
           Alcotest.test_case "wait-die reduces aborts" `Quick test_wait_die_reduces_aborts;
           Alcotest.test_case "batched commit + probes + registry" `Quick
             test_batched_commit_probes_and_registry;
-          Alcotest.test_case "legacy unbatched path commits" `Quick
-            test_unbatched_legacy_path_commits;
           Alcotest.test_case "flattened cross-shard commit" `Quick
             test_flattened_cross_shard_commit;
           Alcotest.test_case "flattened fallback commits" `Quick test_flattened_fallback_commits;

@@ -147,12 +147,7 @@ let () =
   match !variant with
   | "diff" | "differential" ->
       let d = Explore.differential ~f:!f ~trials:!trials ~seed ~budget:!budget in
-      if not !json then begin
-        Format.printf "broken:@.%a@." Explore.pp_report d.Explore.broken;
-        List.iter (fun r -> Format.printf "safe:@.%a@." Explore.pp_report r) d.Explore.safe;
-        Format.printf "differential %s@."
-          (if d.Explore.holds then "holds" else "DOES NOT HOLD")
-      end;
+      if not !json then Format.printf "%a" Explore.pp_differential d;
       finish (d.Explore.broken :: d.Explore.safe) d.Explore.holds
   | "leader-stall" | "leader_stall" ->
       let d = Explore.leader_stall_differential ~f:!f ~trials:!trials ~seed ~budget:!budget in

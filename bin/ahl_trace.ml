@@ -5,7 +5,7 @@
             [--trace out.json] [--jsonl out.jsonl] [--metrics out.json]
             [--summary] [--print]
           ahl_trace --witness "x1 txs=2 ..." [--engine-seed S]
-            [--mode ref|client] [--concurrency 2pl|waitdie]
+            [--mode ref|client|flat] [--concurrency 2pl|waitdie]
             [--shards K] [--committee N] [--trace out.json] ...
 
    ID is any experiment id from `ahl_cli experiment --list` (fig10,
@@ -61,7 +61,7 @@ let () =
       ("--summary", Arg.Set summary, " print a text summary of the recorded metrics");
       ("--print", Arg.Set print_figure, " also print the rendered figure (experiment runs)");
       ("--engine-seed", Arg.Set_int engine_seed, "S witness replay engine seed (default: 21)");
-      ("--mode", Arg.Set_string mode, "M witness coordination mode: ref|client (default: ref)");
+      ("--mode", Arg.Set_string mode, "M witness coordination mode: ref|client|flat (default: ref)");
       ( "--concurrency",
         Arg.Set_string concurrency,
         "C witness concurrency control: 2pl|waitdie (default: 2pl)" );
@@ -81,12 +81,12 @@ let () =
     let sched =
       match Xschedule.of_string !witness with
       | s -> s
-      | exception Xschedule.Invalid_witness w -> fail "malformed witness: %s" w
+      | exception Witness.Invalid_witness w -> fail "malformed witness: %s" w
     in
     let mode =
       match Xexplore.mode_of_name !mode with
       | Some m -> m
-      | None -> fail "unknown mode %s (want ref|client)" !mode
+      | None -> fail "unknown mode %s (want ref|client|flat)" !mode
     in
     let concurrency =
       match Xexplore.concurrency_of_name !concurrency with

@@ -1,10 +1,7 @@
-(** The schedule explorer: seeded trials, oracles, shrinking, and the
-    headline differential property.
-
-    Trial [i] of a run with base seed [s] uses engine seed [s + i] and the
-    schedule generated from [split_named (create s) (string_of_int i)] —
-    so a witness is fully described by [(engine_seed, schedule)] and
-    nothing else. *)
+(** The single-committee checker: the {!Explorer} core instantiated over
+    {!Schedule}s, {!Oracle} violations, and {!Testbed} runs, plus the
+    headline differential properties.  Only safety violations are shrunk
+    to a witness. *)
 
 val hl_small : Repro_consensus.Config.variant
 (** HL's unattested quorums at AHL's committee size ([N = 2f+1], quorums
@@ -14,24 +11,16 @@ val hl_small : Repro_consensus.Config.variant
 val variant_of_name : string -> Repro_consensus.Config.variant option
 (** CLI names: [hl2f1], [hl], [ahl], [ahl+], [ahlr]. *)
 
-type trial = {
-  index : int;
-  engine_seed : int64;
-  schedule : Schedule.t;
-  violations : Oracle.violation list;
-  view_changes : int;  (** adopted new-views across the committee *)
-  shrunk : Schedule.t option;  (** minimized witness, on safety violations *)
-  shrink_reruns : int;
-}
+type params = { variant : Repro_consensus.Config.variant; n : int; f : int }
 
-type report = {
-  variant_name : string;
-  n : int;
-  f : int;
-  trials : trial list;
-  safety_violations : int;  (** trials with at least one safety violation *)
-  liveness_violations : int;
-}
+type stats = { view_changes : int  (** adopted new-views across the committee *) }
+
+include
+  Explorer_intf.S
+    with type schedule := Schedule.t
+     and type violation := Oracle.violation
+     and type params := params
+     and type stats := stats
 
 val replay :
   variant:Repro_consensus.Config.variant ->
@@ -43,8 +32,6 @@ val replay :
 
 val schedule_for : seed:int64 -> n:int -> f:int -> int -> Schedule.t
 (** The schedule trial [i] uses (exposed for replay tests). *)
-
-val engine_seed_for : seed:int64 -> int -> int64
 
 val run :
   variant:Repro_consensus.Config.variant ->
@@ -85,14 +72,14 @@ val leader_stall_differential : f:int -> trials:int -> seed:int64 -> budget:int 
     f+1 join threshold on its own, so only the relay watchdog detects that
     attack. *)
 
-val pp_report : Format.formatter -> report -> unit
+val pp_differential : Format.formatter -> differential -> unit
+(** Each side's report under a [broken:] / [safe:] heading, then the
+    verdict. *)
 
 val pp_leader_differential : Format.formatter -> differential -> unit
 (** Like the plain report printer but leads with per-trial view-change
     counts, and prints a one-line replayable witness for any trial off its
     expected shape (a violation anywhere, or a storm-free broken trial). *)
-
-val json_of_report : report -> string
 
 val json_summary : wall_time:float -> report list -> string
 (** One machine-readable line: violations, shrunk witness sizes, and the

@@ -14,8 +14,6 @@ type leader_attack =
   | Serve_only of int list  (** serves pre-prepares/commits only to these peers *)
   | Drip of float  (** one batch per interval, probing the watchdog boundary *)
 
-exception Invalid_witness of string
-
 type t = {
   byz : int list;
   split_brain : bool;
@@ -89,20 +87,35 @@ let generate rng ~n ~f =
   { byz; split_brain; stale_replay; silent_toward; leader; requests; events }
 
 (* ------------------------------------------------------------------ *)
+(* Shrinking candidates                                                *)
+(* ------------------------------------------------------------------ *)
+
+let candidates s =
+  let drop_events =
+    List.mapi (fun i _ -> { s with events = List.filteri (fun j _ -> j <> i) s.events }) s.events
+  in
+  let simpler_flags =
+    (if s.stale_replay then [ { s with stale_replay = false } ] else [])
+    @ (match s.leader with None -> [] | Some _ -> [ { s with leader = None } ])
+    @ match s.silent_toward with [] -> [] | _ -> [ { s with silent_toward = [] } ]
+  in
+  let fewer_requests =
+    if s.requests > 2 then [ { s with requests = Int.max 2 (s.requests / 2) } ] else []
+  in
+  let fewer_byz =
+    match List.rev s.byz with
+    | [] | [ _ ] -> [] (* keep at least one byzantine: it is the attack *)
+    | _ :: keep -> [ { s with byz = List.rev keep } ]
+  in
+  drop_events @ simpler_flags @ fewer_byz @ fewer_requests
+
+(* ------------------------------------------------------------------ *)
 (* Witness serialization                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* %.17g round-trips every float bit-exactly through float_of_string, so a
-   printed witness replays the identical schedule. *)
-let fl = Printf.sprintf "%.17g"
+let fl = Witness.fl
 
-let ints_field = function
-  | [] -> "-"
-  | ids -> String.concat "," (List.map string_of_int ids)
-
-let ints_of_field = function
-  | "-" -> []
-  | s -> List.map int_of_string (String.split_on_char ',' s)
+let plus_ids ids = String.concat "+" (List.map string_of_int ids)
 
 let string_of_event ev =
   let window = Printf.sprintf "%s:%s" (fl ev.start) (fl ev.stop) in
@@ -110,61 +123,43 @@ let string_of_event ev =
   | Drop p -> Printf.sprintf "drop:%s:%s" (fl p) window
   | Jitter d -> Printf.sprintf "jit:%s:%s" (fl d) window
   | Duplicate p -> Printf.sprintf "dup:%s:%s" (fl p) window
-  | Partition group ->
-      Printf.sprintf "part:%s:%s" (String.concat "+" (List.map string_of_int group)) window
+  | Partition group -> Printf.sprintf "part:%s:%s" (plus_ids group) window
   | Silence { from_; toward } -> Printf.sprintf "sil:%d>%d:%s" from_ toward window
 
-let event_of_string s =
-  match String.split_on_char ':' s with
-  | [ "drop"; p; start; stop ] ->
-      { start = float_of_string start; stop = float_of_string stop; kind = Drop (float_of_string p) }
-  | [ "jit"; d; start; stop ] ->
-      {
-        start = float_of_string start;
-        stop = float_of_string stop;
-        kind = Jitter (float_of_string d);
-      }
-  | [ "dup"; p; start; stop ] ->
-      {
-        start = float_of_string start;
-        stop = float_of_string stop;
-        kind = Duplicate (float_of_string p);
-      }
-  | [ "part"; group; start; stop ] ->
-      {
-        start = float_of_string start;
-        stop = float_of_string stop;
-        kind = Partition (List.map int_of_string (String.split_on_char '+' group));
-      }
-  | [ "sil"; cut; start; stop ] -> (
-      match String.split_on_char '>' cut with
-      | [ from_; toward ] ->
-          {
-            start = float_of_string start;
-            stop = float_of_string stop;
-            kind = Silence { from_ = int_of_string from_; toward = int_of_string toward };
-          }
-      | _ -> raise (Invalid_witness s))
-  | _ -> raise (Invalid_witness s)
+let event_of_string tok =
+  let parts, start, stop = Witness.timed tok in
+  let kind =
+    match parts with
+    | [ "drop"; p ] -> Drop (Witness.float p)
+    | [ "jit"; d ] -> Jitter (Witness.float d)
+    | [ "dup"; p ] -> Duplicate (Witness.float p)
+    | [ "part"; group ] -> Partition (Witness.nats '+' group)
+    | [ "sil"; cut ] -> (
+        match Witness.nats '>' cut with
+        | [ from_; toward ] -> Silence { from_; toward }
+        | _ -> raise (Witness.Invalid_witness tok))
+    | _ -> raise (Witness.Invalid_witness tok)
+  in
+  { start; stop; kind }
 
 let string_of_leader = function
   | Stall -> "stall"
-  | Serve_only ids -> Printf.sprintf "serve:%s" (String.concat "+" (List.map string_of_int ids))
+  | Serve_only ids -> Printf.sprintf "serve:%s" (plus_ids ids)
   | Drip interval -> Printf.sprintf "drip:%s" (fl interval)
 
 let leader_of_string s witness =
   match String.split_on_char ':' s with
   | [ "stall" ] -> Stall
-  | [ "serve"; ids ] -> Serve_only (List.map int_of_string (String.split_on_char '+' ids))
-  | [ "drip"; interval ] -> Drip (float_of_string interval)
-  | _ -> raise (Invalid_witness witness)
+  | [ "serve"; ids ] -> Serve_only (Witness.nats '+' ids)
+  | [ "drip"; interval ] -> Drip (Witness.float interval)
+  | _ -> raise (Witness.Invalid_witness witness)
 
 let to_string t =
   String.concat " "
-    (("v1" :: Printf.sprintf "byz=%s" (ints_field t.byz)
+    (("v1" :: Printf.sprintf "byz=%s" (Witness.ids t.byz)
      :: Printf.sprintf "sb=%d" (if t.split_brain then 1 else 0)
      :: Printf.sprintf "stale=%d" (if t.stale_replay then 1 else 0)
-     :: Printf.sprintf "quiet=%s" (ints_field t.silent_toward)
+     :: Printf.sprintf "quiet=%s" (Witness.ids t.silent_toward)
      :: Printf.sprintf "req=%d" t.requests
      ::
      (match t.leader with
@@ -174,26 +169,22 @@ let to_string t =
 let of_string s =
   match String.split_on_char ' ' (String.trim s) with
   | "v1" :: byz :: sb :: stale :: quiet :: req :: rest ->
-      let field prefix v =
-        match String.split_on_char '=' v with
-        | [ p; rest ] when String.equal p prefix -> rest
-        | _ -> raise (Invalid_witness s)
-      in
+      let field = Witness.field ~witness:s in
       (* The [lead=] token is optional, so pre-leader-attack witnesses
          stay replayable verbatim. *)
       let leader, events =
         match rest with
-        | tok :: tl when String.length tok >= 5 && String.equal (String.sub tok 0 5) "lead=" ->
+        | tok :: tl when String.starts_with ~prefix:"lead=" tok ->
             (Some (leader_of_string (field "lead" tok) s), tl)
         | _ -> (None, rest)
       in
       {
-        byz = ints_of_field (field "byz" byz);
+        byz = Witness.ids_of (field "byz" byz);
         split_brain = String.equal (field "sb" sb) "1";
         stale_replay = String.equal (field "stale" stale) "1";
-        silent_toward = ints_of_field (field "quiet" quiet);
+        silent_toward = Witness.ids_of (field "quiet" quiet);
         leader;
-        requests = int_of_string (field "req" req);
+        requests = Witness.nat (field "req" req);
         events = List.map event_of_string events;
       }
-  | _ -> raise (Invalid_witness s)
+  | _ -> raise (Witness.Invalid_witness s)

@@ -31,9 +31,6 @@ type leader_attack =
       (** as leader, one batch per interval — just under the watchdog
           period this throttles the committee without ever being deposed *)
 
-exception Invalid_witness of string
-(** Raised by {!of_string} / event parsing on a malformed witness. *)
-
 type t = {
   byz : int list;  (** byzantine member ids (the colluding clique) *)
   split_brain : bool;  (** script the Figure 8/16 conflicting-batch attack *)
@@ -56,6 +53,12 @@ val active : event -> at:float -> bool
 val size : t -> int
 (** A coarse complexity measure the shrinker minimizes. *)
 
+val candidates : t -> t list
+(** One-step simplifications for the shrinker, most aggressive first:
+    drop one perturbation event, disable a byzantine embellishment, shrink
+    the byzantine clique (never below one member), halve the request
+    stream. *)
+
 val generate : Repro_util.Rng.t -> n:int -> f:int -> t
 (** Draw a schedule for an [n]-member committee with [f] byzantine members
     (ids [0..f-1]; the split-brain script is enabled whenever [f >= 1]). *)
@@ -65,4 +68,5 @@ val to_string : t -> string
     round-trip bit-exactly. *)
 
 val of_string : string -> t
-(** Inverse of {!to_string}.  @raise Invalid_witness on malformed input. *)
+(** Inverse of {!to_string}.
+    @raise Witness.Invalid_witness on malformed input. *)

@@ -1,10 +1,8 @@
-(** The cross-shard explorer: seeded trials over whole-system schedules,
-    oracles, shrinking, and the silent-client differential.
-
-    Trial [i] of a run with base seed [s] uses engine seed [s + i] and the
-    schedule generated from [split_named (create s) (string_of_int i)] —
-    a witness is fully described by [(engine_seed, schedule)] plus the
-    fixed run parameters. *)
+(** The cross-shard checker: the {!Explorer} core instantiated over
+    {!Xschedule}s, {!Xoracle} violations, and whole-system {!Xtestbed}
+    runs, plus the silent-client differential.  Every violation — stuck
+    locks included, they are first-class bugs here — is shrunk to a
+    witness. *)
 
 val mode_of_name : string -> Repro_core.System.coordination_mode option
 (** CLI names: [ref], [client], [flat]. *)
@@ -14,24 +12,20 @@ val mode_name : Repro_core.System.coordination_mode -> string
 val concurrency_of_name : string -> Repro_core.System.concurrency_control option
 (** CLI names: [2pl], [waitdie]. *)
 
-type trial = {
-  index : int;
-  engine_seed : int64;
-  schedule : Xschedule.t;
-  violations : Xoracle.violation list;
-  shrunk : Xschedule.t option;  (** minimized witness, on any violation *)
-  shrink_reruns : int;
-}
-
-type report = {
+type params = {
   mode : Repro_core.System.coordination_mode;
-  lane : bool;  (** true when the trials ran the fast lane (mergeable deltas) *)
+  concurrency : Repro_core.System.concurrency_control;
+  lane : bool;  (** true when the trials run the fast lane (mergeable deltas) *)
   shards : int;
   committee_size : int;
-  trials : trial list;
-  safety_violations : int;  (** trials with at least one safety violation *)
-  liveness_violations : int;
 }
+
+include
+  Explorer_intf.S
+    with type schedule := Xschedule.t
+     and type violation := Xoracle.violation
+     and type params := params
+     and type stats := unit
 
 val replay :
   ?lane:bool ->
@@ -52,8 +46,6 @@ val schedule_for :
 (** The schedule trial [i] uses (exposed for replay tests); [lane]
     (default false) draws with {!Xschedule.generate_lane} instead so
     faults also target the delta legs. *)
-
-val engine_seed_for : seed:int64 -> int -> int64
 
 val run :
   ?lane:bool ->
@@ -87,10 +79,6 @@ type differential = {
 
 val differential : shards:int -> committee_size:int -> seed:int64 -> unit -> differential
 
-val pp_report : Format.formatter -> report -> unit
-
 val pp_differential : Format.formatter -> differential -> unit
-
-val json_of_report : report -> string
 
 val json_of_differential : differential -> string

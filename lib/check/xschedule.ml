@@ -13,8 +13,6 @@ type fault_kind =
 
 type fault = { start : float; stop : float; kind : fault_kind }
 
-exception Invalid_witness of string
-
 type t = {
   txs : int;
   malicious : int list;
@@ -100,20 +98,44 @@ let generate_lane rng ~shards ~committee_size =
   { sched with malicious = []; faults = sched.faults @ lane_faults }
 
 (* ------------------------------------------------------------------ *)
+(* Shrinking candidates                                                *)
+(* ------------------------------------------------------------------ *)
+
+let restrict indices ~txs = List.filter (fun i -> i < txs) indices
+
+let candidates s =
+  let drop_faults =
+    List.mapi (fun i _ -> { s with faults = List.filteri (fun j _ -> j <> i) s.faults }) s.faults
+  in
+  let simpler_flags =
+    (if s.contended then [ { s with contended = false } ] else [])
+    @ match s.overdraft with [] -> [] | _ -> [ { s with overdraft = [] } ]
+  in
+  let fewer_malicious =
+    match List.rev s.malicious with
+    | [] | [ _ ] -> [] (* keep at least one silent client: it is the attack *)
+    | _ :: keep -> [ { s with malicious = List.rev keep } ]
+  in
+  let fewer_txs =
+    if s.txs > 2 then
+      let txs = Int.max 2 (s.txs / 2) in
+      [
+        {
+          s with
+          txs;
+          malicious = restrict s.malicious ~txs;
+          overdraft = restrict s.overdraft ~txs;
+        };
+      ]
+    else []
+  in
+  drop_faults @ simpler_flags @ fewer_malicious @ fewer_txs
+
+(* ------------------------------------------------------------------ *)
 (* Witness serialization                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* %.17g round-trips every float bit-exactly through float_of_string, so a
-   printed witness replays the identical schedule. *)
-let fl = Printf.sprintf "%.17g"
-
-let ints_field = function
-  | [] -> "-"
-  | ids -> String.concat "," (List.map string_of_int ids)
-
-let ints_of_field = function
-  | "-" -> []
-  | s -> List.map int_of_string (String.split_on_char ',' s)
+let fl = Witness.fl
 
 let string_of_leg = function
   | Prepare -> "prep"
@@ -121,13 +143,12 @@ let string_of_leg = function
   | Decision -> "dec"
   | Mdelta -> "mrg"
 
-let leg_of_string s =
-  match s with
+let leg_of_string = function
   | "prep" -> Prepare
   | "vote" -> Vote
   | "dec" -> Decision
   | "mrg" -> Mdelta
-  | _ -> raise (Invalid_witness s)
+  | s -> raise (Witness.Invalid_witness s)
 
 let string_of_fault f =
   let window = Printf.sprintf "%s:%s" (fl f.start) (fl f.stop) in
@@ -140,73 +161,38 @@ let string_of_fault f =
   | Crash_observer { shard } -> Printf.sprintf "crashobs:%d:%s" shard window
   | Epoch_wave { epoch } -> Printf.sprintf "epochwave:%d:%s" epoch window
 
-let fault_of_string s =
-  match String.split_on_char ':' s with
-  | [ "dropleg"; leg; p; start; stop ] ->
-      {
-        start = float_of_string start;
-        stop = float_of_string stop;
-        kind = Drop_leg { leg = leg_of_string leg; p = float_of_string p };
-      }
-  | [ "dupleg"; leg; p; start; stop ] ->
-      {
-        start = float_of_string start;
-        stop = float_of_string stop;
-        kind = Dup_leg { leg = leg_of_string leg; p = float_of_string p };
-      }
-  | [ "delayleg"; leg; d; start; stop ] ->
-      {
-        start = float_of_string start;
-        stop = float_of_string stop;
-        kind = Delay_leg { leg = leg_of_string leg; d = float_of_string d };
-      }
-  | [ "crashref"; member; start; stop ] ->
-      {
-        start = float_of_string start;
-        stop = float_of_string stop;
-        kind = Crash_ref { member = int_of_string member };
-      }
-  | [ "cut"; shard; start; stop ] ->
-      {
-        start = float_of_string start;
-        stop = float_of_string stop;
-        kind = Cut_shard (int_of_string shard);
-      }
-  | [ "crashobs"; shard; start; stop ] ->
-      {
-        start = float_of_string start;
-        stop = float_of_string stop;
-        kind = Crash_observer { shard = int_of_string shard };
-      }
-  | [ "epochwave"; epoch; start; stop ] ->
-      {
-        start = float_of_string start;
-        stop = float_of_string stop;
-        kind = Epoch_wave { epoch = int_of_string epoch };
-      }
-  | _ -> raise (Invalid_witness s)
+let fault_of_string tok =
+  let parts, start, stop = Witness.timed tok in
+  let kind =
+    match parts with
+    | [ "dropleg"; leg; p ] -> Drop_leg { leg = leg_of_string leg; p = Witness.float p }
+    | [ "dupleg"; leg; p ] -> Dup_leg { leg = leg_of_string leg; p = Witness.float p }
+    | [ "delayleg"; leg; d ] -> Delay_leg { leg = leg_of_string leg; d = Witness.float d }
+    | [ "crashref"; member ] -> Crash_ref { member = Witness.nat member }
+    | [ "cut"; shard ] -> Cut_shard (Witness.nat shard)
+    | [ "crashobs"; shard ] -> Crash_observer { shard = Witness.nat shard }
+    | [ "epochwave"; epoch ] -> Epoch_wave { epoch = Witness.nat epoch }
+    | _ -> raise (Witness.Invalid_witness tok)
+  in
+  { start; stop; kind }
 
 let to_string t =
   String.concat " "
     ("x1" :: Printf.sprintf "txs=%d" t.txs
-    :: Printf.sprintf "mal=%s" (ints_field t.malicious)
-    :: Printf.sprintf "over=%s" (ints_field t.overdraft)
+    :: Printf.sprintf "mal=%s" (Witness.ids t.malicious)
+    :: Printf.sprintf "over=%s" (Witness.ids t.overdraft)
     :: Printf.sprintf "hot=%d" (if t.contended then 1 else 0)
     :: List.map string_of_fault t.faults)
 
 let of_string s =
   match String.split_on_char ' ' (String.trim s) with
   | "x1" :: txs :: mal :: over :: hot :: faults ->
-      let field prefix v =
-        match String.split_on_char '=' v with
-        | [ p; rest ] when String.equal p prefix -> rest
-        | _ -> raise (Invalid_witness s)
-      in
+      let field = Witness.field ~witness:s in
       {
-        txs = int_of_string (field "txs" txs);
-        malicious = ints_of_field (field "mal" mal);
-        overdraft = ints_of_field (field "over" over);
+        txs = Witness.nat (field "txs" txs);
+        malicious = Witness.ids_of (field "mal" mal);
+        overdraft = Witness.ids_of (field "over" over);
         contended = String.equal (field "hot" hot) "1";
         faults = List.map fault_of_string faults;
       }
-  | _ -> raise (Invalid_witness s)
+  | _ -> raise (Witness.Invalid_witness s)

@@ -39,8 +39,6 @@ type fault_kind =
 
 type fault = { start : float; stop : float; kind : fault_kind }
 
-exception Invalid_witness of string
-
 type t = {
   txs : int;  (** cross-shard transfers submitted (txids 1..txs) *)
   malicious : int list;  (** tx indices whose client stops relaying after BeginTx *)
@@ -57,6 +55,12 @@ val active : fault -> at:float -> bool
 val size : t -> int
 (** Structural size, the shrinker's objective. *)
 
+val candidates : t -> t list
+(** One-step simplifications for the shrinker, most aggressive first:
+    drop one fault, un-contend the workload, clear the overdrafts, shrink
+    the silent-client set (never below one), halve the transaction
+    count. *)
+
 val generate : Repro_util.Rng.t -> shards:int -> committee_size:int -> t
 (** The legacy draw: faults target the three 2PC legs only, so
     pre-fast-lane seeds regenerate the identical schedule. *)
@@ -72,5 +76,5 @@ val to_string : t -> string
     bit-identical schedule. *)
 
 val of_string : string -> t
-(** Inverse of {!to_string}; raises {!Invalid_witness} on malformed
-    input. *)
+(** Inverse of {!to_string}.
+    @raise Witness.Invalid_witness on malformed input. *)

@@ -130,29 +130,39 @@ let f_axis ~quick = if quick then [ 1; 10; 25 ] else [ 1; 5; 10; 15; 20; 25 ]
 
 (* ---- Lockstep (Tendermint / IBFT) and Raft baselines -------------- *)
 
-let run_lockstep ~flavour ~n ~clients ~rate ~duration:dur =
+(* What the open-loop harness drives of a baseline committee. *)
+type 'msg baseline = {
+  start : unit -> unit;
+  handle : member:int -> 'msg -> unit;
+  submit : Types.request -> 'msg;
+  request_channel : Inbox.channel;
+}
+
+(* [protocol engine] runs before anything else draws from the engine's
+   RNG — Lockstep draws its keystore there — and returns the committee
+   constructor. *)
+let run_baseline ~protocol ~n ~clients ~rate ~duration:dur =
   let engine = Engine.create ~seed:1L in
-  let keystore = Keys.create_keystore (Engine.rng engine) in
+  let create = protocol engine in
   let metrics = Metrics.create engine in
   let topology = Topology.lan () in
-  let network : Lockstep.msg Network.t = Network.create engine ~topology in
+  let network = Network.create engine ~topology in
   let committee = ref None in
   let nodes =
     Array.init n (fun id ->
         Node.create engine ~id ~inbox_mode:(Inbox.Shared 5000) ~handler:(fun node msg ->
             match !committee with
-            | Some c -> Lockstep.handle c ~member:(Node.id node) msg
+            | Some c -> c.handle ~member:(Node.id node) msg
             | None -> ()))
   in
   Array.iter (Network.register network) nodes;
   let c =
-    Lockstep.create ~engine ~keystore ~costs:Cost_model.default ~flavour ~n ~batch_max:200
-      ~metrics
+    create ~n ~metrics
       ~send:(fun ~src ~dst ~channel ~bytes m -> Network.send network ~src:nodes.(src) ~dst ~channel ~bytes m)
       ~charge:(fun ~member cost -> Node.charge nodes.(member) cost)
   in
   committee := Some c;
-  Lockstep.start c;
+  c.start ();
   let rng = Rng.create 3L in
   let next = ref 0 in
   for client = 0 to clients - 1 do
@@ -161,7 +171,7 @@ let run_lockstep ~flavour ~n ~clients ~rate ~duration:dur =
       incr next;
       let req = Types.request ~req_id ~client ~submitted:(Engine.now engine) () in
       Network.send_external network ~src_region:0 ~dst:(client mod n)
-        ~channel:Lockstep.request_channel ~bytes:240 (Lockstep.submit c req);
+        ~channel:c.request_channel ~bytes:240 (c.submit req);
       Engine.schedule engine
         ~delay:(Rng.exponential rng ~mean:(float_of_int clients /. rate))
         arrival
@@ -171,44 +181,28 @@ let run_lockstep ~flavour ~n ~clients ~rate ~duration:dur =
   Engine.run engine ~until:dur;
   Metrics.throughput metrics ~warmup
 
-let run_raft ~n ~clients ~rate ~duration:dur =
-  let engine = Engine.create ~seed:1L in
-  let metrics = Metrics.create engine in
-  let topology = Topology.lan () in
-  let network : Raft.msg Network.t = Network.create engine ~topology in
-  let cluster = ref None in
-  let nodes =
-    Array.init n (fun id ->
-        Node.create engine ~id ~inbox_mode:(Inbox.Shared 5000) ~handler:(fun node msg ->
-            match !cluster with
-            | Some c -> Raft.handle c ~member:(Node.id node) msg
-            | None -> ()))
-  in
-  Array.iter (Network.register network) nodes;
-  let c =
-    Raft.create ~engine ~costs:Cost_model.default ~n ~batch_max:200 ~metrics
-      ~send:(fun ~src ~dst ~channel ~bytes m -> Network.send network ~src:nodes.(src) ~dst ~channel ~bytes m)
-      ~charge:(fun ~member cost -> Node.charge nodes.(member) cost)
-  in
-  cluster := Some c;
-  Raft.start c;
-  let rng = Rng.create 3L in
-  let next = ref 0 in
-  for client = 0 to clients - 1 do
-    let rec arrival () =
-      let req_id = !next in
-      incr next;
-      let req = Types.request ~req_id ~client ~submitted:(Engine.now engine) () in
-      Network.send_external network ~src_region:0 ~dst:(client mod n)
-        ~channel:Raft.request_channel ~bytes:240 (Raft.submit c req);
-      Engine.schedule engine
-        ~delay:(Rng.exponential rng ~mean:(float_of_int clients /. rate))
-        arrival
+let lockstep flavour engine =
+  let keystore = Keys.create_keystore (Engine.rng engine) in
+  fun ~n ~metrics ~send ~charge ->
+    let c =
+      Lockstep.create ~engine ~keystore ~costs:Cost_model.default ~flavour ~n ~batch_max:200
+        ~metrics ~send ~charge
     in
-    Engine.schedule engine ~delay:(Rng.float rng 1.0) arrival
-  done;
-  Engine.run engine ~until:dur;
-  Metrics.throughput metrics ~warmup
+    {
+      start = (fun () -> Lockstep.start c);
+      handle = Lockstep.handle c;
+      submit = Lockstep.submit c;
+      request_channel = Lockstep.request_channel;
+    }
+
+let raft engine ~n ~metrics ~send ~charge =
+  let c = Raft.create ~engine ~costs:Cost_model.default ~n ~batch_max:200 ~metrics ~send ~charge in
+  {
+    start = (fun () -> Raft.start c);
+    handle = Raft.handle c;
+    submit = Raft.submit c;
+    request_channel = Raft.request_channel;
+  }
 
 (* ---- Sharded system runs ------------------------------------------ *)
 
@@ -366,11 +360,12 @@ let fig2 ?(quick = false) () =
                (fun () ->
                  (run_pbft ~quick ~site:Cluster ~variant:Config.hl ~n ()).Harness.throughput);
                (fun () ->
-                 run_lockstep ~flavour:Lockstep.Tendermint ~n ~clients:10 ~rate:2200.0
+                 run_baseline ~protocol:(lockstep Lockstep.Tendermint) ~n ~clients:10 ~rate:2200.0
                    ~duration:dur);
-               (fun () -> run_raft ~n ~clients:10 ~rate:2200.0 ~duration:dur);
+               (fun () -> run_baseline ~protocol:raft ~n ~clients:10 ~rate:2200.0 ~duration:dur);
                (fun () ->
-                 run_lockstep ~flavour:Lockstep.Ibft ~n ~clients:10 ~rate:2200.0 ~duration:dur);
+                 run_baseline ~protocol:(lockstep Lockstep.Ibft) ~n ~clients:10 ~rate:2200.0
+                   ~duration:dur);
              ] ))
          ns)
   in
@@ -389,9 +384,12 @@ let fig2 ?(quick = false) () =
                     ~workload:(Harness.Closed_loop { clients; outstanding = 8; think = 0.0 })
                     ())
                    .Harness.throughput);
-               (fun () -> run_lockstep ~flavour:Lockstep.Tendermint ~n ~clients ~rate ~duration:dur);
-               (fun () -> run_raft ~n ~clients ~rate ~duration:dur);
-               (fun () -> run_lockstep ~flavour:Lockstep.Ibft ~n ~clients ~rate ~duration:dur);
+               (fun () ->
+                 run_baseline ~protocol:(lockstep Lockstep.Tendermint) ~n ~clients ~rate
+                   ~duration:dur);
+               (fun () -> run_baseline ~protocol:raft ~n ~clients ~rate ~duration:dur);
+               (fun () ->
+                 run_baseline ~protocol:(lockstep Lockstep.Ibft) ~n ~clients ~rate ~duration:dur);
              ] ))
          clients_axis)
   in

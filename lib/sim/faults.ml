@@ -35,8 +35,6 @@ let byzantine_ids t =
   Array.iteri (fun i b -> if b = Byzantine then acc := i :: !acc) t.roster;
   List.rev !acc
 
-let crash t id = t.roster.(id) <- Crashed
-
 let corrupt t id = t.roster.(id) <- Byzantine
 
 let corrupt_after engine t id ~delay = Engine.schedule engine ~delay (fun () -> corrupt t id)

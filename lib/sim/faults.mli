@@ -27,11 +27,6 @@ val is_crashed : t -> int -> bool
 
 val byzantine_ids : t -> int list
 
-val crash : t -> int -> unit
-
-val corrupt : t -> int -> unit
-(** Immediately mark a node Byzantine. *)
-
 val corrupt_after : Engine.t -> t -> int -> delay:float -> unit
 (** Adaptive attacker: the corruption of an honest node takes [delay]
     seconds to come into effect (Section 3.3). *)

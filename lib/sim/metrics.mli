@@ -5,8 +5,6 @@ type t
 
 val create : Engine.t -> t
 
-val create_with_bin : Engine.t -> bin:float -> t
-(** Throughput series with the given bin width (default 1 s). *)
 
 val commit : t -> count:int -> unit
 (** Record [count] transactions committed at the current virtual time. *)

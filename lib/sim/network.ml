@@ -15,7 +15,6 @@ type 'msg t = {
   mutable sent : int;
   mutable delivered : int;
   mutable net_dropped : int;
-  mutable inbox_dropped : int;
   mutable probe : Repro_obs.Probe.t;
 }
 
@@ -29,7 +28,6 @@ let create engine ~topology =
     sent = 0;
     delivered = 0;
     net_dropped = 0;
-    inbox_dropped = 0;
     probe = Repro_obs.Probe.none;
   }
 
@@ -43,7 +41,6 @@ let register_in_region t node ~region =
 let register t node =
   register_in_region t node ~region:(Topology.region_of_node t.topology (Node.id node))
 
-let node t id = Option.map fst (Hashtbl.find_opt t.nodes id)
 
 let transmit t ~src_id ~src_region ~departure ~dst ~channel ~bytes msg =
   t.sent <- t.sent + 1;
@@ -78,10 +75,7 @@ let transmit t ~src_id ~src_region ~departure ~dst ~channel ~bytes msg =
                   Repro_obs.Probe.observe t.probe "net.delivery_s"
                     (Engine.now t.engine -. departure)
                 end
-                else begin
-                  t.inbox_dropped <- t.inbox_dropped + 1;
-                  Repro_obs.Probe.incr t.probe "net.dropped.inbox"
-                end)
+                else Repro_obs.Probe.incr t.probe "net.dropped.inbox")
           done)
 
 let send t ~src ~dst ~channel ~bytes msg =
@@ -112,4 +106,3 @@ let delivered_count t = t.delivered
 
 let dropped_in_network t = t.net_dropped
 
-let dropped_at_inbox t = t.inbox_dropped

@@ -23,12 +23,6 @@ val register : 'msg t -> 'msg Node.t -> unit
 (** Make a node addressable; its region comes from
     [Topology.region_of_node].  Node ids must be unique. *)
 
-val register_in_region : 'msg t -> 'msg Node.t -> region:int -> unit
-(** Like [register] with an explicit region (used when committee-local ids
-    don't coincide with global placement). *)
-
-val node : 'msg t -> int -> 'msg Node.t option
-
 val send :
   'msg t -> src:'msg Node.t -> dst:int -> channel:Inbox.channel -> bytes:int -> 'msg -> unit
 (** One-way message.  Unknown destinations are ignored (models a peer that
@@ -63,5 +57,3 @@ val delivered_count : 'msg t -> int
 val dropped_in_network : 'msg t -> int
 (** Messages eaten by the filter (not by full inboxes). *)
 
-val dropped_at_inbox : 'msg t -> int
-(** Messages that arrived but were tail-dropped by a full inbox. *)

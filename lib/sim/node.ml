@@ -25,7 +25,6 @@ let create engine ~id ~inbox_mode ~handler =
 
 let id t = t.node_id
 
-let engine t = t.engine
 
 let charge t cost =
   if cost < 0.0 then Sim_error.invalid "Node.charge: negative cost";

@@ -18,8 +18,6 @@ val create :
 
 val id : 'msg t -> int
 
-val engine : 'msg t -> Engine.t
-
 val charge : 'msg t -> float -> unit
 (** Occupy the CPU for [cost] more seconds.  Valid both from within the
     message handler and from timer context (leader batching, watchdogs):

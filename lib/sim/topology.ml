@@ -1,7 +1,6 @@
 open Repro_util
 
 type t = {
-  name : string;
   nregions : int;
   latency_s : float array array; (* mean one-way latency between regions *)
   jitter : float; (* relative spread *)
@@ -32,7 +31,6 @@ let intra_region_s = 0.4e-3
 
 let lan ?(latency_ms = 0.3) ?(jitter = 0.1) ?(bandwidth_mbps = 1000.0) () =
   {
-    name = "local-cluster";
     nregions = 1;
     latency_s = [| [| latency_ms *. 1e-3 |] |];
     jitter;
@@ -41,7 +39,6 @@ let lan ?(latency_ms = 0.3) ?(jitter = 0.1) ?(bandwidth_mbps = 1000.0) () =
 
 let constrained_lan ~latency_ms ~bandwidth_mbps =
   {
-    name = Printf.sprintf "cluster-%gms-%gMbps" latency_ms bandwidth_mbps;
     nregions = 1;
     latency_s = [| [| latency_ms *. 1e-3 |] |];
     jitter = 0.1;
@@ -56,14 +53,12 @@ let gcp n =
             if i = j then intra_region_s else gcp_latency_matrix_ms.(i).(j) *. 1e-3))
   in
   {
-    name = Printf.sprintf "gcp-%d-regions" n;
     nregions = n;
     latency_s;
     jitter = 0.1;
     bandwidth_bps = 100.0 *. 1e6;
   }
 
-let name t = t.name
 
 let regions t = t.nregions
 

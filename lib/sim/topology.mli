@@ -22,8 +22,6 @@ val gcp : int -> t
     are placed round-robin across regions.  WAN bandwidth defaults to
     100 Mbps per flow. *)
 
-val name : t -> string
-
 val regions : t -> int
 
 val region_of_node : t -> int -> int

@@ -41,8 +41,6 @@ let log_add a b =
   else if a > b then a +. log1p (exp (b -. a))
   else b +. log1p (exp (a -. b))
 
-let log_sum l = List.fold_left log_add neg_infinity l
-
 let hypergeom_log_pmf ~total ~bad ~draws ~k =
   if k < 0 || k > draws || k > bad || draws - k > total - bad then neg_infinity
   else log_choose bad k +. log_choose (total - bad) (draws - k) -. log_choose total draws

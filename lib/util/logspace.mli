@@ -17,8 +17,6 @@ val log_choose : int -> int -> float
 val log_add : float -> float -> float
 (** ln(e^a + e^b) without overflow. *)
 
-val log_sum : float list -> float
-
 val hypergeom_log_pmf : total:int -> bad:int -> draws:int -> k:int -> float
 (** ln Pr[X = k] where X counts bad items among [draws] samples without
     replacement from a population of [total] items of which [bad] are bad. *)

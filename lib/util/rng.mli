@@ -52,9 +52,6 @@ val gaussian : t -> mu:float -> sigma:float -> float
 (** Normal deviate via Box–Muller (one value per call, no caching, so the
     stream stays splittable). *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniformly random permutation of [0 .. n-1];
     the node-to-committee assignment of Section 5.1 is a chunking of this. *)

@@ -30,8 +30,6 @@ let render ~header ~rows =
   List.iter emit rows;
   Buffer.contents buf
 
-let print ~header ~rows = print_string (render ~header ~rows)
-
 let series ~title ~x_label ~columns ~rows =
   let buf = Buffer.create 256 in
   Buffer.add_string buf ("== " ^ title ^ " ==\n");
@@ -39,6 +37,3 @@ let series ~title ~x_label ~columns ~rows =
   let body = List.map (fun (x, ys) -> fnum x :: List.map fnum ys) rows in
   Buffer.add_string buf (render ~header ~rows:body);
   Buffer.contents buf
-
-let print_series ~title ~x_label ~columns ~rows =
-  print_string (series ~title ~x_label ~columns ~rows)

@@ -1,4 +1,4 @@
-type t = { n : int; theta : float; cdf : float array }
+type t = { n : int; cdf : float array }
 
 let create ~n ~theta =
   if n <= 0 then invalid_arg "Zipf.create: n must be positive";
@@ -12,11 +12,7 @@ let create ~n ~theta =
     cdf.(i) <- !acc
   done;
   cdf.(n - 1) <- 1.0;
-  { n; theta; cdf }
-
-let n t = t.n
-
-let theta t = t.theta
+  { n; cdf }
 
 let sample t rng =
   let u = Rng.float rng 1.0 in

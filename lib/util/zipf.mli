@@ -10,10 +10,6 @@ val create : n:int -> theta:float -> t
 (** [create ~n ~theta] prepares a sampler over keys [0 .. n-1] with skew
     [theta >= 0].  [theta = 0] is uniform.  Precomputes the CDF in O(n). *)
 
-val n : t -> int
-
-val theta : t -> float
-
 val sample : t -> Rng.t -> int
 (** Draw a key; O(log n) by binary search on the CDF. *)
 

@@ -70,12 +70,16 @@ let test_schedule_leader_token () =
 let test_schedule_rejects_malformed () =
   let malformed w =
     match Schedule.of_string w with
-    | exception Schedule.Invalid_witness _ -> true
+    | exception Witness.Invalid_witness _ -> true
     | _ -> false
   in
   Alcotest.(check bool) "wrong version" true (malformed "v2 byz=0 sb=1 stale=0 quiet=- req=4");
   Alcotest.(check bool) "garbage" true (malformed "garbage");
-  Alcotest.(check bool) "bad event" true (malformed "v1 byz=0 sb=1 stale=0 quiet=- req=4 zap:1:2")
+  Alcotest.(check bool) "bad event" true (malformed "v1 byz=0 sb=1 stale=0 quiet=- req=4 zap:1:2");
+  Alcotest.(check bool) "negative request count" true
+    (malformed "v1 byz=0 sb=1 stale=0 quiet=- req=-2");
+  Alcotest.(check bool) "non-numeric drop probability" true
+    (malformed "v1 byz=0 sb=1 stale=0 quiet=- req=4 drop:x:1:2")
 
 let test_schedule_generation_deterministic () =
   let gen () = Schedule.generate (Rng.split_named (Rng.create 42L) "0") ~n:5 ~f:2 in
@@ -197,11 +201,11 @@ let test_shrink_candidates () =
   in
   (* 2 event drops + stale off + silence off + byz clique shrink + half
      the requests = 6 one-step candidates. *)
-  Alcotest.(check int) "one-step candidates" 6 (List.length (Shrink.candidates s));
+  Alcotest.(check int) "one-step candidates" 6 (List.length (Schedule.candidates s));
   (* The clique never shrinks to empty: the attack needs one byzantine. *)
   let single = sched ~byz:[ 0 ] ~requests:2 () in
   Alcotest.(check int) "minimal schedule has no candidates" 0
-    (List.length (Shrink.candidates single))
+    (List.length (Schedule.candidates single))
 
 let test_shrink_minimize_greedy_and_bounded () =
   let base =
@@ -212,18 +216,18 @@ let test_shrink_minimize_greedy_and_bounded () =
   let v = Oracle.Validity { member = 1; seq = 1; req_id = 99 } in
   (* Bug reproduces on every candidate: the shrinker must reach the
      structural floor. *)
-  let shrunk, reruns = Shrink.minimize ~replay:(fun _ -> Some v) ~budget:64 base v in
+  let shrunk, reruns = Explore.shrink ~replay:(fun _ -> Some v) ~budget:64 base v in
   Alcotest.(check int) "all events dropped" 0 (List.length shrunk.Schedule.events);
   Alcotest.(check bool) "stale replay disabled" false shrunk.Schedule.stale_replay;
   Alcotest.(check (list int)) "silence dropped" [] shrunk.Schedule.silent_toward;
   Alcotest.(check int) "requests at floor" 2 shrunk.Schedule.requests;
   Alcotest.(check bool) "within budget" true (reruns <= 64);
   (* A replay that never reproduces keeps the original schedule. *)
-  let kept, _ = Shrink.minimize ~replay:(fun _ -> None) ~budget:8 base v in
+  let kept, _ = Explore.shrink ~replay:(fun _ -> None) ~budget:8 base v in
   Alcotest.(check string) "irreproducible keeps original" (Schedule.to_string base)
     (Schedule.to_string kept);
   (* Budget 0 spends no replays at all. *)
-  let _, spent = Shrink.minimize ~replay:(fun _ -> Some v) ~budget:0 base v in
+  let _, spent = Explore.shrink ~replay:(fun _ -> Some v) ~budget:0 base v in
   Alcotest.(check int) "budget 0 replays nothing" 0 spent
 
 (* ------------------------------------------------------------------ *)
@@ -276,7 +280,7 @@ let test_differential_holds_and_witness_replays () =
   List.iter
     (fun r ->
       Alcotest.(check int)
-        (r.Explore.variant_name ^ " stays safe on identical schedules")
+        (r.Explore.params.Explore.variant.Config.name ^ " stays safe on identical schedules")
         0 r.Explore.safety_violations)
     d.Explore.safe;
   (* The shrunk witness replays bit-identically from (seed, string) alone. *)
@@ -284,7 +288,7 @@ let test_differential_holds_and_witness_replays () =
     List.find (fun t -> Option.is_some t.Explore.shrunk) d.Explore.broken.Explore.trials
   in
   let w = Option.get t.Explore.shrunk in
-  let n = d.Explore.broken.Explore.n in
+  let n = d.Explore.broken.Explore.params.Explore.n in
   let replay s =
     List.map Oracle.to_string
       (Explore.replay ~variant:Explore.hl_small ~n ~engine_seed:t.Explore.engine_seed s)
@@ -301,7 +305,8 @@ let test_leader_stall_differential_holds () =
   List.iteri
     (fun i t ->
       Alcotest.(check string) "trials run the scripted leader schedule"
-        (Schedule.to_string (Explore.leader_schedule ~n:d.Explore.broken.Explore.n ~f:1 i))
+        (Schedule.to_string
+           (Explore.leader_schedule ~n:d.Explore.broken.Explore.params.Explore.n ~f:1 i))
         (Schedule.to_string t.Explore.schedule))
     d.Explore.broken.Explore.trials;
   Alcotest.(check int) "a stalling leader never breaks safety" 0
@@ -315,28 +320,31 @@ let test_leader_stall_differential_holds () =
     (fun t ->
       if stall t then
         Alcotest.(check bool) "broken variant storms on every stall trial" true
-          (t.Explore.view_changes >= 1))
+          (t.Explore.stats.Explore.view_changes >= 1))
     d.Explore.broken.Explore.trials;
   List.iter
     (fun r ->
       Alcotest.(check int)
-        (r.Explore.variant_name ^ " rides out the leader attacks")
+        (r.Explore.params.Explore.variant.Config.name ^ " rides out the leader attacks")
         0
         (r.Explore.safety_violations + r.Explore.liveness_violations))
     d.Explore.safe;
   (* Only the relay watchdog catches selective serving, so AHLR alone must
      storm on the serve-only trials too. *)
   let ahlr =
-    List.find (fun r -> r.Explore.variant_name = Config.ahlr.Config.name) d.Explore.safe
+    List.find
+      (fun r -> r.Explore.params.Explore.variant.Config.name = Config.ahlr.Config.name)
+      d.Explore.safe
   in
   List.iter
     (fun t ->
-      Alcotest.(check bool) "AHLR storms on every trial" true (t.Explore.view_changes >= 1))
+      Alcotest.(check bool) "AHLR storms on every trial" true
+        (t.Explore.stats.Explore.view_changes >= 1))
     ahlr.Explore.trials
 
 let test_shrink_drops_leader_attack () =
   let s = sched ~byz:[ 0 ] ~split_brain:false ~leader:Schedule.Stall ~requests:2 () in
-  let cs = Shrink.candidates s in
+  let cs = Schedule.candidates s in
   Alcotest.(check int) "leader attack is the only shrinkable axis" 1 (List.length cs);
   Alcotest.(check bool) "the candidate turns the leader honest" true
     (List.for_all (fun c -> c.Schedule.leader = None) cs)
@@ -386,14 +394,18 @@ let test_xschedule_roundtrip () =
 let test_xschedule_rejects_malformed () =
   let malformed w =
     match Xschedule.of_string w with
-    | exception Xschedule.Invalid_witness _ -> true
+    | exception Witness.Invalid_witness _ -> true
     | _ -> false
   in
   Alcotest.(check bool) "wrong version" true (malformed "v1 txs=2 mal=- over=- hot=0");
   Alcotest.(check bool) "garbage" true (malformed "garbage");
   Alcotest.(check bool) "unknown fault" true (malformed "x1 txs=2 mal=- over=- hot=0 zap:1:2");
   Alcotest.(check bool) "unknown leg" true
-    (malformed "x1 txs=2 mal=- over=- hot=0 dropleg:xyz:0.5:1:2")
+    (malformed "x1 txs=2 mal=- over=- hot=0 dropleg:xyz:0.5:1:2");
+  Alcotest.(check bool) "non-numeric tx count" true (malformed "x1 txs=abc mal=- over=- hot=0");
+  Alcotest.(check bool) "negative tx count" true (malformed "x1 txs=-3 mal=- over=- hot=0");
+  Alcotest.(check bool) "non-numeric shard" true
+    (malformed "x1 txs=2 mal=- over=- hot=0 cut:zz:1:2")
 
 let test_xschedule_generation_deterministic () =
   let gen () =
@@ -693,18 +705,18 @@ let test_xshrink_candidates_and_minimize () =
   in
   (* 2 fault drops + un-contend + clear overdrafts + shrink malicious +
      halve txs = 6 one-step candidates. *)
-  Alcotest.(check int) "one-step candidates" 6 (List.length (Xshrink.candidates s));
+  Alcotest.(check int) "one-step candidates" 6 (List.length (Xschedule.candidates s));
   Alcotest.(check int) "minimal schedule has no candidates" 0
-    (List.length (Xshrink.candidates (xsched ~txs:2 ())));
+    (List.length (Xschedule.candidates (xsched ~txs:2 ())));
   let v = Xoracle.Stuck_locks { count = 1 } in
-  let shrunk, reruns = Xshrink.minimize ~replay:(fun _ -> Some v) ~budget:64 s v in
+  let shrunk, reruns = Xexplore.shrink ~replay:(fun _ -> Some v) ~budget:64 s v in
   Alcotest.(check int) "all faults dropped" 0 (List.length shrunk.Xschedule.faults);
   Alcotest.(check bool) "un-contended" false shrunk.Xschedule.contended;
   Alcotest.(check (list int)) "overdrafts cleared" [] shrunk.Xschedule.overdraft;
   Alcotest.(check int) "txs at floor" 2 shrunk.Xschedule.txs;
   Alcotest.(check int) "one malicious client kept" 1 (List.length shrunk.Xschedule.malicious);
   Alcotest.(check bool) "within budget" true (reruns <= 64);
-  let kept, _ = Xshrink.minimize ~replay:(fun _ -> None) ~budget:8 s v in
+  let kept, _ = Xexplore.shrink ~replay:(fun _ -> None) ~budget:8 s v in
   Alcotest.(check string) "irreproducible keeps original" (Xschedule.to_string s)
     (Xschedule.to_string kept)
 
@@ -797,9 +809,75 @@ let test_xexplore_fastlane_trials_clean () =
   in
   Alcotest.(check int) "no safety violations" 0 r.Xexplore.safety_violations;
   Alcotest.(check int) "no liveness violations" 0 r.Xexplore.liveness_violations;
-  Alcotest.(check bool) "report is lane-flagged" true r.Xexplore.lane;
+  Alcotest.(check bool) "report is lane-flagged" true r.Xexplore.params.Xexplore.lane;
   Alcotest.(check bool) "json carries the lane flag" true
     (contains (Xexplore.json_of_report r) "\"fast_lane\":true")
+
+(* ------------------------------------------------------------------ *)
+(* Witness codec properties                                            *)
+(* ------------------------------------------------------------------ *)
+
+let arb_witness =
+  let open QCheck.Gen in
+  let consensus =
+    map3
+      (fun seed n f ->
+        let f = 1 + (f mod Int.max 1 ((n - 1) / 2)) in
+        Schedule.to_string (Schedule.generate (Rng.create seed) ~n ~f))
+      ui64 (3 -- 9) nat
+  in
+  let cross =
+    map3
+      (fun seed (shards, committee_size) lane ->
+        let draw = if lane then Xschedule.generate_lane else Xschedule.generate in
+        Xschedule.to_string (draw (Rng.create seed) ~shards ~committee_size))
+      ui64
+      (pair (2 -- 6) (3 -- 7))
+      bool
+  in
+  QCheck.make ~print:Fun.id (oneof [ consensus; cross ])
+
+let parse w =
+  if String.starts_with ~prefix:"x1" w then Xschedule.to_string (Xschedule.of_string w)
+  else Schedule.to_string (Schedule.of_string w)
+
+let prop_witness_roundtrip =
+  QCheck.Test.make ~name:"generated witnesses round-trip byte-identically" ~count:300
+    arb_witness (fun w -> String.equal (parse w) w)
+
+(* Replace one token, or one ':'-separated piece of it (just the value
+   after a [key=]), with junk: the codec must parse it or raise
+   Invalid_witness, never anything else. *)
+let mutate w (i, j, whole, junk) =
+  let toks = Array.of_list (String.split_on_char ' ' w) in
+  let i = i mod Array.length toks in
+  (if whole then toks.(i) <- junk
+   else
+     let pieces = Array.of_list (String.split_on_char ':' toks.(i)) in
+     let j = j mod Array.length pieces in
+     pieces.(j) <-
+       (match String.index_opt pieces.(j) '=' with
+       | Some k -> String.sub pieces.(j) 0 (k + 1) ^ junk
+       | None -> junk);
+     toks.(i) <- String.concat ":" (Array.to_list pieces));
+  String.concat " " (Array.to_list toks)
+
+let prop_witness_mutation_typed =
+  let junk =
+    QCheck.Gen.(
+      oneof
+        [
+          string_size ~gen:char (0 -- 6);
+          oneofl [ ""; "-"; "-3"; "abc"; "1e400"; "nan"; "0x1f"; "1,2"; "+"; ">"; "=" ];
+        ])
+  in
+  let edit = QCheck.Gen.(quad nat nat bool junk) in
+  QCheck.Test.make ~name:"mutated witnesses parse or raise Invalid_witness" ~count:1000
+    (QCheck.pair arb_witness (QCheck.make edit))
+    (fun (w, e) ->
+      match parse (mutate w e) with
+      | _ -> true
+      | exception Witness.Invalid_witness _ -> true)
 
 let () =
   Alcotest.run "check"
@@ -883,4 +961,7 @@ let () =
             test_xexplore_differential_and_json;
           Alcotest.test_case "fast-lane trials clean" `Quick test_xexplore_fastlane_trials_clean;
         ] );
+      ( "witness",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_witness_roundtrip; prop_witness_mutation_typed ] );
     ]

@@ -13,9 +13,7 @@ type phase = Prepare_phase | Commit_phase
 
 let phase_log = function Prepare_phase -> 1 | Commit_phase -> 2
 
-let digest_of_batch batch =
-  Repro_util.Det.stable_hash
-    ("batch:" ^ String.concat "," (List.map (fun r -> string_of_int r.req_id) batch))
+let digest_of_batch batch = Repro_util.Det.stable_hash_ints ~prefix:"batch:" (fun r -> r.req_id) batch
 
 let batch_bytes batch = List.fold_left (fun acc r -> acc + r.size) 0 batch
 

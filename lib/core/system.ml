@@ -379,8 +379,8 @@ let finish_leg t txid shard =
       end
 
 (* The sub-ops [rec_] sends [shard] on a prepare or decision leg.  Only
-   locked transactions run those legs; a lane record falls back to
-   hashing. *)
+   locked transactions run those legs; a lane record reads the
+   transaction's memoised placement. *)
 let ops_on t rec_ shard =
   match rec_.legs with
   | Ops placement -> Tx.on_shard placement shard
@@ -483,7 +483,7 @@ let fold_lane t ctx =
 
 let record_block t ctx batch =
   fold_lane t ctx;
-  let txs = List.map (fun (r : Types.request) -> Printf.sprintf "req-%d" r.Types.req_id) batch in
+  let txs = List.map (fun (r : Types.request) -> "req-" ^ string_of_int r.Types.req_id) batch in
   ctx.state_commit <-
     Sha256.digest_concat (Sha256.to_raw ctx.state_commit :: txs);
   ignore
@@ -1036,10 +1036,9 @@ let submit_locked t ~on_done ~malicious_client tx =
 let submit t ?(on_done = fun _ -> ()) ?(malicious_client = false) tx =
   if not t.cfg.fast_lane then submit_locked t ~on_done ~malicious_client tx
   else
-    match Merge.classify_tx t.merge_reg tx with
+    match Merge.classify_placement t.merge_reg (Tx.placement ~shards:t.cfg.shards tx) with
     | None -> submit_locked t ~on_done ~malicious_client tx
-    | Some deltas ->
-        let lane = Tx.group_by_shard ~shards:t.cfg.shards ~key:fst deltas in
+    | Some lane ->
         if merge_lock_conflict t lane then begin
           (* Downgrade: mergeable, but a touched key is exclusively locked
              by an in-flight 2PC transaction — take the full path. *)

@@ -94,5 +94,5 @@ let declare_mergeable reg =
       match op with
       | Tx.Credit { account; amount }
         when String.length account > 4 && String.equal (String.sub account 0 4) "ctr_" ->
-          Some (account, Tx.Add amount)
+          Some (Tx.Add amount)
       | Tx.Put _ | Tx.Get _ | Tx.Debit _ | Tx.Credit _ | Tx.Merge _ -> None)

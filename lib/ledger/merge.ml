@@ -42,7 +42,7 @@ let apply_delta state key delta =
 
 (* ---- registry: chaincode-declared commutative operations ---- *)
 
-type rule = { rname : string; rclassify : Tx.op -> (string * delta) option }
+type rule = { rname : string; rclassify : Tx.op -> delta option }
 
 type registry = { mutable rules : rule list }
 
@@ -58,15 +58,24 @@ let classify_op reg op =
   match op with
   | Tx.Merge { key; delta } -> Some (key, canon delta)
   | Tx.Put _ | Tx.Get _ | Tx.Debit _ | Tx.Credit _ ->
-      List.find_map (fun r -> r.rclassify op) reg.rules
+      Option.map
+        (fun delta -> (Tx.key_of_op op, delta))
+        (List.find_map (fun r -> r.rclassify op) reg.rules)
 
-let classify_tx reg (tx : Tx.t) =
-  let rec go acc = function
+(* A delta keeps its op's key, so it lands on the shard the op's
+   placement already names: the lane needs no hashing of its own. *)
+let classify_placement reg placement =
+  let rec deltas acc = function
     | [] -> Some (List.rev acc)
     | op :: rest -> (
-        match classify_op reg op with Some kd -> go (kd :: acc) rest | None -> None)
+        match classify_op reg op with Some kd -> deltas (kd :: acc) rest | None -> None)
   in
-  match tx.Tx.ops with [] -> None | ops -> go [] ops
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | (shard, ops) :: rest -> (
+        match deltas [] ops with Some ds -> go ((shard, ds) :: acc) rest | None -> None)
+  in
+  match placement with [] -> None | _ -> go [] placement
 
 (* ---- per-shard delta lane ---- *)
 

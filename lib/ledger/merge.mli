@@ -32,10 +32,12 @@ type registry
 
 val create_registry : unit -> registry
 
-val register : registry -> name:string -> (Tx.op -> (string * delta) option) -> unit
+val register : registry -> name:string -> (Tx.op -> delta option) -> unit
 (** Declare a commutative-operation rule.  The classifier returns
-    [Some (key, delta)] when the op is an instance of this rule.
-    Re-registering an existing [name] is a no-op. *)
+    [Some delta] when the op is an instance of this rule; the delta
+    applies to the op's own key ({!Tx.key_of_op}), so it lands on the
+    shard the op's placement names.  Re-registering an existing [name]
+    is a no-op. *)
 
 val rule_names : registry -> string list
 
@@ -43,9 +45,12 @@ val classify_op : registry -> Tx.op -> (string * delta) option
 (** [Tx.Merge] ops classify as themselves; other ops consult the
     registered rules in declaration order. *)
 
-val classify_tx : registry -> Tx.t -> (string * delta) list option
-(** [Some deltas] iff {e every} op classifies — the all-mergeable test
-    that admits a transaction to the fast lane. *)
+val classify_placement :
+  registry -> (int * Tx.op list) list -> (int * (string * delta) list) list option
+(** [Some lane] iff the {!Tx.placement} is non-empty and {e every} op
+    classifies — the all-mergeable test that admits a transaction to the
+    fast lane.  Each shard keeps its deltas in op order, so the lane is
+    grouped exactly as the placement is, and no key is hashed again. *)
 
 (** {1 Per-shard delta lane} *)
 

@@ -84,5 +84,5 @@ let chaincode = Chaincode.define ~name:"smallbank" handler
 let declare_mergeable reg =
   Merge.register reg ~name:"smallbank.credit" (fun op ->
       match op with
-      | Tx.Credit { account; amount } -> Some (account, Tx.Add amount)
+      | Tx.Credit { amount; _ } -> Some (Tx.Add amount)
       | Tx.Put _ | Tx.Get _ | Tx.Debit _ | Tx.Merge _ -> None)

@@ -17,9 +17,13 @@ type t = {
   ops : op list;
   client : int;
   submitted : float;
+  mutable placed_for : int;
+  mutable placed : (int * op list) list;
 }
 
-let make ~txid ?(client = 0) ?(submitted = 0.0) ops = { txid; ops; client; submitted }
+(* [placed_for = 0] marks an empty memo: no shard count is zero. *)
+let make ~txid ?(client = 0) ?(submitted = 0.0) ops =
+  { txid; ops; client; submitted; placed_for = 0; placed = [] }
 
 let key_of_op = function
   | Put { key; _ } | Get { key } | Merge { key; _ } -> key
@@ -59,7 +63,12 @@ let group_by_shard ~shards ~key items =
   in
   group tagged
 
-let placement ~shards t = group_by_shard ~shards ~key:key_of_op t.ops
+let placement ~shards t =
+  if not (Int.equal t.placed_for shards) then begin
+    t.placed <- group_by_shard ~shards ~key:key_of_op t.ops;
+    t.placed_for <- shards
+  end;
+  t.placed
 
 let on_shard placement shard =
   match List.find_opt (fun (s, _) -> Int.equal s shard) placement with
@@ -183,7 +192,7 @@ let deserialize s =
                     match parse_op line with Ok op -> go (op :: acc) rest | Error e -> Error e)
               in
               match go [] op_lines with
-              | Ok ops -> Ok { txid; client; submitted; ops }
+              | Ok ops -> Ok (make ~txid ~client ~submitted ops)
               | Error e -> Error e)
           | _ -> Error "bad header numbers")
       | _ -> Error "bad header")

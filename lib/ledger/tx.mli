@@ -20,11 +20,16 @@ type op =
   | Credit of { account : string; amount : int }   (** increment *)
   | Merge of { key : string; delta : delta }       (** classified commutative op *)
 
-type t = {
+type t = private {
   txid : int;
   ops : op list;
   client : int;
   submitted : float;
+  mutable placed_for : int;
+  mutable placed : (int * op list) list;
+      (** {!placement}'s memo: the placement for [placed_for] shards.
+          Private, so only {!make} and {!deserialize} build a [t] and a
+          copy can never carry another transaction's placement. *)
 }
 
 val make : txid:int -> ?client:int -> ?submitted:float -> op list -> t
@@ -38,28 +43,25 @@ val shard_of_key : shards:int -> string -> int
 (** Stable hash partitioning (SHA-256 based, matching Appendix B's
     uniformly-random argument-to-shard mapping). *)
 
-val group_by_shard : shards:int -> key:('a -> string) -> 'a list -> (int * 'a list) list
-(** [group_by_shard ~shards ~key items] hashes each item's [key] once and
-    returns the touched shards in ascending order, each paired with its
-    items in their original order. *)
-
 val placement : shards:int -> t -> (int * op list) list
-(** [group_by_shard] over the ops: every touched shard, ascending, with
-    the sub-ops it must prepare/commit in their original order.  Computed
-    once per transaction, this replaces repeated {!ops_for_shard} calls,
-    each of which re-hashes every key. *)
+(** Every touched shard, ascending, with the sub-ops it must
+    prepare/commit in their original order.  Memoised on the transaction
+    for the last [shards] asked, so the workload's cross-shard count,
+    submission, the fast lane and every leg share one hash per key; a
+    call with another shard count recomputes. *)
 
 val on_shard : (int * 'a list) list -> int -> 'a list
-(** The items a {!group_by_shard} result holds for one shard ([[]] for an
-    untouched shard). *)
+(** The items a placement (or a lane grouped like one) holds for one
+    shard ([[]] for an untouched shard). *)
 
 val shards_touched : shards:int -> t -> int list
-(** Sorted distinct shard ids. *)
+(** Sorted distinct shard ids (read from {!placement}). *)
 
 val is_cross_shard : shards:int -> t -> bool
 
 val ops_for_shard : shards:int -> t -> int -> op list
-(** The sub-ops a given participant shard must prepare/commit. *)
+(** The sub-ops a given participant shard must prepare/commit (read from
+    {!placement}). *)
 
 val pp_delta : Format.formatter -> delta -> unit
 

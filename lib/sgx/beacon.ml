@@ -18,7 +18,8 @@ type t = {
 }
 
 let create enclave counter ~l_bits ~delta =
-  if l_bits < 0 || l_bits > 62 then invalid_arg "Beacon.create: l_bits out of range";
+  if l_bits < 0 || l_bits > 62 then
+    Repro_util.Invariant.fail "Beacon.create: l_bits = %d out of [0, 62]" l_bits;
   { enclave; counter; l_bits; delta; served = Hashtbl.create 16 }
 
 let cert_tag ~signer ~epoch ~rnd =

@@ -26,7 +26,8 @@ type t
 
 val create : Enclave.t -> Mono_counter.t -> l_bits:int -> delta:float -> t
 (** [l_bits] is the bit length of [q]; [delta] the network's synchronous
-    bound ∆ used by the restart guard. *)
+    bound ∆ used by the restart guard.  Raises
+    {!Repro_util.Invariant.Violation} unless [0 <= l_bits <= 62]. *)
 
 val invoke : t -> epoch:int -> outcome
 (** Charges the beacon-invocation cost. *)

@@ -30,3 +30,8 @@ val stable_hash : string -> int
     [Hashtbl.hash] in tag derivation (ahl_lint rule R8): the result is a
     pure function of the string across runs, layouts, and OCaml
     versions. *)
+
+val stable_hash_ints : prefix:string -> ('a -> int) -> 'a list -> int
+(** [stable_hash_ints ~prefix f xs] is
+    [stable_hash (prefix ^ String.concat "," (List.map (fun x -> string_of_int (f x)) xs))]
+    without building that string. *)

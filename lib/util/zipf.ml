@@ -1,8 +1,8 @@
 type t = { n : int; cdf : float array }
 
 let create ~n ~theta =
-  if n <= 0 then invalid_arg "Zipf.create: n must be positive";
-  if theta < 0.0 then invalid_arg "Zipf.create: theta must be non-negative";
+  if n <= 0 then Invariant.fail "Zipf.create: n = %d must be positive" n;
+  if theta < 0.0 then Invariant.fail "Zipf.create: theta = %g must be non-negative" theta;
   let weights = Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) theta) in
   let total = Array.fold_left ( +. ) 0.0 weights in
   let cdf = Array.make n 0.0 in
@@ -25,5 +25,5 @@ let sample t rng =
   !lo
 
 let pmf t i =
-  if i < 0 || i >= t.n then invalid_arg "Zipf.pmf";
+  if i < 0 || i >= t.n then Invariant.fail "Zipf.pmf: rank %d outside [0, %d)" i t.n;
   if i = 0 then t.cdf.(0) else t.cdf.(i) -. t.cdf.(i - 1)

@@ -916,6 +916,28 @@ let test_pbft_partition_halts_minority () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_pbft_safety_under_crash_schedules ]
 
+(* ------------------------------------------------------------------ *)
+(* Batch digests                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Recorded when the digest still hashed the joined "batch:" string. *)
+let test_batch_digest_golden () =
+  let batch ids = List.map (fun req_id -> Types.request ~req_id ~client:0 ~submitted:0.0 ()) ids in
+  List.iter
+    (fun (ids, expected) ->
+      Alcotest.(check int)
+        (String.concat ";" (List.map string_of_int ids))
+        expected
+        (Types.digest_of_batch (batch ids)))
+    [
+      ([], 415008900940483507);
+      ([ 0 ], 4045049972482363289);
+      ([ 7 ], 4045051071993991500);
+      ([ 1; 2; 3 ], 2979332868976243153);
+      ([ -5; 12 ], 2371068917944859244);
+      (List.init 120 (fun i -> 1000 + i), 871142959361897481);
+    ]
+
 let () =
   Alcotest.run "consensus"
     [
@@ -929,6 +951,7 @@ let () =
             test_quorum_forget_below_keeps_uncertified;
           Alcotest.test_case "voters" `Quick test_quorum_voters;
         ] );
+      ("types", [ Alcotest.test_case "batch digest golden" `Quick test_batch_digest_golden ]);
       ( "config",
         [
           Alcotest.test_case "quorum rules" `Quick test_config_quorum_rules;

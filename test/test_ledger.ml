@@ -252,6 +252,74 @@ let test_chain_link_verification () =
   let forged = { b1 with Block.txs = [ "b" ] } in
   Alcotest.(check bool) "tampered txs detected" false (Block.verify_link ~parent:g ~child:forged)
 
+(* Recorded before headers were sealed on read: the lazy chain must give
+   every digest the eager one gave. *)
+let test_chain_golden_digests () =
+  let hex = Repro_crypto.Sha256.to_hex in
+  let state_root = Repro_crypto.Sha256.digest_string "s0" in
+  let c = Block.Chain.create ~state_root in
+  ignore (Block.Chain.append c ~txs:[ "t1"; "t2" ] ~state_root ~timestamp:1.0);
+  ignore
+    (Block.Chain.append c ~txs:[ "t3" ]
+       ~state_root:(Repro_crypto.Sha256.digest_string "s2")
+       ~timestamp:2.5);
+  ignore (Block.Chain.append c ~txs:[ "t4"; "t5"; "t6" ] ~state_root ~timestamp:3.25);
+  Alcotest.(check string)
+    "tip hash" "bdf58967e57999b5a23fc0828e954e1fd75f4fc501269c97c50143865fafa4aa"
+    (hex (Block.hash (Block.Chain.tip c)));
+  List.iteri
+    (fun h expected ->
+      match Block.Chain.at c h with
+      | Some b ->
+          Alcotest.(check string)
+            (Printf.sprintf "tx_root %d" h)
+            expected
+            (hex (Block.header b).Block.tx_root)
+      | None -> Alcotest.fail "missing block")
+    [
+      "35ec8ea66a238bd043e3061051e7170bdcbd5aa57bfac08ce890e03877881fac";
+      "056d9c293200751b3cd7e9137c477afb88659fa3c901e2376a236daa0a0cefb7";
+      "c15007fbfbc17a79e767f5111c2ecd8727b90f144ffa8972fd96e7c2ad92ada5";
+      "99d987848780404e4af5ea9cc716450839631251df31a23bbefc83e42826e729";
+    ];
+  Alcotest.(check bool) "validates" true (Block.Chain.validate c)
+
+let forgeable_chain () =
+  let state_root = Repro_crypto.Sha256.digest_string "s0" in
+  let c = Block.Chain.create ~state_root in
+  List.iter
+    (fun txs -> ignore (Block.Chain.append c ~txs ~state_root ~timestamp:1.0))
+    [ [ "a" ]; [ "b"; "c" ]; [ "d" ] ];
+  c
+
+(* The header commits to the body as appended, so tampering with the
+   stored body is caught whether or not the header was read first. *)
+let test_chain_forge_before_seal_detected () =
+  List.iter
+    (fun h ->
+      let c = forgeable_chain () in
+      Block.Chain.forge_txs c h [ "x" ];
+      Alcotest.(check bool)
+        (Printf.sprintf "block %d forged before any read" h)
+        false (Block.Chain.validate c);
+      let c = forgeable_chain () in
+      Alcotest.(check bool) "clean chain" true (Block.Chain.validate c);
+      Block.Chain.forge_txs c h [ "x" ];
+      Alcotest.(check bool)
+        (Printf.sprintf "block %d forged after sealing" h)
+        false (Block.Chain.validate c))
+    [ 1; 2; 3 ]
+
+(* Sealing a long unread chain must not recurse once per block. *)
+let test_chain_long_validates () =
+  let state_root = Repro_crypto.Sha256.digest_string "s0" in
+  let c = Block.Chain.create ~state_root in
+  for i = 1 to 20_000 do
+    ignore (Block.Chain.append c ~txs:[ "req-" ^ string_of_int i ] ~state_root ~timestamp:0.0)
+  done;
+  Alcotest.(check int) "height" 20_000 (Block.Chain.height c);
+  Alcotest.(check bool) "validates" true (Block.Chain.validate c)
+
 let test_chain_tx_inclusion_proof () =
   let state_root = Repro_crypto.Sha256.digest_string "s0" in
   let g = Block.genesis state_root in
@@ -424,6 +492,52 @@ let sample_tx =
       Tx.Debit { account = "alice"; amount = 30 };
       Tx.Credit { account = "bob"; amount = 30 };
     ]
+
+let placement_keys placement =
+  List.map (fun (shard, ops) -> (shard, List.map Tx.key_of_op ops)) placement
+
+(* Recorded before placements were memoised on the transaction. *)
+let test_tx_golden_placement () =
+  let keys =
+    [ "acc0"; "acc1"; "acc2"; "acc3"; "checking_acc4"; "savings_acc4"; "ctr_acc5"; "key7"; "alice"; "bob" ]
+  in
+  let tx = Tx.make ~txid:1 (List.map (fun key -> Tx.Put { key; value = "" }) keys) in
+  let check shards expected =
+    Alcotest.(check (list (pair int (list string))))
+      (Printf.sprintf "%d shards" shards)
+      expected
+      (placement_keys (Tx.placement ~shards tx))
+  in
+  check 6
+    [
+      (0, [ "checking_acc4"; "savings_acc4"; "key7"; "bob" ]);
+      (1, [ "acc2"; "acc3"; "alice" ]);
+      (3, [ "acc0"; "ctr_acc5" ]);
+      (5, [ "acc1" ]);
+    ];
+  check 12
+    [
+      (0, [ "checking_acc4"; "key7"; "bob" ]);
+      (1, [ "acc2"; "acc3"; "alice" ]);
+      (3, [ "acc0"; "ctr_acc5" ]);
+      (6, [ "savings_acc4" ]);
+      (11, [ "acc1" ]);
+    ]
+
+let test_tx_placement_memoised () =
+  let tx =
+    Tx.make ~txid:1 (List.map (fun key -> Tx.Put { key; value = "" }) [ "acc0"; "acc1"; "acc2" ])
+  in
+  let p6 = Tx.placement ~shards:6 tx in
+  Alcotest.(check bool) "second call is the memo" true (p6 == Tx.placement ~shards:6 tx);
+  let fresh = Tx.make ~txid:1 tx.Tx.ops in
+  let p12 = Tx.placement ~shards:12 tx in
+  Alcotest.(check (list (pair int (list string))))
+    "other shard count recomputes"
+    (placement_keys (Tx.placement ~shards:12 fresh))
+    (placement_keys p12);
+  Alcotest.(check bool) "shards_touched reads the memo" true
+    (Tx.shards_touched ~shards:12 tx = List.map fst p12)
 
 let test_tx_serialize_roundtrip () =
   match Tx.deserialize (Tx.serialize sample_tx) with
@@ -657,19 +771,20 @@ let test_merge_classify () =
   | _ -> Alcotest.fail "Credit should classify via smallbank.credit");
   Alcotest.(check bool) "Debit is not mergeable" true
     (Merge.classify_op reg (Tx.Debit { account = "a"; amount = 7 }) = None);
-  (* classify_tx is all-or-nothing. *)
+  (* classify_placement is all-or-nothing. *)
   let all_credits =
     Tx.make ~txid:1
       [ Tx.Credit { account = "a"; amount = 1 }; Tx.Credit { account = "b"; amount = 2 } ]
   in
-  (match Merge.classify_tx reg all_credits with
-  | Some [ ("a", Tx.Add 1); ("b", Tx.Add 2) ] -> ()
+  (match Merge.classify_placement reg (Tx.placement ~shards:1 all_credits) with
+  | Some [ (0, [ ("a", Tx.Add 1); ("b", Tx.Add 2) ]) ] -> ()
   | _ -> Alcotest.fail "all-credit tx should classify");
   let mixed =
     Tx.make ~txid:2
       [ Tx.Credit { account = "a"; amount = 1 }; Tx.Debit { account = "b"; amount = 2 } ]
   in
-  Alcotest.(check bool) "mixed tx stays locked" true (Merge.classify_tx reg mixed = None)
+  Alcotest.(check bool) "mixed tx stays locked" true
+    (Merge.classify_placement reg (Tx.placement ~shards:1 mixed) = None)
 
 let test_merge_apply_delta () =
   let s = State.create () in
@@ -798,6 +913,8 @@ let () =
           Alcotest.test_case "deserialize rejects garbage" `Quick
             test_tx_deserialize_rejects_garbage;
           Alcotest.test_case "digest distinguishes" `Quick test_tx_digest_distinguishes;
+          Alcotest.test_case "golden placement" `Quick test_tx_golden_placement;
+          Alcotest.test_case "placement memoised" `Quick test_tx_placement_memoised;
         ] );
       ( "executor",
         [
@@ -814,6 +931,10 @@ let () =
           Alcotest.test_case "append/validate" `Quick test_chain_append_and_validate;
           Alcotest.test_case "link verification" `Quick test_chain_link_verification;
           Alcotest.test_case "tx inclusion proof" `Quick test_chain_tx_inclusion_proof;
+          Alcotest.test_case "golden digests" `Quick test_chain_golden_digests;
+          Alcotest.test_case "forge before seal detected" `Quick
+            test_chain_forge_before_seal_detected;
+          Alcotest.test_case "20k-block chain validates" `Quick test_chain_long_validates;
         ] );
       ( "chaincode",
         [

@@ -242,6 +242,12 @@ let test_a2m_foreign_seal_starts_empty () =
 let make_beacon ?(l_bits = 0) ?(delta = 2.0) w =
   Beacon.create (make_enclave w) (Mono_counter.create ()) ~l_bits ~delta
 
+let test_beacon_rejects_bad_l_bits () =
+  Alcotest.check_raises "l = 63" (Invariant.Violation "Beacon.create: l_bits = 63 out of [0, 62]")
+    (fun () -> ignore (make_beacon ~l_bits:63 (make_world ())));
+  Alcotest.check_raises "l = -1" (Invariant.Violation "Beacon.create: l_bits = -1 out of [0, 62]")
+    (fun () -> ignore (make_beacon ~l_bits:(-1) (make_world ())))
+
 let test_beacon_emits_certificate () =
   let w = make_world () in
   let b = make_beacon w in
@@ -508,6 +514,7 @@ let () =
           Alcotest.test_case "unlucky large l" `Quick test_beacon_unlucky_with_large_l;
           Alcotest.test_case "repeat probability" `Quick test_beacon_repeat_probability_math;
           Alcotest.test_case "cert binds epoch" `Quick test_beacon_cert_binds_epoch;
+          Alcotest.test_case "rejects bad l_bits" `Quick test_beacon_rejects_bad_l_bits;
         ] );
       ( "aggregator",
         [

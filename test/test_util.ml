@@ -387,9 +387,39 @@ let test_zipf_sample_matches_pmf () =
     check_float_at 0.01 "sample frequency ~ pmf" (Zipf.pmf z i) empirical
   done
 
+let test_zipf_rejects_bad_params () =
+  Alcotest.check_raises "n = 0" (Invariant.Violation "Zipf.create: n = 0 must be positive")
+    (fun () -> ignore (Zipf.create ~n:0 ~theta:1.0));
+  Alcotest.check_raises "theta < 0"
+    (Invariant.Violation "Zipf.create: theta = -0.5 must be non-negative") (fun () ->
+      ignore (Zipf.create ~n:4 ~theta:(-0.5)));
+  Alcotest.check_raises "rank out of range" (Invariant.Violation "Zipf.pmf: rank 4 outside [0, 4)")
+    (fun () -> ignore (Zipf.pmf (Zipf.create ~n:4 ~theta:1.0) 4))
+
 let test_zipf_high_skew_concentrates () =
   let z = Zipf.create ~n:1000 ~theta:1.99 in
   Alcotest.(check bool) "head key dominates" true (Zipf.pmf z 0 > 0.5)
+
+(* ------------------------------------------------------------------ *)
+(* Det                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let golden_ids = List.init 120 (fun i -> 1000 + i)
+
+(* Values recorded from the per-byte Int64 implementation the native-int
+   one replaced. *)
+let test_det_stable_hash_golden () =
+  Alcotest.(check int) "empty" 860922984064492325 (Det.stable_hash "");
+  Alcotest.(check int) "abc" 2819150120103270219 (Det.stable_hash "abc");
+  let batch = String.concat "," (List.map string_of_int golden_ids) in
+  Alcotest.(check int) "599-byte batch" 3772931759143925655 (Det.stable_hash batch)
+
+let test_det_stable_hash_ints_matches_joined () =
+  List.iter
+    (fun ids ->
+      let joined = "p:" ^ String.concat "," (List.map string_of_int ids) in
+      Alcotest.(check int) joined (Det.stable_hash joined) (Det.stable_hash_ints ~prefix:"p:" Fun.id ids))
+    [ []; [ 0 ]; [ 9; 10; 99; 100 ]; [ -1; -12 ]; [ max_int; min_int ]; golden_ids ]
 
 (* ------------------------------------------------------------------ *)
 (* Logspace                                                            *)
@@ -688,6 +718,13 @@ let () =
           Alcotest.test_case "pmf sums to one" `Quick test_zipf_pmf_sums_to_one;
           Alcotest.test_case "sample matches pmf" `Slow test_zipf_sample_matches_pmf;
           Alcotest.test_case "high skew concentrates" `Quick test_zipf_high_skew_concentrates;
+          Alcotest.test_case "rejects bad parameters" `Quick test_zipf_rejects_bad_params;
+        ] );
+      ( "det",
+        [
+          Alcotest.test_case "stable_hash golden" `Quick test_det_stable_hash_golden;
+          Alcotest.test_case "stable_hash_ints = joined" `Quick
+            test_det_stable_hash_ints_matches_joined;
         ] );
       ( "logspace",
         [

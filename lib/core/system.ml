@@ -26,7 +26,6 @@ type config = {
   concurrency : concurrency_control;
   seed : int64;
   tune : Config.t -> Config.t;
-  client_fallback_timeout : float;
   fast_lane : bool;
       (* DESIGN §18: route all-mergeable transactions down the lock-free
          delta lane instead of 2PC+2PL *)
@@ -43,7 +42,6 @@ let default_config ~shards ~committee_size =
     concurrency = Two_phase_locking;
     seed = 1L;
     tune = Fun.id;
-    client_fallback_timeout = 5.0;
     fast_lane = false;
   }
 
@@ -94,6 +92,11 @@ type tx_record = {
   tx : Tx.t;
   legs : legs;
   participant_shards : int list; (* the shards of [legs] *)
+  coordinator : int option;
+      (* the committee hosting the transaction's 2PC machine — R, or the
+         flattened participant [txid mod |participants|] — or [None] when
+         the client collects the votes itself *)
+  mutable votes : (int * bool) list; (* shard votes a coordinating client holds *)
   mutable decided : bool;
   mutable legs_left : int;
   legs_done : (int, unit) Hashtbl.t;
@@ -124,8 +127,6 @@ type t = {
   mutable committees : committee_ctx array; (* shards, then optionally R last *)
   metrics : Metrics.t; (* transaction-level *)
   inflight : (int, tx_record) Hashtbl.t;
-  client_votes : (int, (int, bool) Hashtbl.t) Hashtbl.t;
-      (* per-tx vote collection when the client itself coordinates *)
   mutable next_req : int;
   rng : Rng.t;
   mutable leg_filter : (dst:int -> Coordination.op -> Network.verdict) option;
@@ -160,18 +161,6 @@ let reference_machine t = if has_reference t then t.committees.(ref_index t).coo
 
 let coordination_machines t =
   Array.to_list t.committees |> List.filter_map (fun ctx -> ctx.coordsm)
-
-(* The committee that runs a transaction's 2PC machine. *)
-let coordinator_of t (rec_ : tx_record) =
-  match t.cfg.mode with
-  | With_reference -> ref_index t
-  | Flattened ->
-      (* SharPer-style: an involved shard coordinates; spread the role over
-         participants by txid so no shard becomes the de-facto R. *)
-      let ps = rec_.participant_shards in
-      List.nth ps (rec_.tx.Tx.txid mod List.length ps)
-  | Client_driven ->
-      Sim_error.invalid "System.coordinator_of: no coordinator committee in client-driven mode"
 
 (* ------------------------------------------------------------------ *)
 (* Request plumbing                                                    *)
@@ -253,6 +242,11 @@ let batch_gc_period = 120.0
 let batch_window = 0.02
 
 let batch_max_steps = 128
+
+(* How long a coordinator waits for a silent client's relay before its own
+   nodes dispatch the prepares, and the period of the fallback sweep that
+   follows. *)
+let client_fallback_timeout = 5.0
 
 let send_batch t ~committee ~client steps =
   match steps with
@@ -354,37 +348,61 @@ let enqueue_step t ~committee ~client op =
 (* Coordination driver (the client relay + coordinator fallback)       *)
 (* ------------------------------------------------------------------ *)
 
+(* Retire a finished transaction: drop its record and registry entries,
+   count the outcome, and hand it to the submitter. *)
+let complete t rec_ outcome =
+  let txid = rec_.tx.Tx.txid in
+  Hashtbl.remove t.inflight txid;
+  Coordination.release t.registry ~txid;
+  (match outcome with
+  | Committed ->
+      Metrics.commit t.metrics ~count:1;
+      Metrics.commit_latency t.metrics ~submitted:rec_.tx.Tx.submitted
+  | Aborted -> Metrics.abort t.metrics ~count:1);
+  rec_.on_done outcome
+
 let finish_leg t txid shard =
   match Hashtbl.find_opt t.inflight txid with
   | None -> ()
-  | Some rec_ when Hashtbl.mem rec_.legs_done shard -> ignore rec_
+  | Some rec_ when Hashtbl.mem rec_.legs_done shard -> ()
   | Some rec_ ->
       Hashtbl.replace rec_.legs_done shard ();
       rec_.legs_left <- rec_.legs_left - 1;
       if rec_.decided_at >= 0.0 then
         Probe.observe t.probe "2pc.decision_leg_s" (Engine.now t.engine -. rec_.decided_at);
       if rec_.legs_left <= 0 then begin
-        Hashtbl.remove t.inflight txid;
-        Coordination.release t.registry ~txid;
-        (match rec_.outcome with
-        | Committed ->
-            Metrics.commit t.metrics ~count:1;
-            Metrics.commit_latency t.metrics ~submitted:rec_.tx.Tx.submitted;
-            Probe.incr t.probe "2pc.committed"
-        | Aborted ->
-            Metrics.abort t.metrics ~count:1;
-            Probe.incr t.probe "2pc.aborted");
+        Probe.incr t.probe (if rec_.outcome = Committed then "2pc.committed" else "2pc.aborted");
         Probe.observe t.probe "2pc.tx_total_s" (Engine.now t.engine -. rec_.tx.Tx.submitted);
-        rec_.on_done rec_.outcome
+        complete t rec_ rec_.outcome
       end
 
-(* The sub-ops [rec_] sends [shard] on a prepare or decision leg.  Only
-   locked transactions run those legs; a lane record reads the
-   transaction's memoised placement. *)
-let ops_on t rec_ shard =
+(* The decision leg [rec_] sends [shard]: a lane record's delta append
+   (always a commit), Commit_tx or Abort_tx otherwise. *)
+let decision_leg rec_ shard =
+  let txid = rec_.tx.Tx.txid in
   match rec_.legs with
-  | Ops placement -> Tx.on_shard placement shard
-  | Deltas _ -> Tx.ops_for_shard ~shards:t.cfg.shards rec_.tx shard
+  | Deltas lane -> Coordination.Merge_tx { txid; deltas = Tx.on_shard lane shard }
+  | Ops placement ->
+      let ops = Tx.on_shard placement shard in
+      if rec_.outcome = Committed then Coordination.Commit_tx { txid; ops }
+      else Coordination.Abort_tx { txid; ops }
+
+(* Send the decision to every participant whose leg has not landed; the
+   shard's applied table makes a re-sent leg apply at most once. *)
+let send_decision t rec_ =
+  List.iter
+    (fun shard ->
+      if not (Hashtbl.mem rec_.legs_done shard) then
+        send_to_committee t ~committee:shard ~client:rec_.tx.Tx.client (decision_leg rec_ shard))
+    rec_.participant_shards
+
+(* Lane records are decided at creation, so only [Ops] records prepare. *)
+let send_prepare t rec_ shard =
+  match rec_.legs with
+  | Ops placement ->
+      send_to_committee t ~committee:shard ~client:rec_.tx.Tx.client
+        (Coordination.Prepare_tx { txid = rec_.tx.Tx.txid; ops = Tx.on_shard placement shard })
+  | Deltas _ -> ()
 
 let dispatch_decision t txid ok =
   match Hashtbl.find_opt t.inflight txid with
@@ -402,55 +420,43 @@ let dispatch_decision t txid ok =
             "decision"
         end;
         rec_.legs_left <- List.length rec_.participant_shards;
-        List.iter
-          (fun shard ->
-            let ops = ops_on t rec_ shard in
-            let op =
-              if ok then Coordination.Commit_tx { txid; ops }
-              else Coordination.Abort_tx { txid; ops }
-            in
-            send_to_committee t ~committee:shard ~client:rec_.tx.Tx.client op)
-          rec_.participant_shards
+        send_decision t rec_
       end
 
-let dispatch_prepares t txid =
-  match Hashtbl.find_opt t.inflight txid with
-  | None -> ()
-  | Some rec_ ->
-      if rec_.prepare_started < 0.0 then begin
-        rec_.prepare_started <- Engine.now t.engine;
-        Probe.incr t.probe "2pc.prepare_rounds";
-        Probe.instant t.probe ~time:(Engine.now t.engine) ~cat:"2pc" ~node:"coord"
-          "prepare_dispatch"
-      end;
-      List.iter
-        (fun shard ->
-          let ops = ops_on t rec_ shard in
-          send_to_committee t ~committee:shard ~client:rec_.tx.Tx.client
-            (Coordination.Prepare_tx { txid; ops }))
-        rec_.participant_shards
+let dispatch_prepares t rec_ =
+  if rec_.prepare_started < 0.0 then begin
+    rec_.prepare_started <- Engine.now t.engine;
+    Probe.incr t.probe "2pc.prepare_rounds";
+    Probe.instant t.probe ~time:(Engine.now t.engine) ~cat:"2pc" ~node:"coord"
+      "prepare_dispatch"
+  end;
+  List.iter (send_prepare t rec_) rec_.participant_shards
 
-(* Client-driven vote collection (OmniLedger mode). *)
-let on_client_vote t txid shard ok =
-  match Hashtbl.find_opt t.inflight txid with
-  | None -> ()
-  | Some rec_ when rec_.relaying ->
-      let votes =
-        match Hashtbl.find_opt t.client_votes txid with
-        | Some v -> v
-        | None ->
-            let v = Hashtbl.create 4 in
-            Hashtbl.replace t.client_votes txid v;
-            v
-      in
-      Hashtbl.replace votes shard ok;
-      let all_in = Hashtbl.length votes = List.length rec_.participant_shards in
-      let any_nok = Det.fold ~compare:Int.compare (fun _ ok acc -> acc || not ok) votes false in
-      if any_nok || all_in then begin
-        Hashtbl.remove t.client_votes txid;
-        dispatch_decision t txid (not any_nok)
-      end
-  | Some _ -> () (* malicious client: locks stay, nobody decides *)
+(* Open a cross-shard transaction's 2PC.  With a coordinator committee the
+   client sends BeginTx and, pipelining (DESIGN §15), its prepares at once
+   rather than after BeginTx's consensus: the machine buffers any vote that
+   outruns its Begin.  A silent client sends BeginTx only and leaves the
+   prepares to the coordinator's fallback.  A client that coordinates
+   itself just prepares. *)
+let start_2pc t rec_ =
+  match rec_.coordinator with
+  | Some committee ->
+      enqueue_step t ~committee ~client:rec_.tx.Tx.client
+        (Coordination.Begin_tx { txid = rec_.tx.Tx.txid; participants = rec_.participant_shards });
+      if rec_.relaying then dispatch_prepares t rec_
+  | None -> dispatch_prepares t rec_
+
+(* Client-driven vote collection (OmniLedger mode).  A malicious client
+   drops the votes: its locks stay and nobody decides. *)
+let on_client_vote t rec_ shard ok =
+  if rec_.relaying then begin
+    rec_.votes <- (shard, ok) :: List.remove_assoc shard rec_.votes;
+    let any_nok = List.exists (fun (_, ok) -> not ok) rec_.votes in
+    if any_nok || List.length rec_.votes = List.length rec_.participant_shards then begin
+      rec_.votes <- [];
+      dispatch_decision t rec_.tx.Tx.txid (not any_nok)
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Execution at committee observers                                    *)
@@ -490,26 +496,19 @@ let record_block t ctx batch =
     (Block.Chain.append ctx.chain ~txs ~state_root:ctx.state_commit
        ~timestamp:(Engine.now t.engine))
 
-(* Deliver a shard's quorum answer for a prepare to whoever coordinates. *)
-let emit_vote t ctx (req : Types.request) ~txid ~ok =
-  match t.cfg.mode with
-  | With_reference | Flattened -> (
-      match Hashtbl.find_opt t.inflight txid with
-      | Some rec_ when rec_.relaying ->
-          enqueue_step t ~committee:(coordinator_of t rec_) ~client:req.Types.client
-            (Coordination.Vote { txid; shard = ctx.index; ok })
-      | Some _ | None ->
-          (* Silent client: the coordinator's fallback sweep reads the
-             chain instead. *)
-          ())
-  | Client_driven -> on_client_vote t txid ctx.index ok
-
-(* A prepare's quorum outcome is evidence the shard observer keeps until
-   the transaction's decision lands; R's fallback sweep reads it rather
-   than inferring a vote from the lock table. *)
-let record_prepare t ctx ~txid ~ok =
-  ignore t;
-  Hashtbl.replace ctx.prepared txid ok
+(* A shard's quorum answer for a prepare.  The observer keeps it as
+   evidence until the transaction's decision lands (the fallback sweep
+   reads it rather than inferring a vote from the lock table), and the vote
+   goes to whoever coordinates.  A silent client relays nothing: its
+   coordinator's sweep reads the evidence instead. *)
+let vote t ctx (req : Types.request) ~txid ~ok =
+  Hashtbl.replace ctx.prepared txid ok;
+  match Hashtbl.find_opt t.inflight txid with
+  | Some { coordinator = Some committee; relaying = true; _ } ->
+      enqueue_step t ~committee ~client:req.Types.client
+        (Coordination.Vote { txid; shard = ctx.index; ok })
+  | Some ({ coordinator = None; _ } as rec_) -> on_client_vote t rec_ ctx.index ok
+  | Some { coordinator = Some _; relaying = false; _ } | None -> ()
 
 (* Wait-die retry: lock releases wake parked prepares in txid order. *)
 let retry_parked t ctx =
@@ -521,13 +520,11 @@ let retry_parked t ctx =
           Hashtbl.remove ctx.parked txid;
           Probe.incr t.probe "2pc.waitdie.retry_ok";
           Probe.observe t.probe "2pc.waitdie.wait_s" (Engine.now t.engine -. parked_at);
-          record_prepare t ctx ~txid ~ok:true;
-          emit_vote t ctx req ~txid ~ok:true
+          vote t ctx req ~txid ~ok:true
       | Error (Executor.Insufficient _) ->
           Hashtbl.remove ctx.parked txid;
           Probe.incr t.probe "2pc.vote_nok.insufficient";
-          record_prepare t ctx ~txid ~ok:false;
-          emit_vote t ctx req ~txid ~ok:false
+          vote t ctx req ~txid ~ok:false
       | Error (Executor.Lock_conflict _) -> ())
     waiting
 
@@ -562,34 +559,22 @@ let execute_on_shard t ctx (req : Types.request) =
           finish_leg t txid ctx.index
       | Coordination.Single { txid; ops } -> (
           Hashtbl.replace ctx.applied (txid, 0) ();
-          match Executor.execute_single ctx.state ~txid ops with
-          | Ok () -> (
-              match Hashtbl.find_opt t.inflight txid with
-              | Some rec_ ->
-                  Hashtbl.remove t.inflight txid;
-                  Coordination.release t.registry ~txid;
-                  Metrics.commit t.metrics ~count:1;
-                  Metrics.commit_latency t.metrics ~submitted:rec_.tx.Tx.submitted;
-                  rec_.on_done Committed
-              | None -> ())
-          | Error _ -> (
-              match Hashtbl.find_opt t.inflight txid with
-              | Some rec_ ->
-                  Hashtbl.remove t.inflight txid;
-                  Coordination.release t.registry ~txid;
-                  Metrics.abort t.metrics ~count:1;
-                  rec_.on_done Aborted
-              | None -> ()))
+          let outcome =
+            match Executor.execute_single ctx.state ~txid ops with
+            | Ok () -> Committed
+            | Error _ -> Aborted
+          in
+          match Hashtbl.find_opt t.inflight txid with
+          | Some rec_ -> complete t rec_ outcome
+          | None -> ())
       | Coordination.Prepare_tx { txid; ops } -> (
           (* The client reads the vote off the shard's chain and relays. *)
           match Executor.try_prepare ctx.state ~txid ops with
           | Ok () ->
-              record_prepare t ctx ~txid ~ok:true;
-              emit_vote t ctx req ~txid ~ok:true
+              vote t ctx req ~txid ~ok:true
           | Error (Executor.Insufficient _) ->
               Probe.incr t.probe "2pc.vote_nok.insufficient";
-              record_prepare t ctx ~txid ~ok:false;
-              emit_vote t ctx req ~txid ~ok:false
+              vote t ctx req ~txid ~ok:false
           | Error (Executor.Lock_conflict { holder; _ }) -> (
               if Probe.enabled t.probe then
                 Probe.instant t.probe ~time:(Engine.now t.engine) ~cat:"2pc"
@@ -599,8 +584,7 @@ let execute_on_shard t ctx (req : Types.request) =
               match t.cfg.concurrency with
               | Two_phase_locking ->
                   Probe.incr t.probe "2pc.vote_nok.lock_conflict";
-                  record_prepare t ctx ~txid ~ok:false;
-                  emit_vote t ctx req ~txid ~ok:false
+                  vote t ctx req ~txid ~ok:false
               | Wait_die ->
                   if txid < holder && not (Hashtbl.mem ctx.parked txid) then begin
                     (* Older waits; a park timeout bounds the wait.  No
@@ -615,14 +599,12 @@ let execute_on_shard t ctx (req : Types.request) =
                             Probe.incr t.probe "2pc.waitdie.park_timeout";
                             Probe.observe t.probe "2pc.waitdie.wait_s"
                               (Engine.now t.engine -. parked_at);
-                            record_prepare t ctx ~txid ~ok:false;
-                            emit_vote t ctx req ~txid ~ok:false
+                            vote t ctx req ~txid ~ok:false
                         | None -> ())
                   end
                   else begin
                     Probe.incr t.probe "2pc.waitdie.died";
-                    record_prepare t ctx ~txid ~ok:false;
-                    emit_vote t ctx req ~txid ~ok:false
+                    vote t ctx req ~txid ~ok:false
                   end))
       | Coordination.Commit_tx { txid; ops } ->
           Hashtbl.replace ctx.applied (txid, 1) ();
@@ -652,6 +634,12 @@ let observe_vote_leg t txid =
         Probe.observe t.probe "2pc.vote_leg_s" (Engine.now t.engine -. rec_.prepare_started)
     | Some _ | None -> ()
 
+(* The transaction's state in its coordinator's 2PC machine, if it has one. *)
+let coord_state t rec_ =
+  match Option.bind rec_.coordinator (fun c -> t.committees.(c).coordsm) with
+  | None -> None
+  | Some sm -> Reference.state_of sm ~txid:rec_.tx.Tx.txid
+
 let rec react_begin t txid decision =
   match decision with
   | Reference.Now_started -> (
@@ -662,12 +650,12 @@ let rec react_begin t txid decision =
           (* Fallback: the coordinator's nodes dispatch PrepareTx
              themselves if the client relay stays silent, then sweep for
              the shards' prepare evidence until the tx is done. *)
-          Engine.schedule t.engine ~delay:t.cfg.client_fallback_timeout (fun () ->
-              (match coord_state t rec_ ~txid with
+          Engine.schedule t.engine ~delay:client_fallback_timeout (fun () ->
+              (match coord_state t rec_ with
               | Some (Reference.Preparing _) | Some Reference.Started ->
-                  dispatch_prepares t txid
+                  dispatch_prepares t rec_
               | Some Reference.Committed | Some Reference.Aborted | None -> ());
-              Engine.schedule t.engine ~delay:t.cfg.client_fallback_timeout (fun () ->
+              Engine.schedule t.engine ~delay:client_fallback_timeout (fun () ->
                   fallback_collect t txid))
       | Some _ | None -> ())
   | Reference.Now_committed ->
@@ -681,11 +669,6 @@ and react_vote t txid decision =
   | Reference.Now_committed -> dispatch_decision t txid true
   | Reference.Now_aborted -> dispatch_decision t txid false
   | Reference.No_change | Reference.Now_started -> ()
-
-and coord_state t rec_ ~txid =
-  match t.committees.(coordinator_of t rec_).coordsm with
-  | None -> None
-  | Some sm -> Reference.state_of sm ~txid
 
 (* Run one [Batch] carrier's coordinator chaincode steps at the hosting
    committee's observer: [Reference.step_batch] applies the whole consensus
@@ -747,32 +730,36 @@ and fallback_collect t txid =
       Probe.instant t.probe ~time:(Engine.now t.engine) ~cat:"2pc" ~node:"R"
         ~args:[ ("txid", Ev.I txid) ]
         "fallback_sweep";
-      (if rec_.decided then
-         List.iter
-           (fun shard ->
-             if not (Hashtbl.mem rec_.legs_done shard) then begin
-               let ops = ops_on t rec_ shard in
-               let op =
-                 if rec_.outcome = Committed then Coordination.Commit_tx { txid; ops }
-                 else Coordination.Abort_tx { txid; ops }
-               in
-               send_to_committee t ~committee:shard ~client:rec_.tx.Tx.client op
-             end)
-           rec_.participant_shards
+      (if rec_.decided then send_decision t rec_
        else
-         List.iter
-           (fun shard ->
-             match Hashtbl.find_opt t.committees.(shard).prepared txid with
-             | Some ok ->
-                 enqueue_step t ~committee:(coordinator_of t rec_) ~client:rec_.tx.Tx.client
-                   (Coordination.Vote { txid; shard; ok })
-             | None ->
-                 let ops = ops_on t rec_ shard in
-                 send_to_committee t ~committee:shard ~client:rec_.tx.Tx.client
-                   (Coordination.Prepare_tx { txid; ops }))
-           rec_.participant_shards);
-      Engine.schedule t.engine ~delay:t.cfg.client_fallback_timeout (fun () ->
+         Option.iter
+           (fun committee ->
+             List.iter
+               (fun shard ->
+                 match Hashtbl.find_opt t.committees.(shard).prepared txid with
+                 | Some ok ->
+                     enqueue_step t ~committee ~client:rec_.tx.Tx.client
+                       (Coordination.Vote { txid; shard; ok })
+                 | None -> send_prepare t rec_ shard)
+               rec_.participant_shards)
+           rec_.coordinator);
+      Engine.schedule t.engine ~delay:client_fallback_timeout (fun () ->
           fallback_collect t txid)
+
+(* Seconds to ship a state package and re-verify it: the transfer over
+   the topology plus recomputing its Merkle root at Table-2 SHA throughput.
+   Checkpoint catch-up and epoch fetches both pay it. *)
+let transfer_cost t pkg =
+  let transfer = State_transfer.transfer_time t.cfg.topology pkg in
+  let verify =
+    float_of_int (State_transfer.size_bytes pkg / 64)
+    *. Cost_model.default.Cost_model.sha256 *. t.cfg.cpu_scale
+  in
+  if Probe.enabled t.probe then begin
+    Probe.observe t.probe "ckpt.transfer_bytes" (float_of_int (State_transfer.size_bytes pkg));
+    Probe.observe t.probe "ckpt.transfer_s" (transfer +. verify)
+  end;
+  transfer +. verify
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -798,7 +785,6 @@ let create cfg =
       committees = [||];
       metrics;
       inflight = Hashtbl.create 1024;
-      client_votes = Hashtbl.create 64;
       next_req = 0;
       rng = Rng.split_named (Engine.rng engine) "system";
       leg_filter = None;
@@ -894,17 +880,7 @@ let create cfg =
             end
             else pkg
           in
-          let transfer = State_transfer.transfer_time t.cfg.topology pkg in
-          let verify =
-            float_of_int (State_transfer.size_bytes pkg / 64)
-            *. Cost_model.default.Cost_model.sha256 *. t.cfg.cpu_scale
-          in
-          if Probe.enabled t.probe then begin
-            Probe.observe t.probe "ckpt.transfer_bytes"
-              (float_of_int (State_transfer.size_bytes pkg));
-            Probe.observe t.probe "ckpt.transfer_s" (transfer +. verify)
-          end;
-          Engine.schedule t.engine ~delay:(transfer +. verify) (fun () ->
+          Engine.schedule t.engine ~delay:(transfer_cost t pkg) (fun () ->
               match State_transfer.verify_and_restore pkg ~expected_root:expected with
               | Ok _ -> k true
               | Error _ -> k false)
@@ -934,32 +910,8 @@ let rec arm_retry t txid =
           | [ shard ] when not rec_.decided ->
               send_to_committee t ~committee:shard ~client:rec_.tx.Tx.client
                 (Coordination.Single { txid; ops = rec_.tx.Tx.ops })
-          | _ when rec_.decided ->
-              (* Re-send the decision to the legs that have not landed. *)
-              List.iter
-                (fun shard ->
-                  if not (Hashtbl.mem rec_.legs_done shard) then begin
-                    let op =
-                      match rec_.legs with
-                      | Deltas lane ->
-                          (* Fast lane: re-drive the delta leg itself; the
-                             shard's applied table makes it append-once. *)
-                          Coordination.Merge_tx { txid; deltas = Tx.on_shard lane shard }
-                      | Ops placement ->
-                          let ops = Tx.on_shard placement shard in
-                          if rec_.outcome = Committed then Coordination.Commit_tx { txid; ops }
-                          else Coordination.Abort_tx { txid; ops }
-                    in
-                    send_to_committee t ~committee:shard ~client:rec_.tx.Tx.client op
-                  end)
-                rec_.participant_shards
-          | _ -> (
-              match t.cfg.mode with
-              | With_reference | Flattened ->
-                  enqueue_step t ~committee:(coordinator_of t rec_) ~client:rec_.tx.Tx.client
-                    (Coordination.Begin_tx { txid; participants = rec_.participant_shards });
-                  dispatch_prepares t txid
-              | Client_driven -> dispatch_prepares t txid));
+          | _ when rec_.decided -> send_decision t rec_
+          | _ -> start_2pc t rec_);
           arm_retry t txid)
 
 (* A transaction is admitted to the fast lane iff every op classifies as a
@@ -980,10 +932,21 @@ let new_record t ~on_done ~relaying tx legs =
     | Ops placement -> (List.map fst placement, false)
     | Deltas deltas -> (List.map fst deltas, true)
   in
+  let coordinator =
+    match t.cfg.mode with
+    | With_reference -> Some (ref_index t)
+    | Flattened ->
+        (* SharPer-style: an involved shard coordinates; spread the role over
+           participants by txid so no shard becomes the de-facto R. *)
+        Some (List.nth touched (tx.Tx.txid mod List.length touched))
+    | Client_driven -> None
+  in
   {
     tx;
     legs;
     participant_shards = touched;
+    coordinator;
+    votes = [];
     (* The lane has no abort path: the transaction is decided the moment
        it is classified; only its delta legs remain. *)
     decided = lane;
@@ -1001,11 +964,7 @@ let submit_merge t ~on_done ~malicious_client tx lane =
   let rec_ = new_record t ~on_done ~relaying:(not malicious_client) tx (Deltas lane) in
   Hashtbl.replace t.inflight txid rec_;
   Probe.incr t.probe "merge.lane_hits";
-  List.iter
-    (fun (shard, deltas) ->
-      send_to_committee t ~committee:shard ~client:tx.Tx.client
-        (Coordination.Merge_tx { txid; deltas }))
-    lane;
+  send_decision t rec_;
   arm_retry t txid
 
 let submit_locked t ~on_done ~malicious_client tx =
@@ -1021,16 +980,7 @@ let submit_locked t ~on_done ~malicious_client tx =
   | placement ->
       let rec_ = new_record t ~on_done ~relaying:(not malicious_client) tx (Ops placement) in
       Hashtbl.replace t.inflight txid rec_;
-      (match t.cfg.mode with
-      | With_reference | Flattened ->
-          enqueue_step t ~committee:(coordinator_of t rec_) ~client:tx.Tx.client
-            (Coordination.Begin_tx { txid; participants = rec_.participant_shards });
-          (* Pipelining (DESIGN §15): don't round-trip BeginTx through the
-             coordinator's consensus before preparing — dispatch prepares
-             immediately and let the coordinator's machine buffer any vote
-             that outruns its Begin. *)
-          if rec_.relaying then dispatch_prepares t txid
-      | Client_driven -> dispatch_prepares t txid);
+      start_2pc t rec_;
       arm_retry t txid
 
 let submit t ?(on_done = fun _ -> ()) ?(malicious_client = false) tx =
@@ -1073,13 +1023,8 @@ let reference_busy_fraction t =
   end
 
 let stuck_locks t =
-  let count = ref 0 in
-  for s = 0 to t.cfg.shards - 1 do
-    List.iter
-      (fun k -> if String.length k > 2 && String.sub k 0 2 = "L_" then incr count)
-      (State.keys t.committees.(s).state)
-  done;
-  !count
+  List.fold_left ( + ) 0
+    (List.init t.cfg.shards (fun s -> Locks.held_count (Locks.create t.committees.(s).state)))
 
 (* ------------------------------------------------------------------ *)
 (* Fault hooks and observability (the cross-shard checker's surface)   *)
@@ -1154,58 +1099,6 @@ let prepare_evidence t ~shard ~txid = Hashtbl.find_opt t.committees.(shard).prep
 
 let registry_size t = Coordination.length t.registry
 
-let schedule_reshard t ~at ~strategy ~fetch_time =
-  let plan_waves () =
-    (* Half of each committee's members are reassigned (two-shard swap of
-       Figure 12); what matters for throughput is how many are offline at
-       once. *)
-    let per_committee = Array.to_list (Array.map (fun ctx -> ctx.nodes) t.committees) in
-    (* Transition the tail half of each committee: the observer (member 0,
-       where state is materialized) stays, mirroring the paper's setup
-       where measurement nodes persist. *)
-    let movers_per_committee =
-      List.map
-        (fun nodes ->
-          let n = Array.length nodes in
-          List.init (n / 2) (fun i -> nodes.(n - 1 - i)))
-        per_committee
-    in
-    match strategy with
-    | `Swap_all ->
-        (* The naive approach stops *every* node, reassigns, and restarts:
-           the whole system is down for the fetch period. *)
-        [ List.concat_map Array.to_list (Array.to_list (Array.map (fun ctx -> ctx.nodes) t.committees)) ]
-    | `Batched b ->
-        (* Wave w takes movers [w·b .. w·b+b-1] from every committee, so no
-           committee ever has more than b members offline. *)
-        let max_len = List.fold_left (fun acc l -> Stdlib.max acc (List.length l)) 0 movers_per_committee in
-        let waves = (max_len + b - 1) / b in
-        List.init waves (fun w ->
-            List.concat_map
-              (fun movers ->
-                List.filteri (fun i _ -> i >= w * b && i < (w + 1) * b) movers)
-              movers_per_committee)
-  in
-  Engine.schedule_at t.engine ~time:at (fun () ->
-      let waves = plan_waves () in
-      let rec run_wave w = function
-        | [] ->
-            Probe.instant t.probe ~time:(Engine.now t.engine) ~cat:"epoch" ~node:"epoch"
-              "reshard_done"
-        | wave :: rest ->
-            Probe.incr t.probe "epoch.reshard_waves";
-            if Probe.enabled t.probe then
-              Probe.span t.probe ~time:(Engine.now t.engine) ~dur:fetch_time ~cat:"epoch"
-                ~node:"epoch"
-                ~args:[ ("wave", Ev.I w); ("movers", Ev.I (List.length wave)) ]
-                "reshard_wave";
-            List.iter Node.crash wave;
-            Engine.schedule t.engine ~delay:fetch_time (fun () ->
-                List.iter Node.recover wave;
-                run_wave (w + 1) rest)
-      in
-      run_wave 0 waves)
-
 let advance_epoch t ~at ~seed ~epoch ~strategy =
   let committees = Array.length t.committees in
   let nodes_total = Array.fold_left (fun acc ctx -> acc + Array.length ctx.nodes) 0 t.committees in
@@ -1229,18 +1122,7 @@ let advance_epoch t ~at ~seed ~epoch ~strategy =
   let fetch_time step =
     let dst = Stdlib.min step.Assignment.to_committee (t.cfg.shards - 1) in
     let pkg = State_transfer.pack t.committees.(dst).state in
-    let transfer = State_transfer.transfer_time t.cfg.topology pkg in
-    (* Verification recomputes the Merkle root: charged at Table-2 SHA
-       throughput over the package. *)
-    let verify =
-      float_of_int (State_transfer.size_bytes pkg / 64)
-      *. Cost_model.default.Cost_model.sha256 *. t.cfg.cpu_scale
-    in
-    if Probe.enabled t.probe then begin
-      Probe.observe t.probe "ckpt.transfer_bytes" (float_of_int (State_transfer.size_bytes pkg));
-      Probe.observe t.probe "ckpt.transfer_s" (transfer +. verify)
-    end;
-    Float.max 1.0 (transfer +. verify +. Cost_model.default.Cost_model.remote_attestation)
+    Float.max 1.0 (transfer_cost t pkg +. Cost_model.default.Cost_model.remote_attestation)
   in
   let batch =
     match strategy with

@@ -44,9 +44,6 @@ type config = {
   concurrency : concurrency_control;
   seed : int64;
   tune : Repro_consensus.Config.t -> Repro_consensus.Config.t;
-  client_fallback_timeout : float;
-      (** how long R waits for the client relay before its nodes dispatch
-          PrepareTx/CommitTx themselves *)
   fast_lane : bool;
       (** route all-mergeable transactions down the lock-free delta lane
           (DESIGN §18): deltas append per shard with no prepare/vote round
@@ -216,12 +213,6 @@ val registry_size : t -> int
     operations of in-flight transactions plus the batches awaiting
     execution (executed or stranded batches are released, the latter
     after a grace period — regression surface for the retry-leak fix). *)
-
-val schedule_reshard :
-  t -> at:float -> strategy:[ `Swap_all | `Batched of int ] -> fetch_time:float -> unit
-(** Epoch transition (Section 5.3): transitioning replicas go offline for
-    [fetch_time] (state synchronization) either all at once or in batches
-    of the given size per committee. *)
 
 val advance_epoch :
   t -> at:float -> seed:int64 -> epoch:int -> strategy:[ `Swap_all | `Batched_log ] -> unit

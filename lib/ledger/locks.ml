@@ -4,6 +4,8 @@ let create state = { state }
 
 let lock_key key = "L_" ^ key
 
+let is_lock_key k = String.length k > 2 && String.starts_with ~prefix:"L_" k
+
 let holder t key =
   match State.get_data t.state (lock_key key) with
   | None -> None
@@ -42,8 +44,10 @@ let release_all t ~txid keys = List.iter (release t ~txid) keys
 let held_by t ~txid =
   List.filter_map
     (fun k ->
-      if String.length k > 2 && String.sub k 0 2 = "L_" then
+      if is_lock_key k then
         let base = String.sub k 2 (String.length k - 2) in
         match holder t base with Some owner when owner = txid -> Some base | _ -> None
       else None)
     (State.keys t.state)
+
+let held_count t = List.length (List.filter is_lock_key (State.keys t.state))

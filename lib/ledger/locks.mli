@@ -32,3 +32,6 @@ val release_all : t -> txid:int -> string list -> unit
 
 val held_by : t -> txid:int -> string list
 (** All keys currently locked by a transaction (sorted). *)
+
+val held_count : t -> int
+(** Lock tuples currently held, by any transaction. *)

@@ -40,6 +40,24 @@ let test_run_produces_work () =
   let r = small_run ~seed:7L in
   Alcotest.(check bool) "committed transactions" true (r.Harness.committed > 0)
 
+(* Golden renders in figure_snapshot/, recorded at jobs=1: each figure the
+   parallel-runner tests render must also equal its committed bytes (and,
+   where a hub records it, its committed metrics artifact), so a change
+   that moves any simulated number fails here even when it is
+   worker-count invariant. *)
+let golden file =
+  In_channel.with_open_bin (Filename.concat "figure_snapshot" file) In_channel.input_all
+
+let check_golden ?metrics id rendered =
+  Alcotest.(check string) (id ^ " equals its golden render") (golden (id ^ ".txt")) rendered;
+  Option.iter
+    (fun m ->
+      Alcotest.(check bool)
+        (id ^ " metrics artifact equals its golden")
+        true
+        (String.equal (golden ("METRICS_" ^ id ^ ".json")) m))
+    metrics
+
 (* The parallel runner's contract: a figure rendered with 4 worker domains
    is bit-for-bit the figure rendered sequentially — and so are the trace
    and metrics artifacts an installed observability hub records while it
@@ -62,6 +80,7 @@ let test_parallel_join_bit_identical () =
   let parallel, trace4, metrics4 = render 4 in
   Experiment.set_jobs 1 (* join the 4 worker domains *);
   Alcotest.(check string) "jobs=4 output equals jobs=1 output" sequential parallel;
+  check_golden "fig10" ~metrics:metrics1 sequential;
   Alcotest.(check bool) "figure is non-trivial" true (String.length sequential > 200);
   Alcotest.(check bool) "jobs=4 trace is byte-identical" true (String.equal trace1 trace4);
   Alcotest.(check bool) "jobs=4 metrics are byte-identical" true (String.equal metrics1 metrics4);
@@ -82,6 +101,7 @@ let test_fig13_parallel_bit_identical () =
   let parallel = render 4 in
   Experiment.set_jobs 1;
   Alcotest.(check string) "jobs=4 fig13 equals jobs=1" sequential parallel;
+  check_golden "fig13" sequential;
   let contains s sub =
     let n = String.length s and m = String.length sub in
     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -109,6 +129,7 @@ let test_fig12_parallel_bit_identical () =
   let parallel, metrics4 = render 4 in
   Experiment.set_jobs 1;
   Alcotest.(check string) "jobs=4 fig12 equals jobs=1" sequential parallel;
+  check_golden "fig12" ~metrics:metrics1 sequential;
   Alcotest.(check bool) "jobs=4 metrics artifact is byte-identical" true
     (String.equal metrics1 metrics4);
   let contains s sub =
@@ -140,6 +161,7 @@ let test_fig16_parallel_bit_identical () =
   let parallel, metrics4 = render 4 in
   Experiment.set_jobs 1;
   Alcotest.(check string) "jobs=4 fig16 equals jobs=1" sequential parallel;
+  check_golden "fig16" ~metrics:metrics1 sequential;
   Alcotest.(check bool) "jobs=4 metrics artifact is byte-identical" true
     (String.equal metrics1 metrics4);
   let contains s sub =
@@ -169,6 +191,7 @@ let test_fig13_fastlane_parallel_bit_identical () =
   let parallel, metrics4 = render 4 in
   Experiment.set_jobs 1;
   Alcotest.(check string) "jobs=4 fig13_fastlane equals jobs=1" sequential parallel;
+  check_golden "fig13_fastlane" ~metrics:metrics1 sequential;
   Alcotest.(check bool) "jobs=4 metrics artifact is byte-identical" true
     (String.equal metrics1 metrics4);
   let contains s sub =

@@ -105,6 +105,19 @@ let test_locks_held_by () =
   ignore (Locks.acquire l ~txid:2 "c");
   Alcotest.(check (list string)) "tx1 locks" [ "a"; "b" ] (Locks.held_by l ~txid:1)
 
+(* Only lock tuples count: ordinary keys, including ones that merely look
+   like a prefix, are state. *)
+let test_locks_held_count () =
+  let s = State.create () in
+  let l = Locks.create s in
+  State.put s "acct" "5";
+  State.put s "L_" "not a lock";
+  ignore (Locks.acquire l ~txid:1 "a");
+  ignore (Locks.acquire l ~txid:2 "b");
+  Alcotest.(check int) "two tuples held" 2 (Locks.held_count l);
+  Locks.release l ~txid:1 "a";
+  Alcotest.(check int) "one after release" 1 (Locks.held_count l)
+
 (* ------------------------------------------------------------------ *)
 (* Tx                                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -901,6 +914,7 @@ let () =
           Alcotest.test_case "acquire_all rollback" `Quick test_locks_acquire_all_rollback;
           Alcotest.test_case "acquire_all keeps prior" `Quick test_locks_acquire_all_keeps_prior_locks;
           Alcotest.test_case "held_by" `Quick test_locks_held_by;
+          Alcotest.test_case "held count" `Quick test_locks_held_count;
         ] );
       ( "tx",
         [

@@ -197,27 +197,24 @@ let csv_dir = Sys.getenv_opt "BENCH_CSV_DIR"
 let json_dir =
   match Sys.getenv_opt "BENCH_JSON_DIR" with Some d -> d | None -> "bench-artifacts"
 
-let run_experiment id =
-  match Experiment.by_id id with
-  | None -> Printf.printf "unknown experiment id: %s\n" id
-  | Some f ->
-      let t0 = Unix.gettimeofday () in
-      (* One hub per figure: METRICS_<id>.json carries the runs this figure
-         computed itself.  Memoized sweeps shared with an earlier figure
-         record nothing here (they already landed in that figure's file). *)
-      let hub = Repro_obs.Hub.create () in
-      Experiment.set_hub (Some hub);
-      let fig = f ~quick () in
-      Experiment.set_hub None;
-      let wall = Unix.gettimeofday () -. t0 in
-      Results.print fig;
-      Option.iter (fun dir -> Results.save_csv ~dir fig) csv_dir;
-      Results.save_json ~dir:json_dir ~wall_time_s:wall ~jobs:(Experiment.jobs_in_use ()) fig;
-      let metrics_path = Filename.concat json_dir (Printf.sprintf "METRICS_%s.json" id) in
-      (match Repro_obs.Sink.save ~path:metrics_path (Repro_obs.Sink.metrics_json (Repro_obs.Hub.metrics hub)) with
-      | Ok () -> ()
-      | Error msg -> Printf.eprintf "bench: cannot write %s: %s\n" metrics_path msg);
-      Printf.printf "(%s completed in %.1f s wall time)\n\n%!" id wall
+let run_experiment id f =
+  let t0 = Unix.gettimeofday () in
+  (* One hub per figure: METRICS_<id>.json carries the runs this figure
+     computed itself.  Memoized sweeps shared with an earlier figure
+     record nothing here (they already landed in that figure's file). *)
+  let hub = Repro_obs.Hub.create () in
+  Experiment.set_hub (Some hub);
+  let fig = f ~quick in
+  Experiment.set_hub None;
+  let wall = Unix.gettimeofday () -. t0 in
+  Results.print fig;
+  Option.iter (fun dir -> Results.save_csv ~dir fig) csv_dir;
+  Results.save_json ~dir:json_dir ~wall_time_s:wall ~jobs:(Experiment.jobs_in_use ()) fig;
+  let metrics_path = Filename.concat json_dir (Printf.sprintf "METRICS_%s.json" id) in
+  (match Repro_obs.Sink.save ~path:metrics_path (Repro_obs.Sink.metrics_json (Repro_obs.Hub.metrics hub)) with
+  | Ok () -> ()
+  | Error msg -> Printf.eprintf "bench: cannot write %s: %s\n" metrics_path msg);
+  Printf.printf "(%s completed in %.1f s wall time)\n\n%!" id wall
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -238,12 +235,18 @@ let () =
         exit 2
     | id :: rest -> parse (id :: ids) rest
   in
-  let ids = parse [] args in
+  let ids = match parse [] args with [] -> "micro" :: Experiment.all_ids | ids -> ids in
+  (* Resolve every id before running any, so a typo fails fast. *)
+  let resolve id =
+    if id = "micro" then Some run_micro
+    else Option.map (fun f () -> run_experiment id f) (Experiment.by_id id)
+  in
+  let runs = List.map (fun id -> (id, resolve id)) ids in
+  (match List.filter (fun (_, run) -> Option.is_none run) runs with
+  | [] -> ()
+  | unknown ->
+      List.iter (fun (id, _) -> Printf.eprintf "bench: unknown experiment id: %s\n" id) unknown;
+      exit 2);
   Printf.printf "(bench: %d worker domain%s)\n%!" (Experiment.jobs_in_use ())
     (if Experiment.jobs_in_use () = 1 then "" else "s");
-  match ids with
-  | [] ->
-      run_micro ();
-      List.iter run_experiment Experiment.all_ids
-  | [ "micro" ] -> run_micro ()
-  | ids -> List.iter (fun id -> if id = "micro" then run_micro () else run_experiment id) ids
+  List.iter (fun (_, run) -> Option.iter (fun run -> run ()) run) runs

@@ -24,13 +24,15 @@ let experiment_cmd =
     end
     else begin
       let ids = if ids = [] then Experiment.all_ids else ids in
-      List.iter
-        (fun id ->
-          match Experiment.by_id id with
-          | None -> Printf.printf "unknown experiment id: %s (try --list)\n" id
-          | Some f -> Results.print (f ~quick ()))
-        ids;
-      0
+      (* Resolve every id before running any, so a typo fails fast. *)
+      let figures = List.map (fun id -> (id, Experiment.by_id id)) ids in
+      match List.filter_map (fun (id, f) -> if Option.is_none f then Some id else None) figures with
+      | [] ->
+          List.iter (fun (_, f) -> Option.iter (fun f -> Results.print (f ~quick)) f) figures;
+          0
+      | unknown ->
+          List.iter (Printf.eprintf "unknown experiment id: %s (try --list)\n") unknown;
+          2
     end
   in
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (fig8, table2, ...)") in

@@ -123,7 +123,7 @@ let () =
     Experiment.reset_caches ();
     let hub = Hub.create () in
     Experiment.set_hub (Some hub);
-    let figure = f ~quick:!quick () in
+    let figure = f ~quick:!quick in
     Experiment.set_hub None;
     if !print_figure then Results.print figure;
     let traces = Hub.traces hub in

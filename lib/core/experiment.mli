@@ -1,10 +1,11 @@
-(** One entry point per table/figure of the paper's evaluation.
+(** The paper's evaluation (Tables 1–3, Figs. 2 and 8–22, Appendices A/B,
+    and two extensions) as one registry of figures, keyed by id.
 
-    Every function runs the required simulations (deterministic seeds) and
-    returns a {!Results.figure} whose panels mirror the paper's plot
-    panels.  [quick] shrinks sweep points and durations for smoke runs;
-    the defaults regenerate the full x-axes at shorter virtual durations
-    than the paper's wall-clock runs (shapes are stable well before). *)
+    Every figure runs its simulations with deterministic seeds and returns
+    a {!Results.figure} whose panels mirror the paper's plot panels.
+    [quick] shrinks sweep points and durations for smoke runs; the
+    defaults regenerate the full x-axes at shorter virtual durations than
+    the paper's wall-clock runs (shapes are stable well before). *)
 
 val set_jobs : int -> unit
 (** Fix the worker-domain count for subsequent figures (replacing any
@@ -18,94 +19,21 @@ val jobs_in_use : unit -> int
 
 val set_hub : Repro_obs.Hub.t option -> unit
 (** Install (or clear) an observability hub for subsequent figures.  The
-    shared runners ([run_pbft] / [run_shards]) request per-run probes
-    under names derived purely from their parameters (the memo keys), so
-    the hub's sorted-by-name dumps are byte-identical for every [-j]
-    worker count.  Runs already cached by the memo tables record nothing;
-    call {!reset_caches} first for a complete trace.  Do not swap hubs
-    while a figure is running. *)
+    shared runners request per-run probes under names derived purely
+    from their parameters (the memo keys), so the hub's sorted-by-name
+    dumps are byte-identical for every [-j] worker count.  Runs already
+    cached by the memo tables record nothing; call {!reset_caches} first
+    for a complete trace.  Do not swap hubs while a figure is running. *)
 
 val reset_caches : unit -> unit
 (** Drop the memoized PBFT/PoET sweeps so the next figure recomputes
     them (used by the determinism replay test).  Do not call while a
     figure is running. *)
 
-val table1 : unit -> Results.figure
-(** Methodology comparison with other sharded blockchains. *)
-
-val table2 : unit -> Results.figure
-(** Enclave operation cost model (the injected Table-2 latencies). *)
-
-val table3 : unit -> Results.figure
-(** GCP inter-region latency matrix. *)
-
-val fig2 : ?quick:bool -> unit -> Results.figure
-(** BFT implementations (PBFT/Tendermint/IBFT/Raft) vs N and vs #clients. *)
-
-val fig8 : ?quick:bool -> unit -> Results.figure
-(** HL/AHL/AHL+/AHLR on the local cluster, without and with failures. *)
-
-val fig9 : ?quick:bool -> unit -> Results.figure
-(** Same protocols on GCP with 4 and 8 regions. *)
-
-val fig10 : ?quick:bool -> unit -> Results.figure
-(** Ablation of the three optimizations. *)
-
-val fig11 : ?quick:bool -> unit -> Results.figure
-(** Committee size vs adversarial power; beacon runtime vs RandHound. *)
-
-val fig12 : ?quick:bool -> unit -> Results.figure
-(** Shard reconfiguration: average tps and tps-over-time for no-reshard /
-    swap-all / swap-log(n). *)
-
-val fig13 : ?quick:bool -> unit -> Results.figure
-(** Sharding on the local cluster with/without the reference committee;
-    abort rate vs Zipf coefficient. *)
-
-val fig13_fastlane : ?quick:bool -> unit -> Results.figure
-(** Beyond the paper (DESIGN §18): the commutative fast lane off vs on
-    under the Hot-increments contention mix — abort rate and throughput
-    across Zipf skews, plus throughput vs the mergeable fraction of the
-    workload. *)
-
-val fig14 : ?quick:bool -> unit -> Results.figure
-(** Scale-out on GCP: throughput and shard count vs N for 12.5% and 25%
-    adversaries. *)
-
-val fig15 : ?quick:bool -> unit -> Results.figure
-(** Consensus latency vs N (cluster and GCP). *)
-
-val fig16 : ?quick:bool -> unit -> Results.figure
-(** View changes vs N (normal case) and vs f (under attack). *)
-
-val fig17 : ?quick:bool -> unit -> Results.figure
-(** Consensus vs execution cost per block. *)
-
-val fig18 : ?quick:bool -> unit -> Results.figure
-(** Sharding throughput: KVStore vs SmallBank. *)
-
-val fig19 : ?quick:bool -> unit -> Results.figure
-(** Throughput vs #clients on GCP at 256 and 1024 req/s offered. *)
-
-val fig20 : ?quick:bool -> unit -> Results.figure
-(** Throughput vs #clients on the local cluster (SmallBank, KVStore). *)
-
-val fig21 : ?quick:bool -> unit -> Results.figure
-(** PoET vs PoET+ throughput. *)
-
-val fig22 : ?quick:bool -> unit -> Results.figure
-(** PoET vs PoET+ stale-block rate. *)
-
-val appendix_a : unit -> Results.figure
-(** Rollback-attack defense: recovery outcomes under stale sealed state. *)
-
-val appendix_b : unit -> Results.figure
-(** Cross-shard probability: Equation 3 vs Monte-Carlo. *)
-
-val ablation_cc : ?quick:bool -> unit -> Results.figure
-(** Beyond the paper (Section 6.4's future work): 2PL vs wait-die lock
-    waiting, abort rate and throughput across contention levels. *)
-
 val all_ids : string list
+(** Every registered id, in the paper's order: [table1]..[table3],
+    [fig2], [fig8]..[fig22] (with [fig13_fastlane] after [fig13]),
+    [appendix_a], [appendix_b], [ablation_cc]. *)
 
-val by_id : string -> (?quick:bool -> unit -> Results.figure) option
+val by_id : string -> (quick:bool -> Results.figure) option
+(** The figure registered under an id, if any. *)

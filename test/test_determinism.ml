@@ -58,149 +58,54 @@ let check_golden ?metrics id rendered =
         (String.equal (golden ("METRICS_" ^ id ^ ".json")) m))
     metrics
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* The parallel runner's contract: a figure rendered with 4 worker domains
-   is bit-for-bit the figure rendered sequentially — and so are the trace
-   and metrics artifacts an installed observability hub records while it
-   runs.  Caches are dropped between runs so both actually recompute every
-   datapoint. *)
-let test_parallel_join_bit_identical () =
+   is bit-for-bit the figure rendered sequentially — and so are the
+   metrics artifact (and, with [trace], the trace) an installed
+   observability hub records while it runs.  Caches are dropped between
+   runs so both actually recompute every datapoint.  Each needle
+   [(what, artifact, sub)] must appear in the jobs=1 rendered figure or
+   metrics artifact. *)
+let worker_count_invariant ~hub ?(trace = false) id needles () =
   let open Repro_core in
+  let figure =
+    match Experiment.by_id id with
+    | Some f -> f
+    | None -> Alcotest.failf "%s is not a registered figure" id
+  in
   let render jobs =
     Experiment.set_jobs jobs;
     Experiment.reset_caches ();
-    let hub = Repro_obs.Hub.create () in
-    Experiment.set_hub (Some hub);
-    let rendered = Results.render (Experiment.fig10 ~quick:true ()) in
+    let h = Repro_obs.Hub.create () in
+    if hub then Experiment.set_hub (Some h);
+    let rendered = Results.render (figure ~quick:true) in
     Experiment.set_hub None;
     ( rendered,
-      Repro_obs.Sink.chrome_json (Repro_obs.Hub.traces hub),
-      Repro_obs.Sink.metrics_json (Repro_obs.Hub.metrics hub) )
+      (if trace then Repro_obs.Sink.chrome_json (Repro_obs.Hub.traces h) else ""),
+      Repro_obs.Sink.metrics_json (Repro_obs.Hub.metrics h) )
   in
   let sequential, trace1, metrics1 = render 1 in
   let parallel, trace4, metrics4 = render 4 in
   Experiment.set_jobs 1 (* join the 4 worker domains *);
-  Alcotest.(check string) "jobs=4 output equals jobs=1 output" sequential parallel;
-  check_golden "fig10" ~metrics:metrics1 sequential;
+  Alcotest.(check string) (Printf.sprintf "jobs=4 %s equals jobs=1" id) sequential parallel;
+  check_golden id ?metrics:(if hub then Some metrics1 else None) sequential;
   Alcotest.(check bool) "figure is non-trivial" true (String.length sequential > 200);
-  Alcotest.(check bool) "jobs=4 trace is byte-identical" true (String.equal trace1 trace4);
-  Alcotest.(check bool) "jobs=4 metrics are byte-identical" true (String.equal metrics1 metrics4);
-  Alcotest.(check bool) "trace is non-trivial" true (String.length trace1 > 10_000)
-
-(* Same contract for fig13, which now runs the batched + pipelined commit
-   path by default: batch ids, flush timing, and sub-batch scheduling must
-   all be pure functions of the seeded event order, so the rendered figure
-   is byte-identical for any worker count. *)
-let test_fig13_parallel_bit_identical () =
-  let open Repro_core in
-  let render jobs =
-    Experiment.set_jobs jobs;
-    Experiment.reset_caches ();
-    Results.render (Experiment.fig13 ~quick:true ())
-  in
-  let sequential = render 1 in
-  let parallel = render 4 in
-  Experiment.set_jobs 1;
-  Alcotest.(check string) "jobs=4 fig13 equals jobs=1" sequential parallel;
-  check_golden "fig13" sequential;
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "flattened variant is plotted" true (contains sequential "AHL+;flat")
-
-(* Fig. 12 runs literal committee swaps: crash, reset, snapshot transfer,
-   checkpoint catch-up.  All of that rides the seeded engine, so the
-   rendered figure and the metrics artifact (which carries the ckpt.*
-   fetch counters and transfer histograms) must be byte-identical however
-   many worker domains render them. *)
-let test_fig12_parallel_bit_identical () =
-  let open Repro_core in
-  let render jobs =
-    Experiment.set_jobs jobs;
-    Experiment.reset_caches ();
-    let hub = Repro_obs.Hub.create () in
-    Experiment.set_hub (Some hub);
-    let rendered = Results.render (Experiment.fig12 ~quick:true ()) in
-    Experiment.set_hub None;
-    (rendered, Repro_obs.Sink.metrics_json (Repro_obs.Hub.metrics hub))
-  in
-  let sequential, metrics1 = render 1 in
-  let parallel, metrics4 = render 4 in
-  Experiment.set_jobs 1;
-  Alcotest.(check string) "jobs=4 fig12 equals jobs=1" sequential parallel;
-  check_golden "fig12" ~metrics:metrics1 sequential;
-  Alcotest.(check bool) "jobs=4 metrics artifact is byte-identical" true
-    (String.equal metrics1 metrics4);
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "checkpoint catch-up counters exported" true
-    (contains metrics1 "ckpt.fetch")
-
-(* Fig. 16's attack panel now runs byzantine members that win the leader
-   slot and stall it.  The storm of view changes — campaign votes, backoff
-   doubling, capped deadlines — must still be a pure function of the
-   seeded event order, so both the rendered figure and the metrics
-   artifact (carrying the pbft.vc.reason.* counters the attack fires) are
-   byte-identical for any worker count. *)
-let test_fig16_parallel_bit_identical () =
-  let open Repro_core in
-  let render jobs =
-    Experiment.set_jobs jobs;
-    Experiment.reset_caches ();
-    let hub = Repro_obs.Hub.create () in
-    Experiment.set_hub (Some hub);
-    let rendered = Results.render (Experiment.fig16 ~quick:true ()) in
-    Experiment.set_hub None;
-    (rendered, Repro_obs.Sink.metrics_json (Repro_obs.Hub.metrics hub))
-  in
-  let sequential, metrics1 = render 1 in
-  let parallel, metrics4 = render 4 in
-  Experiment.set_jobs 1;
-  Alcotest.(check string) "jobs=4 fig16 equals jobs=1" sequential parallel;
-  check_golden "fig16" ~metrics:metrics1 sequential;
-  Alcotest.(check bool) "jobs=4 metrics artifact is byte-identical" true
-    (String.equal metrics1 metrics4);
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "view-change reason counters exported" true
-    (contains metrics1 "pbft.vc.reason")
-
-(* Fig. 13-fastlane interleaves lane-on and lane-off cells: lane appends,
-   block-boundary folds, and the chained merge roots must all be pure
-   functions of the seeded event order — plus the hub artifacts, which now
-   carry the merge.* counters and fold-depth histograms. *)
-let test_fig13_fastlane_parallel_bit_identical () =
-  let open Repro_core in
-  let render jobs =
-    Experiment.set_jobs jobs;
-    Experiment.reset_caches ();
-    let hub = Repro_obs.Hub.create () in
-    Experiment.set_hub (Some hub);
-    let rendered = Results.render (Experiment.fig13_fastlane ~quick:true ()) in
-    Experiment.set_hub None;
-    (rendered, Repro_obs.Sink.metrics_json (Repro_obs.Hub.metrics hub))
-  in
-  let sequential, metrics1 = render 1 in
-  let parallel, metrics4 = render 4 in
-  Experiment.set_jobs 1;
-  Alcotest.(check string) "jobs=4 fig13_fastlane equals jobs=1" sequential parallel;
-  check_golden "fig13_fastlane" ~metrics:metrics1 sequential;
-  Alcotest.(check bool) "jobs=4 metrics artifact is byte-identical" true
-    (String.equal metrics1 metrics4);
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "lane counters exported" true (contains metrics1 "merge.lane_hits");
-  Alcotest.(check bool) "lane-on columns plotted" true (contains sequential "lane on")
+  if hub then
+    Alcotest.(check bool) "jobs=4 metrics artifact is byte-identical" true
+      (String.equal metrics1 metrics4);
+  if trace then begin
+    Alcotest.(check bool) "jobs=4 trace is byte-identical" true (String.equal trace1 trace4);
+    Alcotest.(check bool) "trace is non-trivial" true (String.length trace1 > 10_000)
+  end;
+  List.iter
+    (fun (what, artifact, sub) ->
+      let s = match artifact with `Figure -> sequential | `Metrics -> metrics1 in
+      Alcotest.(check bool) what true (contains s sub))
+    needles
 
 let () =
   Alcotest.run "determinism"
@@ -213,14 +118,32 @@ let () =
       ( "parallel-runner",
         [
           Alcotest.test_case "worker count does not change output" `Slow
-            test_parallel_join_bit_identical;
+            (worker_count_invariant ~hub:true ~trace:true "fig10" []);
+          (* The batched + pipelined commit path: batch ids, flush timing
+             and sub-batch scheduling are pure functions of the seeded
+             event order. *)
           Alcotest.test_case "fig13 batched path is worker-count invariant" `Slow
-            test_fig13_parallel_bit_identical;
+            (worker_count_invariant ~hub:false "fig13"
+               [ ("flattened variant is plotted", `Figure, "AHL+;flat") ]);
+          (* Literal committee swaps: crash, reset, snapshot transfer and
+             checkpoint catch-up all ride the seeded engine. *)
           Alcotest.test_case "fig12 committee swaps are worker-count invariant" `Slow
-            test_fig12_parallel_bit_identical;
+            (worker_count_invariant ~hub:true "fig12"
+               [ ("checkpoint catch-up counters exported", `Metrics, "ckpt.fetch") ]);
+          (* Byzantine members that win the leader slot and stall it: the
+             view-change storm (campaign votes, backoff doubling, capped
+             deadlines) is still a pure function of the event order. *)
           Alcotest.test_case "fig16 leader-stall attacks are worker-count invariant" `Slow
-            test_fig16_parallel_bit_identical;
+            (worker_count_invariant ~hub:true "fig16"
+               [ ("view-change reason counters exported", `Metrics, "pbft.vc.reason") ]);
+          (* Lane-on and lane-off cells interleave: lane appends,
+             block-boundary folds and chained merge roots must not depend
+             on scheduling. *)
           Alcotest.test_case "fig13_fastlane merge folds are worker-count invariant" `Slow
-            test_fig13_fastlane_parallel_bit_identical;
+            (worker_count_invariant ~hub:true "fig13_fastlane"
+               [
+                 ("lane counters exported", `Metrics, "merge.lane_hits");
+                 ("lane-on columns plotted", `Figure, "lane on");
+               ]);
         ] );
     ]

@@ -285,7 +285,8 @@ let scan ?(base = "") ~roots ~excludes () =
 (* below the recorded allowance; any growth reports every finding in   *)
 (* the group.  R1/R2/R6/R7 entries are rejected outright: determinism, *)
 (* comparison-safety, console-hygiene, and domain-safety violations    *)
-(* must be fixed, never baselined.                                     *)
+(* must be fixed, never baselined.  An entry whose count exceeds the   *)
+(* current findings is rejected too, so the file can only shrink.      *)
 (* ------------------------------------------------------------------ *)
 
 type baseline_entry = { b_rule : string; b_path : string; b_count : int }
@@ -345,6 +346,7 @@ let never_baselined rule =
 
 let apply_baseline ~baseline findings =
   let counts = group_counts findings in
+  let count k = Option.value (Hashtbl.find_opt counts k) ~default:0 in
   let allowance (rule, bpath) =
     List.fold_left
       (fun acc e ->
@@ -357,19 +359,26 @@ let apply_baseline ~baseline findings =
     List.filter
       (fun f ->
         let k = (rule_id f.rule, f.file) in
-        Option.value (Hashtbl.find_opt counts k) ~default:0 > allowance k)
+        count k > allowance k)
       findings
   in
   let rejections =
     List.filter_map
       (fun e ->
-        if never_baselined e.b_rule then
+        let reject why =
           Some
             (make ~rule:(Option.value (rule_of_id e.b_rule) ~default:Parse_error)
                ~file:e.b_path ~line:0 ~col:0
-               (Printf.sprintf
-                  "baseline entry \"%s %s %d\" rejected: %s violations must be fixed, not baselined"
-                  e.b_rule e.b_path e.b_count e.b_rule))
+               (Printf.sprintf "baseline entry \"%s %s %d\" rejected: %s" e.b_rule e.b_path
+                  e.b_count why))
+        in
+        let found = count (e.b_rule, e.b_path) in
+        if never_baselined e.b_rule then
+          reject (Printf.sprintf "%s violations must be fixed, not baselined" e.b_rule)
+        else if e.b_count > found then
+          reject
+            (if found = 0 then "no such findings remain; delete the entry"
+             else Printf.sprintf "only %d finding(s) remain; lower the count to %d" found found)
         else None)
       baseline
   in

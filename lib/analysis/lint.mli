@@ -36,7 +36,8 @@ val load_baseline : string -> (baseline, string) result
 val apply_baseline : baseline:baseline -> Lint_types.finding list -> Lint_types.finding list
 (** Drop finding groups whose (rule, path) count stays within the recorded
     allowance; any growth reports the whole group.  R1/R2/R6/R7 baseline
-    entries are returned as rejection findings. *)
+    entries are returned as rejection findings, and so is any entry whose
+    count exceeds its group's current findings (the ratchet: lower it). *)
 
 val write_baseline :
   path:string -> Lint_types.finding list -> (int * Lint_types.finding list, string) result

@@ -383,6 +383,23 @@ let test_baseline_rejects_r1_r2 () =
             (Lint_types.severity_id f.Lint_types.severity))
         remaining)
 
+let test_baseline_rejects_stale () =
+  with_baseline "R3 lib/core/x.ml 3\nR3 lib/core/gone.ml 1\n" (fun b ->
+      let remaining = Lint.apply_baseline ~baseline:b [ mk_r3 ~line:3; mk_r3 ~line:9 ] in
+      Alcotest.(check (list string)) "both over-counted entries rejected"
+        [
+          "baseline entry \"R3 lib/core/gone.ml 1\" rejected: no such findings remain; delete the \
+           entry";
+          "baseline entry \"R3 lib/core/x.ml 3\" rejected: only 2 finding(s) remain; lower the \
+           count to 2";
+        ]
+        (List.map (fun f -> f.Lint_types.message) remaining);
+      List.iter
+        (fun f ->
+          Alcotest.(check string) "rejection is an error" "error"
+            (Lint_types.severity_id f.Lint_types.severity))
+        remaining)
+
 let test_baseline_missing_file_is_empty () =
   match Lint.load_baseline "analysis_fixtures/no_such_baseline" with
   | Error msg -> Alcotest.failf "missing baseline should be empty, got: %s" msg
@@ -457,6 +474,7 @@ let () =
           Alcotest.test_case "within allowance" `Quick test_baseline_within_allowance;
           Alcotest.test_case "exceeded reports group" `Quick test_baseline_exceeded;
           Alcotest.test_case "R1/R2/R6/R7 never baselined" `Quick test_baseline_rejects_r1_r2;
+          Alcotest.test_case "stale count rejected" `Quick test_baseline_rejects_stale;
           Alcotest.test_case "missing file is empty" `Quick test_baseline_missing_file_is_empty;
         ] );
     ]

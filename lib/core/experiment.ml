@@ -601,9 +601,7 @@ let figures : (string * (quick:bool -> Results.figure)) list =
         in
         let over_time = List.map (fun r -> r.series) (snd (List.hd runs)) in
         (* Align the three time series on common bins. *)
-        let times =
-          List.sort_uniq Float.compare (List.concat_map (List.map fst) over_time)
-        in
+        let times = List.sort_uniq Float.compare (List.concat_map (List.map fst) over_time) in
         let columns = List.map fst strategies in
         [
           Results.panel ~title:"Avg. throughput" ~x_label:"committee size n" ~columns

@@ -534,6 +534,34 @@ let test_harness_crash_schedule_counters () =
     (r.Harness.view_change_attempts >= r.Harness.view_changes);
   Alcotest.(check bool) "still commits after the crash" true (r.Harness.committed > 0)
 
+let test_harness_relocated_observer_pinned () =
+  (* The crash schedule is the one path that moves the observer off
+     member 0 (to member 1 here); every field of the result is pinned to
+     the values this run printed before the figure counts became typed
+     committee fields.  Floats compare by bit pattern. *)
+  let r =
+    Harness.run ~seed:3L ~duration:20.0 ~warmup:2.0
+      ~crashes:[ (0, 2.0) ]
+      ~variant:Config.ahl_plus ~n:5 ~topology:(Topology.lan ())
+      ~workload:(Harness.Open_loop { rate = 300.0; clients = 4 })
+      ()
+  in
+  let bits name expected v = Alcotest.(check int64) name expected (Int64.bits_of_float v) in
+  let int name expected v = Alcotest.(check int) name expected v in
+  bits "throughput" 0x4069a1c71c71c71cL r.Harness.throughput;
+  bits "latency_mean" 0x3fcc75b74a987910L r.Harness.latency_mean;
+  bits "latency_p50" 0x3fac1e1dec1b4c00L r.Harness.latency_p50;
+  bits "latency_p99" 0x400849c4ba4c086eL r.Harness.latency_p99;
+  int "committed" 4125 r.Harness.committed;
+  int "view_changes" 1 r.Harness.view_changes;
+  int "view_change_attempts" 1 r.Harness.view_change_attempts;
+  int "blocks" 286 r.Harness.blocks;
+  bits "consensus_cost_per_block" 0x3f8ab2e67abc2bd8L r.Harness.consensus_cost_per_block;
+  bits "execution_cost_per_block" 0x3f52e794dfb461a9L r.Harness.execution_cost_per_block;
+  int "dropped_requests" 0 r.Harness.dropped_requests;
+  int "dropped_consensus" 0 r.Harness.dropped_consensus;
+  int "messages_sent" 19815 r.Harness.messages_sent
+
 let test_harness_deterministic () =
   let run () =
     Harness.run ~seed:5L ~duration:6.0 ~variant:Config.ahl_plus ~n:4
@@ -999,6 +1027,8 @@ let () =
           Alcotest.test_case "open loop" `Quick test_harness_open_loop;
           Alcotest.test_case "closed loop saturates" `Quick test_harness_closed_loop_saturates;
           Alcotest.test_case "crash schedule counters" `Quick test_harness_crash_schedule_counters;
+          Alcotest.test_case "relocated observer pinned" `Quick
+            test_harness_relocated_observer_pinned;
           Alcotest.test_case "deterministic" `Quick test_harness_deterministic;
         ] );
       ( "adversarial-network",

@@ -12,6 +12,17 @@ open Repro_util
 open Repro_consensus
 open Repro_core
 
+(* Range checks run before anything is simulated: the first failing [(ok, msg)]
+   is a command-line error (exit 124), not an exception out of the simulator. *)
+let checked ranges run =
+  match List.find_opt (fun (ok, _) -> not ok) ranges with
+  | Some (_, msg) -> `Error (false, msg)
+  | None -> `Ok (run ())
+
+let at_least name lo v = (v >= lo, Printf.sprintf "%s must be at least %d, got %d" name lo v)
+
+let positive name v = (v > 0.0, Printf.sprintf "%s must be positive, got %g" name v)
+
 (* ------------------------------------------------------------------ *)
 (* experiment                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -59,6 +70,11 @@ let variant_conv =
 
 let consensus_cmd =
   let run variant n rate duration gcp byzantine =
+    checked
+      [ at_least "-n" 1 n; positive "--rate" rate; positive "--duration" duration;
+        ( byzantine >= 0 && byzantine <= n,
+          Printf.sprintf "--byzantine must be between 0 and -n (%d), got %d" n byzantine ) ]
+    @@ fun () ->
     let topology = if gcp then Repro_sim.Topology.gcp 8 else Repro_sim.Topology.lan () in
     let cpu_scale = if gcp then 3.5 else 1.0 in
     let r =
@@ -81,7 +97,7 @@ let consensus_cmd =
   let byz = Arg.(value & opt int 0 & info [ "byzantine" ] ~doc:"Byzantine replicas") in
   Cmd.v
     (Cmd.info "consensus" ~doc:"Run one consensus committee and report throughput")
-    Term.(const run $ variant $ n $ rate $ duration $ gcp $ byz)
+    Term.(ret (const run $ variant $ n $ rate $ duration $ gcp $ byz))
 
 (* ------------------------------------------------------------------ *)
 (* sizing                                                              *)
@@ -145,6 +161,10 @@ let beacon_cmd =
 
 let shards_cmd =
   let run shards committee duration no_reference coordination fast_lane theta =
+    checked
+      [ at_least "--shards" 1 shards; at_least "--committee" 1 committee;
+        positive "--duration" duration ]
+    @@ fun () ->
     let mode =
       match coordination with
       | Some m -> m
@@ -231,7 +251,7 @@ let shards_cmd =
   Cmd.v
     (Cmd.info "shards" ~doc:"Run the full sharded blockchain under SmallBank")
     Term.(
-      const run $ shards $ committee $ duration $ no_ref $ coordination $ fast_lane $ theta)
+      ret (const run $ shards $ committee $ duration $ no_ref $ coordination $ fast_lane $ theta))
 
 (* ------------------------------------------------------------------ *)
 (* contract                                                            *)

@@ -33,7 +33,6 @@ let run ~engine_seed ~variant ~n (sched : Schedule.t) =
     { (Config.default variant ~n) with Config.checkpoint_interval = 1_000_000 }
   in
   let keystore = Keys.create_keystore (Engine.rng engine) in
-  let metrics = Metrics.create engine in
   let faults = Faults.with_byzantine_ids ~n ~ids:sched.Schedule.byz in
   let network : Pbft.msg Network.t = Network.create engine ~topology:(Topology.lan ()) in
   let committee = ref None in
@@ -50,8 +49,8 @@ let run ~engine_seed ~variant ~n (sched : Schedule.t) =
   in
   let charge ~member cost = Node.charge nodes.(member) cost in
   let c =
-    Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg ~faults ~metrics
-      ~enclave_base_id:0 ~send ~charge
+    Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg ~faults ~enclave_base_id:0
+      ~send ~charge
       ~execute:(fun ~member:_ ~seq:_ _ -> ())
   in
   committee := Some c;
@@ -134,5 +133,5 @@ let run ~engine_seed ~variant ~n (sched : Schedule.t) =
     observer = Pbft.observer c;
     heal_time;
     horizon;
-    view_changes = Pbft.view_changes c;
+    view_changes = (Pbft.tally c).Pbft.view_changes;
   }

@@ -31,7 +31,7 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?byz_id
   let engine = Engine.create ~seed in
   let cfg = tune (Config.default variant ~n) in
   let keystore = Keys.create_keystore (Engine.rng engine) in
-  let metrics = Metrics.create engine in
+  let commits = Commits.create engine in
   let faults =
     match byz_ids with
     | Some ids -> Faults.with_byzantine_ids ~n ~ids
@@ -41,8 +41,8 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?byz_id
           Faults.with_byzantine (Rng.split_named (Engine.rng engine) "faults") ~n ~count:byzantine
   in
   (* With scheduled crashes the default observer (lowest honest member)
-     may be about to die; record metrics at the first member that stays
-     honest and alive instead. *)
+     may be about to die; measure at the first member that stays honest
+     and alive instead. *)
   let observer =
     match crashes with
     | [] -> None
@@ -71,15 +71,17 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?byz_id
     Network.send network ~src:nodes.(src) ~dst ~channel ~bytes m
   in
   let charge ~member cost = Node.charge nodes.(member) (cost *. cpu_scale) in
-  (* Closed-loop clients resubmit when their request commits at the
-     observer replica. *)
+  (* Commits are logged, and closed-loop clients resubmit, when a request
+     executes at the observer replica. *)
   let on_commit : (int -> unit) ref = ref (fun _ -> ()) in
   let c =
-    Pbft.create ~engine ~keystore ~costs ~config:cfg ~faults ~metrics
-      ~enclave_base_id:0 ~send ~charge
+    Pbft.create ~engine ~keystore ~costs ~config:cfg ~faults ~enclave_base_id:0 ~send ~charge
       ~execute:(fun ~member ~seq:_ batch ->
         match !committee with
-        | Some cm when member = Pbft.observer cm -> List.iter (fun q -> !on_commit q.req_id) batch
+        | Some cm when member = Pbft.observer cm ->
+            Commits.commit commits ~count:(List.length batch);
+            List.iter (fun q -> Commits.commit_latency commits ~submitted:q.submitted) batch;
+            List.iter (fun q -> !on_commit q.req_id) batch
         | Some _ | None -> ())
   in
   (match observer with Some o -> Pbft.set_observer c o | None -> ());
@@ -190,23 +192,24 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?byz_id
     Probe.set_gauge probe "net.delivered" (float_of_int (Network.delivered_count network))
   end;
   (* ---------------- results ---------------- *)
-  let latencies = Metrics.latency_stats metrics in
-  let blocks = Metrics.counter metrics "blocks" in
-  let per_block gauge = if blocks = 0 then 0.0 else Metrics.gauge metrics gauge /. float_of_int blocks in
+  let latencies = Commits.latency_stats commits in
+  let tally = Pbft.tally c in
+  let blocks = tally.Pbft.blocks in
+  let per_block cost = if blocks = 0 then 0.0 else cost /. float_of_int blocks in
   let dropped channel =
     Array.fold_left (fun acc node -> acc + Node.inbox_dropped node channel) 0 nodes
   in
   {
-    throughput = Metrics.throughput metrics ~warmup;
+    throughput = Commits.throughput commits ~warmup;
     latency_mean = Stats.mean latencies;
     latency_p50 = Stats.percentile latencies 50.0;
     latency_p99 = Stats.percentile latencies 99.0;
-    committed = Metrics.committed metrics;
-    view_changes = Metrics.counter metrics "view_changes";
-    view_change_attempts = Metrics.counter metrics "view_change_started";
+    committed = Commits.committed commits;
+    view_changes = tally.Pbft.view_changes;
+    view_change_attempts = tally.Pbft.view_change_attempts;
     blocks;
-    consensus_cost_per_block = per_block "consensus_cost";
-    execution_cost_per_block = per_block "execution_cost";
+    consensus_cost_per_block = per_block tally.Pbft.consensus_cost;
+    execution_cost_per_block = per_block tally.Pbft.execution_cost;
     dropped_requests = dropped Inbox.Request;
     dropped_consensus = dropped Inbox.Consensus;
     messages_sent = Network.sent_count network;

@@ -60,8 +60,8 @@ val run :
     muted through {!Pbft.set_alive}) unless a matching [(member, time)]
     entry in [recovers] revives it later: the inbox reopens and the replica
     runs checkpoint catch-up ({!Pbft.notify_recovered}) for the slots it
-    missed; the metrics observer is moved to the first member that stays
-    honest and alive.  [cpu_scale] multiplies every
+    missed; the observer ({!Pbft.observer}) is moved to the first member
+    that stays honest and alive.  [cpu_scale] multiplies every
     CPU charge — 1.0 models the paper's 3.5 GHz Xeon cluster servers, 3.5
     the 2-vCPU GCP instances.  [tune] post-processes the default
     {!Config.t} (batch sizes, timeouts) for ablations.  [probe] (default

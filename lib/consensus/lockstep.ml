@@ -34,7 +34,8 @@ type committee = {
   n : int;
   f : int;
   batch_max : int;
-  metrics : Metrics.t;
+  commits : Commits.t; (* logged at member 0 *)
+  mutable round_changes : int;
   send_cb : src:int -> dst:int -> channel:Inbox.channel -> bytes:int -> msg -> unit;
   charge_cb : member:int -> float -> unit;
   mutable replicas : replica array;
@@ -62,9 +63,7 @@ let proposer_of c ~height ~round = (height + round) mod c.n
 
 let now c = Engine.now c.engine
 
-let charge c r cost =
-  c.charge_cb ~member:r.index cost;
-  if r.index = 0 then Metrics.add_to c.metrics "consensus_cost" cost
+let charge c r cost = c.charge_cb ~member:r.index cost
 
 let send c r ~dst m =
   charge c r 10e-6;
@@ -200,9 +199,8 @@ and commit c r ~batch =
       Hashtbl.remove r.pooled q.req_id)
     batch;
   if r.index = 0 then begin
-    Metrics.incr c.metrics "blocks";
-    Metrics.commit c.metrics ~count:(List.length fresh);
-    List.iter (fun q -> Metrics.commit_latency c.metrics ~submitted:q.submitted) fresh
+    Commits.commit c.commits ~count:(List.length fresh);
+    List.iter (fun q -> Commits.commit_latency c.commits ~submitted:q.submitted) fresh
   end;
   r.height <- r.height + 1;
   r.round <- 0;
@@ -216,7 +214,7 @@ let advance_round c r =
   r.round <- r.round + 1;
   r.proposed_this_round <- false;
   r.round_deadline <- now c +. (round_timeout *. (1.0 +. (0.5 *. float_of_int r.round)));
-  if r.index = 0 then Metrics.incr c.metrics "round_changes";
+  if r.index = 0 then c.round_changes <- c.round_changes + 1;
   try_propose c r
 
 let handle c ~member m =
@@ -263,7 +261,7 @@ let start c =
         watchdog)
     c.replicas
 
-let create ~engine ~keystore ~costs ~flavour ~n ~batch_max ~metrics ~send ~charge =
+let create ~engine ~keystore ~costs ~flavour ~n ~batch_max ~commits ~send ~charge =
   let c =
     {
       engine;
@@ -273,7 +271,8 @@ let create ~engine ~keystore ~costs ~flavour ~n ~batch_max ~metrics ~send ~charg
       n;
       f = (n - 1) / 3;
       batch_max;
-      metrics;
+      commits;
+      round_changes = 0;
       send_cb = send;
       charge_cb = charge;
       replicas = [||];
@@ -301,4 +300,4 @@ let submit _c req = Req { req; relayed = false }
 
 let height c ~member = c.replicas.(member).height
 
-let round_changes c = Metrics.counter c.metrics "round_changes"
+let round_changes c = c.round_changes

@@ -26,10 +26,11 @@ val create :
   flavour:flavour ->
   n:int ->
   batch_max:int ->
-  metrics:Repro_sim.Metrics.t ->
+  commits:Repro_sim.Commits.t ->
   send:(src:int -> dst:int -> channel:Repro_sim.Inbox.channel -> bytes:int -> msg -> unit) ->
   charge:(member:int -> float -> unit) ->
   committee
+(** [commits] logs every transaction member 0 executes. *)
 
 val start : committee -> unit
 
@@ -40,8 +41,6 @@ val submit : committee -> Types.request -> msg
     current proposer). *)
 
 val request_channel : Repro_sim.Inbox.channel
-
-val bytes_of_msg : msg -> int
 
 val height : committee -> member:int -> int
 

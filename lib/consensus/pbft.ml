@@ -117,13 +117,20 @@ type byz_strategy = {
           attack them — the Fig. 16 right-panel adversary *)
 }
 
+type tally = {
+  mutable blocks : int;
+  mutable view_changes : int;
+  mutable view_change_attempts : int;
+  mutable consensus_cost : float;
+  mutable execution_cost : float;
+}
+
 type committee = {
   engine : Engine.t;
   keystore : Keys.keystore;
   costs : Cost_model.t;
   cfg : Config.t;
   faults : Faults.t;
-  metrics : Metrics.t;
   send_cb : src:int -> dst:int -> channel:Inbox.channel -> bytes:int -> msg -> unit;
   charge_cb : member:int -> float -> unit;
   execute_cb : member:int -> seq:int -> request list -> unit;
@@ -144,6 +151,7 @@ type committee = {
       (* embedding hook modelling Section 5.3 state transfer: fetch and
          verify a snapshot certified at [seq]; [k true] on verified install *)
   mutable probe : Probe.t;
+  tally : tally; (* counted at the observer only *)
 }
 
 let default_byz_strategy =
@@ -160,8 +168,6 @@ let request_channel = Inbox.Request
 
 let consensus_channel = Inbox.Consensus
 
-let phase_index = function Prepare_phase -> 1 | Commit_phase -> 2
-
 (* A2M log ids: one log per (phase, view), so a replica cannot attest two
    different digests for the same slot within a view, while new views can
    legitimately re-propose a sequence number. *)
@@ -169,7 +175,7 @@ let a2m_log ~phase_idx ~view = (view * 4) + phase_idx
 
 let vote_tag ~phase ~view ~seq ~digest =
   Repro_util.Det.stable_hash
-    (Printf.sprintf "rvote:%d:%d:%d:%d" (phase_index phase) view seq digest)
+    (Printf.sprintf "rvote:%d:%d:%d:%d" (phase_log phase) view seq digest)
 
 let bytes_of_msg (cfg : Config.t) = function
   | Request { req; _ } | Forward req -> cfg.request_overhead_bytes + req.size
@@ -211,8 +217,6 @@ let is_byz c r = Faults.is_byzantine c.faults r.index
 
 let observer c = c.observer
 
-let at_observer c r f = if r.index = c.observer then f ()
-
 let rname r = "r" ^ string_of_int r.index
 
 (* Trace emitters are guarded on [Probe.enabled] at every call site so an
@@ -222,11 +226,11 @@ let probe_instant c r ~cat ?args name =
 
 let charge_consensus c r cost =
   c.charge_cb ~member:r.index cost;
-  at_observer c r (fun () -> Metrics.add_to c.metrics "consensus_cost" cost)
+  if r.index = c.observer then c.tally.consensus_cost <- c.tally.consensus_cost +. cost
 
 let charge_exec c r cost =
   c.charge_cb ~member:r.index cost;
-  at_observer c r (fun () -> Metrics.add_to c.metrics "execution_cost" cost)
+  if r.index = c.observer then c.tally.execution_cost <- c.tally.execution_cost +. cost
 
 let send c r ~dst ~channel m =
   (* Tiny per-copy serialization cost so O(N) broadcast fan-out is not
@@ -324,8 +328,7 @@ let make_replica c ~enclave_base_id index =
     drip_next = 0.0;
   }
 
-let create ~engine ~keystore ~costs ~config ~faults ~metrics ~enclave_base_id ~send ~charge
-    ~execute =
+let create ~engine ~keystore ~costs ~config ~faults ~enclave_base_id ~send ~charge ~execute =
   if Faults.size faults <> config.Config.n then
     Sim_error.invalid "Pbft.create: fault roster size must equal n";
   let obs =
@@ -345,7 +348,6 @@ let create ~engine ~keystore ~costs ~config ~faults ~metrics ~enclave_base_id ~s
       costs;
       cfg = config;
       faults;
-      metrics;
       send_cb = send;
       charge_cb = charge;
       execute_cb = execute;
@@ -359,6 +361,9 @@ let create ~engine ~keystore ~costs ~config ~faults ~metrics ~enclave_base_id ~s
       commit_hook = (fun ~member:_ ~view:_ ~seq:_ ~digest:_ ~batch:_ -> ());
       snapshot_fetch = (fun ~member:_ ~seq:_ ~digest:_ ~k -> k true);
       probe = Probe.none;
+      tally =
+        { blocks = 0; view_changes = 0; view_change_attempts = 0;
+          consensus_cost = 0.0; execution_cost = 0.0 };
     }
   in
   c.replicas <- Array.init config.Config.n (make_replica c ~enclave_base_id);
@@ -381,7 +386,7 @@ let add_pending c r req =
     Hashtbl.replace r.queued req.req_id ()
   end
 
-let relay_pool_key ~phase ~view ~seq ~digest = (phase_index phase, view, seq, digest)
+let relay_pool_key ~phase ~view ~seq ~digest = (phase_log phase, view, seq, digest)
 
 let rec try_propose c r =
   if is_leader c r && not (is_byz c r) then begin
@@ -572,10 +577,7 @@ and try_execute c r =
         batch;
       c.commit_hook ~member:r.index ~view ~seq ~digest ~batch;
       c.execute_cb ~member:r.index ~seq fresh;
-      at_observer c r (fun () ->
-          Metrics.incr c.metrics "blocks";
-          Metrics.commit c.metrics ~count:(List.length fresh);
-          List.iter (fun q -> Metrics.commit_latency c.metrics ~submitted:q.submitted) fresh);
+      if r.index = c.observer then c.tally.blocks <- c.tally.blocks + 1;
       if Probe.enabled c.probe && r.index = c.observer then begin
         Probe.incr c.probe "pbft.blocks";
         Probe.add c.probe "pbft.txs_executed" (List.length fresh);
@@ -729,7 +731,7 @@ and start_view_change c r ~reason ~target =
     if raw_backoff > backoff && Probe.enabled c.probe then
       Probe.incr c.probe "pbft.vc.backoff_capped";
     r.vc_deadline <- now c +. (c.cfg.Config.progress_timeout *. Float.pow 2.0 (float_of_int backoff));
-    at_observer c r (fun () -> Metrics.incr c.metrics "view_change_started");
+    if r.index = c.observer then c.tally.view_change_attempts <- c.tally.view_change_attempts + 1;
     if Probe.enabled c.probe then begin
       Probe.incr c.probe ("pbft.vc.reason." ^ reason);
       probe_instant c r ~cat:"pbft"
@@ -796,7 +798,7 @@ and adopt_new_view c r ~view ~reproposals =
     r.view <- Int.max view r.view;
     r.active <- true;
     r.vc_deadline <- infinity;
-    at_observer c r (fun () -> Metrics.incr c.metrics "view_changes");
+    if r.index = c.observer then c.tally.view_changes <- c.tally.view_changes + 1;
     if Probe.enabled c.probe then begin
       Probe.incr c.probe "pbft.vc.adopted";
       probe_instant c r ~cat:"pbft" ~args:[ ("view", Ev.I view) ] "new_view"
@@ -1440,7 +1442,7 @@ let current_view c ~member = c.replicas.(member).view
 
 let last_executed c ~member = c.replicas.(member).last_exec
 
-let view_changes c = Metrics.counter c.metrics "view_changes"
+let tally c = c.tally
 
 let known_backlog c ~member = Hashtbl.length c.replicas.(member).known
 

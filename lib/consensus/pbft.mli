@@ -126,7 +126,6 @@ val create :
   costs:Repro_crypto.Cost_model.t ->
   config:Config.t ->
   faults:Repro_sim.Faults.t ->
-  metrics:Repro_sim.Metrics.t ->
   enclave_base_id:int ->
   send:(src:int -> dst:int -> channel:Repro_sim.Inbox.channel -> bytes:int -> msg -> unit) ->
   charge:(member:int -> float -> unit) ->
@@ -136,12 +135,14 @@ val create :
     member with keystore principal ids [base .. base+n-1] (pass a range
     disjoint from other committees).  [faults] is indexed by member.
     [execute] is called on every replica with the not-yet-executed requests
-    of each decided batch, in sequence order. *)
+    of each decided batch, in sequence order; an embedding that logs
+    commits does so for [member = observer c] only. *)
 
 val set_observer : committee -> int -> unit
-(** Override the metrics observer (default: lowest-indexed honest member).
-    Must be in [0..n-1]; pass a member that stays honest and alive, or
-    committee metrics go dark.  Call before {!start}. *)
+(** Override the observer (default: lowest-indexed honest member).  Must
+    be in [0..n-1]; pass a member that stays honest and alive, or the
+    {!tally} and the embedding's commit log go dark.  Call before
+    {!start}. *)
 
 val set_alive : committee -> (int -> bool) -> unit
 (** Install the embedding's liveness predicate: members for which it
@@ -182,13 +183,24 @@ val current_view : committee -> member:int -> int
 
 val last_executed : committee -> member:int -> int
 
-val view_changes : committee -> int
-(** Successful new-view adoptions observed by the designated observer. *)
+type tally = private {
+  mutable blocks : int;  (** blocks executed *)
+  mutable view_changes : int;  (** new views adopted *)
+  mutable view_change_attempts : int;  (** view changes started *)
+  mutable consensus_cost : float;  (** CPU seconds charged to consensus (Figure 17) *)
+  mutable execution_cost : float;  (** CPU seconds charged to transaction execution *)
+}
+
+val tally : committee -> tally
+(** The figure counts, all taken at the {!observer} replica and updated in
+    place as the run goes (read-only outside this module). *)
 
 val observer : committee -> int
-(** The lowest-indexed honest member; metrics (commits, latencies,
-    cost gauges) are recorded at this replica only, so committee-wide
-    throughput is not multiple-counted. *)
+(** The member the committee is measured at: the lowest-indexed honest
+    member unless {!set_observer} moved it.  The {!tally} counts only this
+    replica, and embeddings log commits and latencies only for its
+    [execute] upcalls, so committee-wide throughput is not
+    multiple-counted. *)
 
 val known_backlog : committee -> member:int -> int
 (** Requests known to a member but not yet executed (for tests). *)

@@ -37,7 +37,8 @@ type cluster = {
   costs : Cost_model.t;
   n : int;
   batch_max : int;
-  metrics : Metrics.t;
+  commits : Commits.t; (* logged at member 0 *)
+  mutable elections : int;
   send_cb : src:int -> dst:int -> channel:Inbox.channel -> bytes:int -> msg -> unit;
   charge_cb : member:int -> float -> unit;
   rng : Repro_util.Rng.t;
@@ -72,9 +73,7 @@ let is_candidate r = match r.role with Candidate -> true | Leader | Follower -> 
 
 let now c = Engine.now c.engine
 
-let charge c r cost =
-  c.charge_cb ~member:r.index cost;
-  if r.index = 0 then Metrics.add_to c.metrics "consensus_cost" cost
+let charge c r cost = c.charge_cb ~member:r.index cost
 
 let send c r ~dst m =
   charge c r 5e-6;
@@ -121,9 +120,8 @@ and execute c r ~index =
             Hashtbl.remove r.pooled q.req_id)
           batch;
         if r.index = 0 then begin
-          Metrics.incr c.metrics "blocks";
-          Metrics.commit c.metrics ~count:(List.length fresh);
-          List.iter (fun q -> Metrics.commit_latency c.metrics ~submitted:q.submitted) fresh
+          Commits.commit c.commits ~count:(List.length fresh);
+          List.iter (fun q -> Commits.commit_latency c.commits ~submitted:q.submitted) fresh
         end;
         r.commit_index <- index
       end
@@ -131,7 +129,7 @@ and execute c r ~index =
 let become_leader c r =
   r.role <- Leader;
   r.in_flight <- None;
-  Metrics.incr c.metrics "elections";
+  c.elections <- c.elections + 1;
   broadcast c r (Heartbeat { term = r.term; leader = r.index });
   try_replicate c r
 
@@ -256,14 +254,15 @@ let start c =
         tick)
     c.replicas
 
-let create ~engine ~costs ~n ~batch_max ~metrics ~send ~charge =
+let create ~engine ~costs ~n ~batch_max ~commits ~send ~charge =
   let c =
     {
       engine;
       costs;
       n;
       batch_max;
-      metrics;
+      commits;
+      elections = 0;
       send_cb = send;
       charge_cb = charge;
       rng = Repro_util.Rng.split_named (Engine.rng engine) "raft";
@@ -309,4 +308,4 @@ let leader_id c =
 
 let committed_index c ~member = c.replicas.(member).commit_index
 
-let elections c = Metrics.counter c.metrics "elections"
+let elections c = c.elections

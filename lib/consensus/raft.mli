@@ -17,10 +17,11 @@ val create :
   costs:Repro_crypto.Cost_model.t ->
   n:int ->
   batch_max:int ->
-  metrics:Repro_sim.Metrics.t ->
+  commits:Repro_sim.Commits.t ->
   send:(src:int -> dst:int -> channel:Repro_sim.Inbox.channel -> bytes:int -> msg -> unit) ->
   charge:(member:int -> float -> unit) ->
   cluster
+(** [commits] logs every transaction member 0 executes. *)
 
 val start : cluster -> unit
 
@@ -29,8 +30,6 @@ val handle : cluster -> member:int -> msg -> unit
 val submit : cluster -> Types.request -> msg
 
 val request_channel : Repro_sim.Inbox.channel
-
-val bytes_of_msg : msg -> int
 
 val crash : cluster -> member:int -> unit
 (** Crash-stop a member (for election tests); pair with the node's own

@@ -16,7 +16,3 @@ let phase_log = function Prepare_phase -> 1 | Commit_phase -> 2
 let digest_of_batch batch = Repro_util.Det.stable_hash_ints ~prefix:"batch:" (fun r -> r.req_id) batch
 
 let batch_bytes batch = List.fold_left (fun acc r -> acc + r.size) 0 batch
-
-let pp_phase fmt = function
-  | Prepare_phase -> Format.pp_print_string fmt "prepare"
-  | Commit_phase -> Format.pp_print_string fmt "commit"

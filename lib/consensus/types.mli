@@ -23,5 +23,3 @@ val digest_of_batch : request list -> int
     hash cost to the simulated clock instead — see DESIGN.md.) *)
 
 val batch_bytes : request list -> int
-
-val pp_phase : Format.formatter -> phase -> unit

@@ -160,7 +160,7 @@ type 'msg baseline = {
 let run_baseline ~protocol ~n ~clients ~rate ~duration:dur =
   let engine = Engine.create ~seed:1L in
   let create = protocol engine in
-  let metrics = Metrics.create engine in
+  let commits = Commits.create engine in
   let topology = Topology.lan () in
   let network = Network.create engine ~topology in
   let committee = ref None in
@@ -173,7 +173,7 @@ let run_baseline ~protocol ~n ~clients ~rate ~duration:dur =
   in
   Array.iter (Network.register network) nodes;
   let c =
-    create ~n ~metrics
+    create ~n ~commits
       ~send:(fun ~src ~dst ~channel ~bytes m -> Network.send network ~src:nodes.(src) ~dst ~channel ~bytes m)
       ~charge:(fun ~member cost -> Node.charge nodes.(member) cost)
   in
@@ -195,14 +195,14 @@ let run_baseline ~protocol ~n ~clients ~rate ~duration:dur =
     Engine.schedule engine ~delay:(Rng.float rng 1.0) arrival
   done;
   Engine.run engine ~until:dur;
-  Metrics.throughput metrics ~warmup
+  Commits.throughput commits ~warmup
 
 let lockstep flavour engine =
   let keystore = Keys.create_keystore (Engine.rng engine) in
-  fun ~n ~metrics ~send ~charge ->
+  fun ~n ~commits ~send ~charge ->
     let c =
       Lockstep.create ~engine ~keystore ~costs:Cost_model.default ~flavour ~n ~batch_max:200
-        ~metrics ~send ~charge
+        ~commits ~send ~charge
     in
     {
       start = (fun () -> Lockstep.start c);
@@ -211,8 +211,8 @@ let lockstep flavour engine =
       request_channel = Lockstep.request_channel;
     }
 
-let raft engine ~n ~metrics ~send ~charge =
-  let c = Raft.create ~engine ~costs:Cost_model.default ~n ~batch_max:200 ~metrics ~send ~charge in
+let raft engine ~n ~commits ~send ~charge =
+  let c = Raft.create ~engine ~costs:Cost_model.default ~n ~batch_max:200 ~commits ~send ~charge in
   {
     start = (fun () -> Raft.start c);
     handle = Raft.handle c;

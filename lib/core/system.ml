@@ -55,7 +55,6 @@ type committee_ctx = {
   nodes : Pbft.msg Node.t array;
   state : State.t;
   chain : Block.Chain.chain;
-  cmetrics : Metrics.t;
   coordsm : Reference.t option;
       (* the Fig.-6 2PC chaincode: hosted by R in [With_reference] mode,
          by every shard committee in [Flattened] mode (the coordinator
@@ -125,7 +124,7 @@ type t = {
   registry : Coordination.registry;
   merge_reg : Merge.registry; (* chaincode-declared commutative ops *)
   mutable committees : committee_ctx array; (* shards, then optionally R last *)
-  metrics : Metrics.t; (* transaction-level *)
+  commits : Commits.t; (* transaction-level *)
   inflight : (int, tx_record) Hashtbl.t;
   mutable next_req : int;
   rng : Rng.t;
@@ -356,9 +355,9 @@ let complete t rec_ outcome =
   Coordination.release t.registry ~txid;
   (match outcome with
   | Committed ->
-      Metrics.commit t.metrics ~count:1;
-      Metrics.commit_latency t.metrics ~submitted:rec_.tx.Tx.submitted
-  | Aborted -> Metrics.abort t.metrics ~count:1);
+      Commits.commit t.commits ~count:1;
+      Commits.commit_latency t.commits ~submitted:rec_.tx.Tx.submitted
+  | Aborted -> Commits.abort t.commits ~count:1);
   rec_.on_done outcome
 
 let finish_leg t txid shard =
@@ -773,7 +772,7 @@ let create cfg =
   let merge_reg = Merge.create_registry () in
   Smallbank_cc.declare_mergeable merge_reg;
   Kvstore_cc.declare_mergeable merge_reg;
-  let metrics = Metrics.create engine in
+  let commits = Commits.create engine in
   let committee_count = cfg.shards + (if cfg.mode = With_reference then 1 else 0) in
   let t =
     {
@@ -783,7 +782,7 @@ let create cfg =
       registry;
       merge_reg;
       committees = [||];
-      metrics;
+      commits;
       inflight = Hashtbl.create 1024;
       next_req = 0;
       rng = Rng.split_named (Engine.rng engine) "system";
@@ -801,7 +800,6 @@ let create cfg =
     let n = cfg.committee_size in
     let base = index * n in
     let pbft_cfg = cfg.tune (Config.default cfg.variant ~n) in
-    let cmetrics = Metrics.create engine in
     let ctx_ref = ref None in
     let nodes =
       Array.init n (fun member ->
@@ -834,7 +832,7 @@ let create cfg =
     in
     let pbft =
       Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:pbft_cfg
-        ~faults:(Faults.honest n) ~metrics:cmetrics ~enclave_base_id:base ~send ~charge ~execute
+        ~faults:(Faults.honest n) ~enclave_base_id:base ~send ~charge ~execute
     in
     let coordsm =
       match cfg.mode with
@@ -851,7 +849,6 @@ let create cfg =
         nodes;
         state;
         chain;
-        cmetrics;
         coordsm;
         applied = Hashtbl.create 1024;
         parked = Hashtbl.create 64;
@@ -999,20 +996,20 @@ let submit t ?(on_done = fun _ -> ()) ?(malicious_client = false) tx =
 
 let run t ~until = Engine.run t.engine ~until
 
-let committed t = Metrics.committed t.metrics
+let committed t = Commits.committed t.commits
 
-let aborted t = Metrics.aborted t.metrics
+let aborted t = Commits.aborted t.commits
 
-let abort_rate t = Metrics.abort_rate t.metrics
+let abort_rate t = Commits.abort_rate t.commits
 
-let throughput t ~warmup = Metrics.throughput t.metrics ~warmup
+let throughput t ~warmup = Commits.throughput t.commits ~warmup
 
-let latency_stats t = Metrics.latency_stats t.metrics
+let latency_stats t = Commits.latency_stats t.commits
 
-let throughput_series t = Metrics.throughput_series t.metrics
+let throughput_series t = Commits.throughput_series t.commits
 
 let view_changes t =
-  Array.fold_left (fun acc ctx -> acc + Metrics.counter ctx.cmetrics "view_changes") 0 t.committees
+  Array.fold_left (fun acc ctx -> acc + (Pbft.tally ctx.pbft).Pbft.view_changes) 0 t.committees
 
 let reference_busy_fraction t =
   if not (has_reference t) then 0.0

@@ -110,7 +110,7 @@ val latency_stats : t -> Repro_util.Stats.t
 val throughput_series : t -> (float * float) list
 
 val view_changes : t -> int
-(** Summed across committees. *)
+(** New views adopted, summed over every committee's {!Pbft.tally}. *)
 
 val reference_busy_fraction : t -> float
 (** Mean CPU utilization of the reference committee's replicas (0 when

@@ -6,27 +6,21 @@ type t = {
   mutable aborted : int;
   mutable committed_after : (float * int) list; (* (time, count), newest first *)
   latencies : Stats.t;
-  counters : (string, int) Hashtbl.t;
-  gauges : (string, float) Hashtbl.t;
   series : Stats.Series.s;
 }
 
-let create_with_bin engine ~bin =
+let create engine =
   {
     engine;
     committed = 0;
     aborted = 0;
     committed_after = [];
     latencies = Stats.create ();
-    counters = Hashtbl.create 16;
-    gauges = Hashtbl.create 16;
     series =
-      (match Stats.Series.create ~bin with
+      (match Stats.Series.create ~bin:1.0 with
       | Ok s -> s
-      | Error msg -> Sim_error.invalid "Metrics.create_with_bin: %s" msg);
+      | Error msg -> Sim_error.invalid "Commits.create: %s" msg);
   }
-
-let create engine = create_with_bin engine ~bin:1.0
 
 let commit t ~count =
   t.committed <- t.committed + count;
@@ -38,12 +32,6 @@ let commit_latency t ~submitted = Stats.add t.latencies (Engine.now t.engine -. 
 
 let abort t ~count = t.aborted <- t.aborted + count
 
-let incr t name =
-  Hashtbl.replace t.counters name (1 + Option.value (Hashtbl.find_opt t.counters name) ~default:0)
-
-let add_to t name v =
-  Hashtbl.replace t.gauges name (v +. Option.value (Hashtbl.find_opt t.gauges name) ~default:0.0)
-
 let committed t = t.committed
 
 let aborted t = t.aborted
@@ -51,10 +39,6 @@ let aborted t = t.aborted
 let abort_rate t =
   let finished = t.committed + t.aborted in
   if finished = 0 then 0.0 else float_of_int t.aborted /. float_of_int finished
-
-let counter t name = Option.value (Hashtbl.find_opt t.counters name) ~default:0
-
-let gauge t name = Option.value (Hashtbl.find_opt t.gauges name) ~default:0.0
 
 let throughput t ~warmup =
   let now = Engine.now t.engine in

@@ -1,10 +1,11 @@
-(** Experiment metric collection: commits, latencies, named counters, and
-    a throughput time series. *)
+(** The typed per-run commit log: commits, aborts, end-to-end latencies
+    and a throughput time series, all stamped with virtual time.  Named
+    counters live in {!Repro_obs.Metrics}; the counts a figure prints live
+    as typed fields beside the code that produces them. *)
 
 type t
 
 val create : Engine.t -> t
-
 
 val commit : t -> count:int -> unit
 (** Record [count] transactions committed at the current virtual time. *)
@@ -15,22 +16,12 @@ val commit_latency : t -> submitted:float -> unit
 
 val abort : t -> count:int -> unit
 
-val incr : t -> string -> unit
-(** Bump a named counter ([view_change], [stale_block], [drop]...). *)
-
-val add_to : t -> string -> float -> unit
-(** Accumulate into a named gauge (e.g. consensus vs execution seconds). *)
-
 val committed : t -> int
 
 val aborted : t -> int
 
 val abort_rate : t -> float
 (** aborted / (committed + aborted); 0 when nothing finished. *)
-
-val counter : t -> string -> int
-
-val gauge : t -> string -> float
 
 val throughput : t -> warmup:float -> float
 (** Committed transactions per second between [warmup] and the current

@@ -112,7 +112,6 @@ type fixture = {
   nodes : Pbft.msg Node.t array;
   committee : Pbft.committee;
   network : Pbft.msg Network.t;
-  metrics : Metrics.t;
   executions : (int, (int * int list) list ref) Hashtbl.t;
       (* member -> (seq, req ids) in execution order *)
   faults : Faults.t;
@@ -122,7 +121,6 @@ let make_fixture ?(variant = Config.ahl_plus) ?(n = 5) ?(byzantine = []) () =
   let engine = Engine.create ~seed:11L in
   let cfg = Config.default variant ~n in
   let keystore = Keys.create_keystore (Engine.rng engine) in
-  let metrics = Metrics.create engine in
   let faults = Faults.with_byzantine_ids ~n ~ids:byzantine in
   let network = Network.create engine ~topology:(Topology.lan ()) in
   let committee = ref None in
@@ -139,8 +137,7 @@ let make_fixture ?(variant = Config.ahl_plus) ?(n = 5) ?(byzantine = []) () =
     Hashtbl.replace executions m (ref [])
   done;
   let c =
-    Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg ~faults ~metrics
-      ~enclave_base_id:0
+    Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg ~faults ~enclave_base_id:0
       ~send:(fun ~src ~dst ~channel ~bytes m ->
         Network.send network ~src:nodes.(src) ~dst ~channel ~bytes m)
       ~charge:(fun ~member cost -> Node.charge nodes.(member) cost)
@@ -151,7 +148,7 @@ let make_fixture ?(variant = Config.ahl_plus) ?(n = 5) ?(byzantine = []) () =
   committee := Some c;
   Pbft.set_alive c (fun m -> not (Node.is_crashed nodes.(m)));
   Pbft.start c;
-  { engine; nodes; committee = c; network; metrics; executions; faults }
+  { engine; nodes; committee = c; network; executions; faults }
 
 let submit ?via fx ~req_id =
   let member = match via with Some m -> m | None -> req_id mod Array.length fx.nodes in
@@ -318,7 +315,7 @@ let test_pbft_observer_skips_byzantine () =
 let make_lockstep ?(flavour = Lockstep.Tendermint) ~n () =
   let engine = Engine.create ~seed:21L in
   let keystore = Keys.create_keystore (Engine.rng engine) in
-  let metrics = Metrics.create engine in
+  let commits = Commits.create engine in
   let network = Network.create engine ~topology:(Topology.lan ()) in
   let committee = ref None in
   let nodes =
@@ -331,24 +328,24 @@ let make_lockstep ?(flavour = Lockstep.Tendermint) ~n () =
   Array.iter (Network.register network) nodes;
   let c =
     Lockstep.create ~engine ~keystore ~costs:Cost_model.default ~flavour ~n ~batch_max:50
-      ~metrics
+      ~commits
       ~send:(fun ~src ~dst ~channel ~bytes m ->
         Network.send network ~src:nodes.(src) ~dst ~channel ~bytes m)
       ~charge:(fun ~member cost -> Node.charge nodes.(member) cost)
   in
   committee := Some c;
   Lockstep.start c;
-  (engine, network, nodes, c, metrics)
+  (engine, network, nodes, c, commits)
 
 let test_lockstep_commits () =
-  let engine, network, _, c, metrics = make_lockstep ~n:4 () in
+  let engine, network, _, c, commits = make_lockstep ~n:4 () in
   for i = 0 to 9 do
     let req = Types.request ~req_id:i ~client:0 ~submitted:(Engine.now engine) () in
     Network.send_external network ~src_region:0 ~dst:(i mod 4) ~channel:Lockstep.request_channel
       ~bytes:240 (Lockstep.submit c req)
   done;
   Engine.run engine ~until:10.0;
-  Alcotest.(check int) "all committed" 10 (Metrics.committed metrics);
+  Alcotest.(check int) "all committed" 10 (Commits.committed commits);
   Alcotest.(check bool) "heights advanced" true (Lockstep.height c ~member:0 >= 1)
 
 let test_lockstep_heights_agree () =
@@ -365,7 +362,7 @@ let test_lockstep_heights_agree () =
   done
 
 let test_lockstep_round_change_on_proposer_crash () =
-  let engine, network, nodes, c, metrics = make_lockstep ~n:4 () in
+  let engine, network, nodes, c, commits = make_lockstep ~n:4 () in
   (* Let one height commit so we are at height >= 1, then crash the next
      proposer before feeding more work. *)
   let send i =
@@ -382,7 +379,7 @@ let test_lockstep_round_change_on_proposer_crash () =
   done;
   Engine.run engine ~until:25.0;
   Alcotest.(check bool) "round changes occurred" true (Lockstep.round_changes c >= 1);
-  Alcotest.(check bool) "still commits" true (Metrics.committed metrics > 1)
+  Alcotest.(check bool) "still commits" true (Commits.committed commits > 1)
 
 (* ------------------------------------------------------------------ *)
 (* Raft                                                                *)
@@ -390,7 +387,7 @@ let test_lockstep_round_change_on_proposer_crash () =
 
 let make_raft ~n () =
   let engine = Engine.create ~seed:31L in
-  let metrics = Metrics.create engine in
+  let commits = Commits.create engine in
   let network = Network.create engine ~topology:(Topology.lan ()) in
   let cluster = ref None in
   let nodes =
@@ -402,28 +399,28 @@ let make_raft ~n () =
   in
   Array.iter (Network.register network) nodes;
   let c =
-    Raft.create ~engine ~costs:Cost_model.default ~n ~batch_max:50 ~metrics
+    Raft.create ~engine ~costs:Cost_model.default ~n ~batch_max:50 ~commits
       ~send:(fun ~src ~dst ~channel ~bytes m ->
         Network.send network ~src:nodes.(src) ~dst ~channel ~bytes m)
       ~charge:(fun ~member cost -> Node.charge nodes.(member) cost)
   in
   cluster := Some c;
   Raft.start c;
-  (engine, network, nodes, c, metrics)
+  (engine, network, nodes, c, commits)
 
 let test_raft_commits () =
-  let engine, network, _, c, metrics = make_raft ~n:5 () in
+  let engine, network, _, c, commits = make_raft ~n:5 () in
   for i = 0 to 9 do
     let req = Types.request ~req_id:i ~client:0 ~submitted:(Engine.now engine) () in
     Network.send_external network ~src_region:0 ~dst:0 ~channel:Raft.request_channel ~bytes:240
       (Raft.submit c req)
   done;
   Engine.run engine ~until:10.0;
-  Alcotest.(check int) "all committed" 10 (Metrics.committed metrics);
+  Alcotest.(check int) "all committed" 10 (Commits.committed commits);
   Alcotest.(check (option int)) "leader is node 0" (Some 0) (Raft.leader_id c)
 
 let test_raft_election_after_leader_crash () =
-  let engine, network, nodes, c, metrics = make_raft ~n:5 () in
+  let engine, network, nodes, c, _ = make_raft ~n:5 () in
   let send i dst =
     let req = Types.request ~req_id:i ~client:0 ~submitted:(Engine.now engine) () in
     Network.send_external network ~src_region:0 ~dst ~channel:Raft.request_channel ~bytes:240
@@ -438,9 +435,8 @@ let test_raft_election_after_leader_crash () =
   | Some l -> Alcotest.(check bool) "new leader elected" true (l <> 0)
   | None -> Alcotest.fail "no leader after crash");
   Alcotest.(check bool) "election counted" true (Raft.elections c >= 1);
-  (* New work reaches the new leader and commits (node 0 — the metrics
-     observer — is dead, so check log indexes instead of counters). *)
-  ignore metrics;
+  (* New work reaches the new leader and commits (node 0, where the commit
+     log is kept, is dead, so check log indexes instead). *)
   let new_leader = Option.get (Raft.leader_id c) in
   let before = Raft.committed_index c ~member:new_leader in
   for i = 10 to 14 do

@@ -389,7 +389,7 @@ let test_network_duplicate_registration () =
       Network.register net n)
 
 (* ------------------------------------------------------------------ *)
-(* Faults / Metrics                                                    *)
+(* Faults / Commits                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_faults_roster () =
@@ -432,32 +432,22 @@ let test_faults_adaptive_corruption_timestamp () =
   Alcotest.(check bool) "others untouched" false
     (Faults.is_byzantine f 0 || Faults.is_byzantine f 2)
 
-let test_metrics_throughput () =
+let test_commits_throughput () =
   let e = Engine.create ~seed:1L in
-  let m = Metrics.create e in
-  Engine.schedule e ~delay:5.0 (fun () -> Metrics.commit m ~count:100);
-  Engine.schedule e ~delay:10.0 (fun () -> Metrics.commit m ~count:100);
+  let m = Commits.create e in
+  Engine.schedule e ~delay:5.0 (fun () -> Commits.commit m ~count:100);
+  Engine.schedule e ~delay:10.0 (fun () -> Commits.commit m ~count:100);
   Engine.run e ~until:20.0;
-  check_float "after warmup" 10.0 (Metrics.throughput m ~warmup:0.0);
+  check_float "after warmup" 10.0 (Commits.throughput m ~warmup:0.0);
   (* Warmup at 6 s excludes the first batch. *)
-  Alcotest.(check (float 1e-6)) "warmup excludes" (100.0 /. 14.0) (Metrics.throughput m ~warmup:6.0)
+  Alcotest.(check (float 1e-6)) "warmup excludes" (100.0 /. 14.0) (Commits.throughput m ~warmup:6.0)
 
-let test_metrics_counters_and_gauges () =
+let test_commits_abort_rate () =
   let e = Engine.create ~seed:1L in
-  let m = Metrics.create e in
-  Metrics.incr m "view_change";
-  Metrics.incr m "view_change";
-  Metrics.add_to m "cost" 1.5;
-  Alcotest.(check int) "counter" 2 (Metrics.counter m "view_change");
-  check_float "gauge" 1.5 (Metrics.gauge m "cost");
-  Alcotest.(check int) "unknown counter" 0 (Metrics.counter m "nope")
-
-let test_metrics_abort_rate () =
-  let e = Engine.create ~seed:1L in
-  let m = Metrics.create e in
-  Metrics.commit m ~count:3;
-  Metrics.abort m ~count:1;
-  check_float "abort rate" 0.25 (Metrics.abort_rate m)
+  let m = Commits.create e in
+  Commits.commit m ~count:3;
+  Commits.abort m ~count:1;
+  check_float "abort rate" 0.25 (Commits.abort_rate m)
 
 let test_topology_constrained_lan () =
   let t = Topology.constrained_lan ~latency_ms:100.0 ~bandwidth_mbps:50.0 in
@@ -468,13 +458,13 @@ let test_topology_constrained_lan () =
   Alcotest.(check (float 0.02)) "transfer" 0.671
     (Topology.transfer_time t ~bytes:(4 * 1024 * 1024))
 
-let test_metrics_throughput_series () =
+let test_commits_throughput_series () =
   let e = Engine.create ~seed:1L in
-  let m = Metrics.create e in
-  Engine.schedule e ~delay:0.5 (fun () -> Metrics.commit m ~count:10);
-  Engine.schedule e ~delay:2.5 (fun () -> Metrics.commit m ~count:30);
+  let m = Commits.create e in
+  Engine.schedule e ~delay:0.5 (fun () -> Commits.commit m ~count:10);
+  Engine.schedule e ~delay:2.5 (fun () -> Commits.commit m ~count:30);
   Engine.run e ~until:5.0;
-  match Metrics.throughput_series m with
+  match Commits.throughput_series m with
   | [ (t0, r0); (t1, r1); (t2, r2) ] ->
       Alcotest.(check (float 1e-9)) "bin0 start" 0.0 t0;
       Alcotest.(check (float 1e-9)) "bin0 rate" 10.0 r0;
@@ -595,10 +585,9 @@ let () =
           Alcotest.test_case "adaptive corruption" `Quick test_faults_adaptive_corruption_delay;
           Alcotest.test_case "adaptive corruption timestamp" `Quick
             test_faults_adaptive_corruption_timestamp;
-          Alcotest.test_case "throughput" `Quick test_metrics_throughput;
-          Alcotest.test_case "counters and gauges" `Quick test_metrics_counters_and_gauges;
-          Alcotest.test_case "abort rate" `Quick test_metrics_abort_rate;
-          Alcotest.test_case "throughput series" `Quick test_metrics_throughput_series;
+          Alcotest.test_case "throughput" `Quick test_commits_throughput;
+          Alcotest.test_case "abort rate" `Quick test_commits_abort_rate;
+          Alcotest.test_case "throughput series" `Quick test_commits_throughput_series;
           Alcotest.test_case "network counters" `Quick test_network_counters;
         ] );
       ("properties", qsuite);

@@ -516,25 +516,10 @@ let test_harness_closed_loop_saturates () =
 
 let test_harness_crash_schedule_counters () =
   (* A leader crash injected through the harness must surface in the
-     result's view-change counters while the committee keeps committing. *)
-  let r =
-    Harness.run ~seed:3L ~duration:20.0 ~warmup:2.0
-      ~crashes:[ (0, 2.0) ]
-      ~variant:Config.ahl_plus ~n:5 ~topology:(Topology.lan ())
-      ~workload:(Harness.Open_loop { rate = 300.0; clients = 4 })
-      ()
-  in
-  Alcotest.(check bool) "view change attempted" true (r.Harness.view_change_attempts >= 1);
-  Alcotest.(check bool) "view change adopted" true (r.Harness.view_changes >= 1);
-  Alcotest.(check bool) "attempts >= adoptions" true
-    (r.Harness.view_change_attempts >= r.Harness.view_changes);
-  Alcotest.(check bool) "still commits after the crash" true (r.Harness.committed > 0)
-
-let test_harness_relocated_observer_pinned () =
-  (* The crash schedule is the one path that moves the observer off
-     member 0 (to member 1 here); every field of the result is pinned to
-     the values this run printed before the figure counts became typed
-     committee fields.  Floats compare by bit pattern. *)
+     result's view-change counters while the committee keeps committing.
+     A crash schedule is also the one path that moves the observer off
+     member 0 (to member 1 here), so every field of the result is pinned;
+     floats compare by bit pattern. *)
   let r =
     Harness.run ~seed:3L ~duration:20.0 ~warmup:2.0
       ~crashes:[ (0, 2.0) ]
@@ -1023,8 +1008,6 @@ let () =
           Alcotest.test_case "open loop" `Quick test_harness_open_loop;
           Alcotest.test_case "closed loop saturates" `Quick test_harness_closed_loop_saturates;
           Alcotest.test_case "crash schedule counters" `Quick test_harness_crash_schedule_counters;
-          Alcotest.test_case "relocated observer pinned" `Quick
-            test_harness_relocated_observer_pinned;
           Alcotest.test_case "deterministic" `Quick test_harness_deterministic;
         ] );
       ( "adversarial-network",

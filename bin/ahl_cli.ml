@@ -160,16 +160,11 @@ let beacon_cmd =
 (* ------------------------------------------------------------------ *)
 
 let shards_cmd =
-  let run shards committee duration no_reference coordination fast_lane theta =
+  let run shards committee duration mode fast_lane theta =
     checked
       [ at_least "--shards" 1 shards; at_least "--committee" 1 committee;
         positive "--duration" duration ]
     @@ fun () ->
-    let mode =
-      match coordination with
-      | Some m -> m
-      | None -> if no_reference then System.Client_driven else System.With_reference
-    in
     let mode_tag =
       match mode with
       | System.With_reference -> "with-reference"
@@ -215,11 +210,6 @@ let shards_cmd =
   let shards = Arg.(value & opt int 4 & info [ "shards"; "k" ] ~doc:"Number of shards") in
   let committee = Arg.(value & opt int 3 & info [ "committee" ] ~doc:"Committee size") in
   let duration = Arg.(value & opt float 30.0 & info [ "duration" ] ~doc:"Virtual seconds") in
-  let no_ref =
-    Arg.(
-      value & flag
-      & info [ "no-reference" ] ~doc:"Client-driven coordination (alias for $(b,--coordination client))")
-  in
   let coordination =
     let mode_conv =
       Arg.enum
@@ -231,7 +221,7 @@ let shards_cmd =
     in
     Arg.(
       value
-      & opt (some mode_conv) None
+      & opt mode_conv System.With_reference
       & info [ "coordination" ]
           ~doc:
             "Cross-shard coordination: $(b,ref) (dedicated reference committee), $(b,client) \
@@ -251,7 +241,7 @@ let shards_cmd =
   Cmd.v
     (Cmd.info "shards" ~doc:"Run the full sharded blockchain under SmallBank")
     Term.(
-      ret (const run $ shards $ committee $ duration $ no_ref $ coordination $ fast_lane $ theta))
+      ret (const run $ shards $ committee $ duration $ coordination $ fast_lane $ theta))
 
 (* ------------------------------------------------------------------ *)
 (* contract                                                            *)

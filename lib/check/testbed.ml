@@ -35,30 +35,15 @@ let run ~engine_seed ~variant ~n (sched : Schedule.t) =
   let keystore = Keys.create_keystore (Engine.rng engine) in
   let faults = Faults.with_byzantine_ids ~n ~ids:sched.Schedule.byz in
   let network : Pbft.msg Network.t = Network.create engine ~topology:(Topology.lan ()) in
-  let committee = ref None in
-  let nodes =
-    Array.init n (fun id ->
-        Node.create engine ~id ~inbox_mode:(Config.inbox_mode cfg) ~handler:(fun node msg ->
-            match !committee with
-            | Some c -> Pbft.handle c ~member:(Node.id node) msg
-            | None -> ()))
+  let c, _ =
+    Network.spawn network ~n ~inbox_mode:(Config.inbox_mode cfg) ~handle:Pbft.handle
+      (Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg ~faults
+         ~enclave_base_id:0
+         ~execute:(fun ~member:_ ~seq:_ _ -> ()))
   in
-  Array.iter (Network.register network) nodes;
-  let send ~src ~dst ~channel ~bytes m =
-    Network.send network ~src:nodes.(src) ~dst ~channel ~bytes m
-  in
-  let charge ~member cost = Node.charge nodes.(member) cost in
-  let c =
-    Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg ~faults ~enclave_base_id:0
-      ~send ~charge
-      ~execute:(fun ~member:_ ~seq:_ _ -> ())
-  in
-  committee := Some c;
   Pbft.set_byz_strategy c
     {
-      Pbft.vote_noise = not sched.Schedule.split_brain;
-      naive_equivocation = not sched.Schedule.split_brain;
-      split_brain = sched.Schedule.split_brain;
+      Pbft.split_brain = sched.Schedule.split_brain;
       silent_toward = sched.Schedule.silent_toward;
       stale_view_replay = sched.Schedule.stale_replay;
       leader_attack =
@@ -118,8 +103,8 @@ let run ~engine_seed ~variant ~n (sched : Schedule.t) =
         ~delay:(0.05 *. float_of_int k)
         (fun () ->
           let req = Types.request ~req_id:k ~client:k ~submitted:(Engine.now engine) () in
+          let m = Pbft.request req in
           let target = intake.(k mod Array.length intake) in
-          let m = Pbft.submit_via c ~member:target req in
           Network.send_external network ~src_region:0 ~dst:target ~channel:Pbft.request_channel
             ~bytes:(Pbft.bytes_of_msg cfg m) m))
     submitted;

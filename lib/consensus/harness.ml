@@ -40,53 +40,34 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?byz_id
         else
           Faults.with_byzantine (Rng.split_named (Engine.rng engine) "faults") ~n ~count:byzantine
   in
-  (* With scheduled crashes the default observer (lowest honest member)
-     may be about to die; measure at the first member that stays honest
-     and alive instead. *)
+  (* Commits are measured at the observer: the lowest honest member, or
+     with scheduled crashes the lowest honest member that never crashes
+     (the default one may be about to die). *)
   let observer =
-    match crashes with
-    | [] -> None
-    | _ ->
-        let crashed i = List.exists (fun (m, _) -> Int.equal m i) crashes in
-        let rec first i =
-          if i >= n then None
-          else if (not (Faults.is_byzantine faults i)) && not (crashed i) then Some i
-          else first (i + 1)
-        in
-        first 0
+    let honest i = not (Faults.is_byzantine faults i) in
+    let crashes_at i = List.exists (fun (m, _) -> Int.equal m i) crashes in
+    let members = List.init n Fun.id in
+    match List.find_opt (fun i -> honest i && not (crashes_at i)) members with
+    | Some o -> o
+    | None -> Option.value (List.find_opt honest members) ~default:0
   in
   let network : Pbft.msg Network.t = Network.create engine ~topology in
-  (* Committee and nodes know each other through these mutable cells. *)
-  let committee = ref None in
-  let nodes =
-    Array.init n (fun id ->
-        Node.create engine ~id ~inbox_mode:(Config.inbox_mode cfg) ~handler:(fun node msg ->
-            match !committee with
-            | Some c -> Pbft.handle c ~member:(Node.id node) msg
-            | None -> ()))
-  in
-  Array.iter (Network.register network) nodes;
-  Network.set_probe network probe;
-  let send ~src ~dst ~channel ~bytes m =
-    Network.send network ~src:nodes.(src) ~dst ~channel ~bytes m
-  in
-  let charge ~member cost = Node.charge nodes.(member) (cost *. cpu_scale) in
   (* Commits are logged, and closed-loop clients resubmit, when a request
      executes at the observer replica. *)
   let on_commit : (int -> unit) ref = ref (fun _ -> ()) in
-  let c =
-    Pbft.create ~engine ~keystore ~costs ~config:cfg ~faults ~enclave_base_id:0 ~send ~charge
-      ~execute:(fun ~member ~seq:_ batch ->
-        match !committee with
-        | Some cm when member = Pbft.observer cm ->
-            Commits.commit commits ~count:(List.length batch);
-            List.iter (fun q -> Commits.commit_latency commits ~submitted:q.submitted) batch;
-            List.iter (fun q -> !on_commit q.req_id) batch
-        | Some _ | None -> ())
+  let c, nodes =
+    Network.spawn network ~cpu_scale ~n ~inbox_mode:(Config.inbox_mode cfg) ~handle:Pbft.handle
+      (Pbft.create ~engine ~keystore ~costs ~config:cfg ~faults ~enclave_base_id:0
+         ~execute:(fun ~member ~seq:_ batch ->
+           if member = observer then begin
+             Commits.commit commits ~count:(List.length batch);
+             List.iter (fun q -> Commits.commit_latency commits ~submitted:q.submitted) batch;
+             List.iter (fun q -> !on_commit q.req_id) batch
+           end))
   in
-  (match observer with Some o -> Pbft.set_observer c o | None -> ());
+  Network.set_probe network probe;
+  Pbft.set_observer c observer;
   (match byz_strategy with Some s -> Pbft.set_byz_strategy c s | None -> ());
-  committee := Some c;
   Pbft.set_probe c probe;
   Pbft.set_alive c (fun m -> not (Node.is_crashed nodes.(m)));
   List.iter
@@ -132,13 +113,11 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?byz_id
   let submit ~client =
     let req_id = !next_req_id in
     incr next_req_id;
-    let req = Types.request ~req_id ~client ~submitted:(Engine.now engine) () in
+    let msg = Pbft.request (Types.request ~req_id ~client ~submitted:(Engine.now engine) ()) in
     let target = client mod n in
     let region = Topology.region_of_node topology target in
-    Network.send_external network ~src_region:region ~dst:target
-      ~channel:Pbft.request_channel
-      ~bytes:(Pbft.bytes_of_msg cfg (Pbft.submit_via c ~member:target req))
-      (Pbft.submit_via c ~member:target req);
+    Network.send_external network ~src_region:region ~dst:target ~channel:Pbft.request_channel
+      ~bytes:(Pbft.bytes_of_msg cfg msg) msg;
     req_id
   in
   (match workload with

@@ -296,7 +296,7 @@ let create ~engine ~keystore ~costs ~flavour ~n ~batch_max ~commits ~send ~charg
         });
   c
 
-let submit _c req = Req { req; relayed = false }
+let request req = Req { req; relayed = false }
 
 let height c ~member = c.replicas.(member).height
 

@@ -36,7 +36,7 @@ val start : committee -> unit
 
 val handle : committee -> member:int -> msg -> unit
 
-val submit : committee -> Types.request -> msg
+val request : Types.request -> msg
 (** Wire message a client sends (to any replica; requests gossip to the
     current proposer). *)
 

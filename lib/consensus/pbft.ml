@@ -102,13 +102,11 @@ type leader_attack =
           just under the watchdog period to probe the detection boundary *)
 
 type byz_strategy = {
-  vote_noise : bool;  (** spam garbage prepare votes on every pre-prepare *)
-  naive_equivocation : bool;
-      (** per-half conflicting digests on overheard pre-prepares (fabricated
-          batches, so honest replicas can never commit them) *)
   split_brain : bool;
       (** as view-0 leader, propose two real conflicting batches and drive
-          each committee half to commit its own — the Figure 8/16 attack *)
+          each committee half to commit its own — the Figure 8/16 attack;
+          when off, overheard pre-prepares draw garbage prepare votes and
+          per-half conflicting digests instead *)
   silent_toward : int list;  (** peers this replica never talks to *)
   stale_view_replay : bool;
       (** stash overheard prepares and replay them after a new view *)
@@ -156,8 +154,6 @@ type committee = {
 
 let default_byz_strategy =
   {
-    vote_noise = true;
-    naive_equivocation = true;
     split_brain = false;
     silent_toward = [];
     stale_view_replay = false;
@@ -425,9 +421,11 @@ let rec try_propose c r =
             "pre_prepare"
         end;
         broadcast c r ~channel:consensus_channel (Pre_prepare { view = r.view; seq; batch; digest });
-        (* The pre-prepare stands for the leader's prepare vote. *)
-        ignore (Quorum.vote r.prepares ~view:r.view ~seq ~digest ~member:r.index);
+        (* The pre-prepare stands for the leader's prepare vote, which is
+           a quorum on its own when the quorum is one. *)
+        let n_votes = Quorum.vote r.prepares ~view:r.view ~seq ~digest ~member:r.index in
         if cfg.Config.variant.Config.relay then leader_self_vote c r ~phase:Prepare_phase ~seq ~digest
+        else if n_votes >= quorum c then mark_prepared c r ~view:r.view ~seq ~digest
       end;
       try_propose c r
     end
@@ -1070,12 +1068,14 @@ and byz_handle c r m =
   match m with
   | Pre_prepare { view; seq; digest; _ } ->
       verify_in c r;
-      if c.byz.split_brain then byz_collude_on_preprepare c r ~view ~seq;
-      if c.byz.vote_noise then begin
+      if c.byz.split_brain then byz_collude_on_preprepare c r ~view ~seq
+      else begin
+        (* Vote noise, then per-half conflicting digests on fabricated
+           batches: burns honest CPU but can never commit. *)
         let garbage = Prepare { view; seq = seq + 100_000; digest = digest + 7; sender = r.index } in
-        broadcast c r ~channel:consensus_channel garbage
-      end;
-      if c.byz.naive_equivocation then byz_naive_equivocate c r ~view ~seq ~digest
+        broadcast c r ~channel:consensus_channel garbage;
+        byz_naive_equivocate c r ~view ~seq ~digest
+      end
   | Request { req; _ } | Forward req ->
       parse_in c r c.cfg.Config.request_parse_cost;
       if c.byz.split_brain then begin
@@ -1434,7 +1434,7 @@ let start c =
 (* Introspection                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let submit_via _c ~member:_ req = Request { req; relayed = false }
+let request req = Request { req; relayed = false }
 
 let leader_of_view c v = leader_of_view_int c v
 

@@ -89,14 +89,13 @@ type leader_attack =
           (throughput collapses but no timeout ever fires) *)
 
 type byz_strategy = {
-  vote_noise : bool;  (** spam garbage prepare votes on every pre-prepare *)
-  naive_equivocation : bool;
-      (** per-half conflicting digests on overheard pre-prepares (fabricated
-          batches — burns honest CPU but can never commit) *)
   split_brain : bool;
       (** as view-0 leader, propose two real conflicting batches and drive
           each committee half to commit its own (the Figure 8/16 attack);
-          non-leader byzantine replicas collude by voting both sides *)
+          non-leader byzantine replicas collude by voting both sides.  When
+          off, byzantine replicas answer every overheard pre-prepare with
+          garbage prepare votes and per-half conflicting digests on
+          fabricated batches (burns honest CPU but can never commit). *)
   silent_toward : int list;  (** peers the byzantine replicas never message *)
   stale_view_replay : bool;
       (** stash overheard prepares and replay them after a new view *)
@@ -107,7 +106,8 @@ type byz_strategy = {
 }
 
 val default_byz_strategy : byz_strategy
-(** [vote_noise] and [naive_equivocation] on, everything else off — the
+(** No split brain, no silencing, no stale replay, no leader attack:
+    byzantine replicas add vote noise and naive equivocation only — the
     behaviour used by the throughput experiments. *)
 
 val set_byz_strategy : committee -> byz_strategy -> unit
@@ -165,10 +165,9 @@ val handle : committee -> member:int -> msg -> unit
 (** Entry point the embedding's node handler calls for every delivered
     message (including self-ticks). *)
 
-val submit_via : committee -> member:int -> request -> msg
-(** The wire message a client should send to [member] for this variant
-    (plain request; the replica relays or forwards according to the
-    variant). *)
+val request : request -> msg
+(** The wire message a client sends to any member (a plain request; the
+    replica relays or forwards it according to the variant). *)
 
 val request_channel : Repro_sim.Inbox.channel
 

@@ -291,7 +291,7 @@ let create ~engine ~costs ~n ~batch_max ~commits ~send ~charge =
         });
   c
 
-let submit _c req = Req { req; relayed = false }
+let request req = Req { req; relayed = false }
 
 let crash c ~member = c.replicas.(member).crashed <- true
 

@@ -27,7 +27,9 @@ val start : cluster -> unit
 
 val handle : cluster -> member:int -> msg -> unit
 
-val submit : cluster -> Types.request -> msg
+val request : Types.request -> msg
+(** Wire message a client sends (to any replica; followers pass it on to
+    the leader when its next heartbeat arrives). *)
 
 val request_channel : Repro_sim.Inbox.channel
 

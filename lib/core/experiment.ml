@@ -150,7 +150,7 @@ let gcp_axis ~quick = if quick then [ 7; 43; 79 ] else n_axis ~quick
 type 'msg baseline = {
   start : unit -> unit;
   handle : member:int -> 'msg -> unit;
-  submit : Types.request -> 'msg;
+  request : Types.request -> 'msg;
   request_channel : Inbox.channel;
 }
 
@@ -163,21 +163,11 @@ let run_baseline ~protocol ~n ~clients ~rate ~duration:dur =
   let commits = Commits.create engine in
   let topology = Topology.lan () in
   let network = Network.create engine ~topology in
-  let committee = ref None in
-  let nodes =
-    Array.init n (fun id ->
-        Node.create engine ~id ~inbox_mode:(Inbox.Shared 5000) ~handler:(fun node msg ->
-            match !committee with
-            | Some c -> c.handle ~member:(Node.id node) msg
-            | None -> ()))
+  let c, _ =
+    Network.spawn network ~n ~inbox_mode:(Inbox.Shared 5000)
+      ~handle:(fun c -> c.handle)
+      (create ~n ~commits)
   in
-  Array.iter (Network.register network) nodes;
-  let c =
-    create ~n ~commits
-      ~send:(fun ~src ~dst ~channel ~bytes m -> Network.send network ~src:nodes.(src) ~dst ~channel ~bytes m)
-      ~charge:(fun ~member cost -> Node.charge nodes.(member) cost)
-  in
-  committee := Some c;
   c.start ();
   let rng = Rng.create 3L in
   let next = ref 0 in
@@ -187,7 +177,7 @@ let run_baseline ~protocol ~n ~clients ~rate ~duration:dur =
       incr next;
       let req = Types.request ~req_id ~client ~submitted:(Engine.now engine) () in
       Network.send_external network ~src_region:0 ~dst:(client mod n)
-        ~channel:c.request_channel ~bytes:240 (c.submit req);
+        ~channel:c.request_channel ~bytes:240 (c.request req);
       Engine.schedule engine
         ~delay:(Rng.exponential rng ~mean:(float_of_int clients /. rate))
         arrival
@@ -207,7 +197,7 @@ let lockstep flavour engine =
     {
       start = (fun () -> Lockstep.start c);
       handle = Lockstep.handle c;
-      submit = Lockstep.submit c;
+      request = Lockstep.request;
       request_channel = Lockstep.request_channel;
     }
 
@@ -216,7 +206,7 @@ let raft engine ~n ~commits ~send ~charge =
   {
     start = (fun () -> Raft.start c);
     handle = Raft.handle c;
-    submit = Raft.submit c;
+    request = Raft.request;
     request_channel = Raft.request_channel;
   }
 

@@ -202,7 +202,7 @@ let deliver_op t ~committee ~client op =
         *. ctx.pcfg.Config.client_sig_verify *. t.cfg.cpu_scale)
   | _ -> ());
   let dst = ctx.base + member in
-  let msg = Pbft.submit_via ctx.pbft ~member req in
+  let msg = Pbft.request req in
   let region = Topology.region_of_node t.cfg.topology dst in
   Network.send_external t.network ~src_region:region ~dst ~channel:Pbft.request_channel
     ~bytes:(240 + Coordination.op_bytes op)
@@ -800,39 +800,27 @@ let create cfg =
     let n = cfg.committee_size in
     let base = index * n in
     let pbft_cfg = cfg.tune (Config.default cfg.variant ~n) in
-    let ctx_ref = ref None in
-    let nodes =
-      Array.init n (fun member ->
-          Node.create engine ~id:(base + member) ~inbox_mode:(Config.inbox_mode pbft_cfg)
-            ~handler:(fun _node msg ->
-              match !ctx_ref with
-              | Some ctx -> Pbft.handle ctx.pbft ~member msg
-              | None -> ()))
-    in
-    Array.iter (Network.register network) nodes;
-    let send ~src ~dst ~channel ~bytes m =
-      Network.send network ~src:nodes.(src) ~dst:(base + dst) ~channel ~bytes m
-    in
-    let charge ~member cost = Node.charge nodes.(member) (cost *. cfg.cpu_scale) in
     let state = State.create () in
     let chain = Block.Chain.create ~state_root:(State.root state) in
+    (* Blocks execute only once the run starts, after [t.committees] is
+       filled in. *)
     let execute ~member ~seq:_ batch =
-      match !ctx_ref with
-      | None -> ()
-      | Some ctx ->
-          if member = Pbft.observer ctx.pbft && batch <> [] then begin
-            List.iter
-              (fun req ->
-                match Coordination.lookup t.registry req.Types.op_tag with
-                | Some (Coordination.Batch { batch; steps }) -> execute_coord t ctx ~batch steps
-                | Some _ | None -> execute_on_shard t ctx req)
-              batch;
-            record_block t ctx batch
-          end
+      let ctx = t.committees.(index) in
+      if member = Pbft.observer ctx.pbft && batch <> [] then begin
+        List.iter
+          (fun req ->
+            match Coordination.lookup t.registry req.Types.op_tag with
+            | Some (Coordination.Batch { batch; steps }) -> execute_coord t ctx ~batch steps
+            | Some _ | None -> execute_on_shard t ctx req)
+          batch;
+        record_block t ctx batch
+      end
     in
-    let pbft =
-      Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:pbft_cfg
-        ~faults:(Faults.honest n) ~enclave_base_id:base ~send ~charge ~execute
+    let pbft, nodes =
+      Network.spawn network ~base ~cpu_scale:cfg.cpu_scale ~n
+        ~inbox_mode:(Config.inbox_mode pbft_cfg) ~handle:Pbft.handle
+        (Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:pbft_cfg
+           ~faults:(Faults.honest n) ~enclave_base_id:base ~execute)
     in
     let coordsm =
       match cfg.mode with
@@ -857,7 +845,6 @@ let create cfg =
         state_commit = State.root state;
       }
     in
-    ctx_ref := Some ctx;
     Pbft.set_alive pbft (fun member -> not (Node.is_crashed nodes.(member)));
     (* Section 5.3 state transfer for checkpoint catch-up: a member whose
        missed slots were pruned from its peers' replay rings pulls a

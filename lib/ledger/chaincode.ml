@@ -4,8 +4,6 @@ type response = Success of string | Failure of string
 
 type t = { name : string; handler : State.t -> txid:int -> invocation -> response }
 
-let name t = t.name
-
 let define ~name handler = { name; handler }
 
 let invoke t state ~txid inv = t.handler state ~txid inv

@@ -13,8 +13,6 @@ type response = Success of string | Failure of string
 
 type t
 
-val name : t -> string
-
 val define :
   name:string -> (State.t -> txid:int -> invocation -> response) -> t
 

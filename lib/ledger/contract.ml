@@ -40,10 +40,6 @@ let define ~name ~arity body =
     body;
   { name; arity; body }
 
-let name t = t.name
-
-let arity t = t.arity
-
 let subst args = function Param i -> List.nth args i | Lit s -> s
 
 let subst_amount args = function

@@ -36,10 +36,6 @@ val define : name:string -> arity:int -> stmt list -> t
 (** Validates that every [Param i] satisfies [0 <= i < arity].
     Raises [Invalid_argument] otherwise. *)
 
-val name : t -> string
-
-val arity : t -> int
-
 val compile : t -> args:string list -> (Tx.op list, string) result
 (** Substitute arguments into the body.  Fails on arity mismatch or a
     non-integer amount argument. *)

@@ -80,8 +80,6 @@ let handler state ~txid:_ { Chaincode.fn; args } =
 
 let chaincode = Chaincode.define ~name:"kvstore" handler
 
-let ops_of_update ~keys ~value = List.map (fun key -> Tx.Put { key; value }) keys
-
 let counter_key k = "ctr_" ^ k
 
 let ops_of_increment ~keys ~amount =

@@ -15,10 +15,6 @@ val with_tx :
     {!Chaincode.functions_of_ops}; shared by chaincodes implementing the
     prepare/commit/abort split. *)
 
-val ops_of_update : keys:string list -> value:string -> Tx.op list
-(** The multi-key update transaction the paper's modified KVStore driver
-    issues (3 updates per transaction). *)
-
 val counter_key : string -> string
 (** The mergeable counter namespace (["ctr_" ^ k]). *)
 

@@ -11,9 +11,6 @@ type t
 
 val create : State.t -> t
 
-val lock_key : string -> string
-(** ["L_" ^ key], the paper's on-chain lock tuple name. *)
-
 val acquire : t -> txid:int -> string -> bool
 (** [acquire t ~txid key]: true if the lock was free or already held by
     [txid] (re-entrant). *)

@@ -21,8 +21,6 @@ val send_payment_ops : src:string -> dst:string -> amount:int -> Tx.op list
 (** The two-account transfer of the evaluation (reads and writes two
     different states; cross-shard whenever the accounts hash apart). *)
 
-val amalgamate_ops : State.t -> src:string -> dst:string -> Tx.op list
-
 val checking : State.t -> string -> int
 
 val savings : State.t -> string -> int

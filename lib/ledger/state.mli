@@ -21,8 +21,6 @@ val delete : t -> string -> unit
 
 val mem : t -> string -> bool
 
-val size : t -> int
-
 val keys : t -> string list
 (** Sorted. *)
 

@@ -22,15 +22,10 @@ val mint : t -> owner:string -> amount:int -> coin
 
 val coin : t -> coin_id -> coin option
 
-val is_unspent : t -> coin_id -> bool
-
 val apply : t -> tx -> (coin list, string) result
 (** Atomically spend the inputs and create the outputs.  Fails — changing
     nothing — if an input is missing/spent or value is not conserved
     (outputs exceed inputs). *)
-
-val unspent_of : t -> string -> coin list
-(** All unspent coins of an owner (by id order). *)
 
 val balance : t -> string -> int
 

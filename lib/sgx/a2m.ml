@@ -32,8 +32,6 @@ let create enclave ~watermark_window =
     hm = None;
   }
 
-let enclave t = t.enclave
-
 let proof_tag ~signer ~log ~slot ~digest_tag =
   Repro_util.Det.stable_hash (Printf.sprintf "a2m:%d:%d:%d:%d" signer log slot digest_tag)
 

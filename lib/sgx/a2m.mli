@@ -31,8 +31,6 @@ val create : Enclave.t -> watermark_window:int -> t
 (** [watermark_window] is L, the preset distance between low and high
     watermarks used to bound HM during recovery. *)
 
-val enclave : t -> Enclave.t
-
 val append : t -> log:int -> slot:int -> digest_tag:int -> proof option
 (** Attest [digest_tag] at [(log, slot)].  Charges the AHL-append cost.
     Returns [None] — refusing to attest — if a *different* digest is

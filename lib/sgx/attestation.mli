@@ -22,6 +22,3 @@ val verify :
 (** True iff the signature is genuine for [enclave_id] and the measurement
     matches.  (Verification cost is charged by the caller, who knows whose
     CPU is doing the work.) *)
-
-val msg_tag_of : enclave_id:int -> measurement:Repro_crypto.Sha256.digest -> int
-(** The statement a quote signs, exposed for forgery tests. *)

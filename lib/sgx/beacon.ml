@@ -64,8 +64,6 @@ let restart t =
      generation check in [invoke]). *)
   ()
 
-let l_bits t = t.l_bits
-
 let repeat_probability ~l_bits ~n =
   Float.pow (1.0 -. Float.pow 2.0 (float_of_int (-l_bits))) (float_of_int n)
 

@@ -37,8 +37,6 @@ val verify : Repro_crypto.Keys.keystore -> cert -> bool
 val restart : t -> unit
 (** Host restarts the enclave, clearing the volatile served-epoch set. *)
 
-val l_bits : t -> int
-
 val repeat_probability : l_bits:int -> n:int -> float
 (** Probability that {e no} node in a network of [n] obtains a certificate,
     forcing a retry: (1 - 2^-l)^n. *)

@@ -39,5 +39,3 @@ let unseal enclave blob =
   if ok then Some blob.payload else None
 
 let tamper blob payload = { blob with payload }
-
-let sealed_by blob = blob.sealer

@@ -20,5 +20,3 @@ val unseal : Enclave.t -> 'a sealed -> 'a option
 val tamper : 'a sealed -> 'a -> 'a sealed
 (** Host-side bit-flip: replace the payload without access to the sealing
     key.  Unsealing must fail. *)
-
-val sealed_by : 'a sealed -> int

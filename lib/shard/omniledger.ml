@@ -60,6 +60,3 @@ let locked_keys t shard =
         Some (String.sub k 2 (String.length k - 2))
       else None)
     (State.keys state)
-
-let committee_size_for ~fraction ~security_bits ~total =
-  Sizing.min_committee_size ~total ~fraction ~rule:Sizing.Pbft_third ~security_bits

@@ -29,6 +29,3 @@ val execute : t -> tx -> client_behaviour -> (unit, string) result
 val locked_keys : t -> int -> string list
 (** Keys currently lock-marked in a shard — non-empty after a malicious
     client, demonstrating indefinite blocking. *)
-
-val committee_size_for : fraction:float -> security_bits:int -> total:int -> int
-(** OmniLedger committee sizing (PBFT rule) for the Figure 11 comparison. *)

@@ -94,6 +94,23 @@ let send_external t ~src_region ~dst ~channel ~bytes msg =
 let broadcast t ~src ~dsts ~channel ~bytes msg =
   List.iter (fun dst -> if dst <> Node.id src then send t ~src ~dst ~channel ~bytes msg) dsts
 
+let spawn t ?(base = 0) ?(cpu_scale = 1.0) ~n ~inbox_mode ~handle make =
+  (* Handlers fire only on delivery, after [make] has returned. *)
+  let committee = ref None in
+  let nodes =
+    Array.init n (fun member ->
+        Node.create t.engine ~id:(base + member) ~inbox_mode ~handler:(fun _ msg ->
+            match !committee with Some c -> handle c ~member msg | None -> ()))
+  in
+  Array.iter (register t) nodes;
+  let send ~src ~dst ~channel ~bytes msg =
+    send t ~src:nodes.(src) ~dst:(base + dst) ~channel ~bytes msg
+  in
+  let charge ~member cost = Node.charge nodes.(member) (cost *. cpu_scale) in
+  let c = make ~send ~charge in
+  committee := Some c;
+  (c, nodes)
+
 let set_probe t p = t.probe <- p
 
 let set_filter t f = t.filter <- Some f

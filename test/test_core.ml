@@ -126,6 +126,27 @@ let test_single_shard_commit () =
   Alcotest.(check int) "credited" 40 (Executor.balance (System.shard_state sys 0) b);
   Alcotest.(check int) "counted" 1 (System.committed sys)
 
+let test_one_member_committees_commit () =
+  (* A committee of one is its own quorum: the leader's pre-prepare vote
+     alone must prepare the slot. *)
+  let open Repro_consensus in
+  List.iter
+    (fun variant ->
+      let r =
+        Harness.run ~duration:3.0 ~warmup:1.0 ~variant ~n:1 ~topology:(Repro_sim.Topology.lan ())
+          ~workload:(Harness.Open_loop { rate = 200.0; clients = 4 })
+          ()
+      in
+      Alcotest.(check bool) (variant.Config.name ^ " n=1 commits") true (r.Harness.committed > 0))
+    Config.[ hl; ahl; ahl_plus; ahlr ];
+  let sys = System.create (System.default_config ~shards:1 ~committee_size:1) in
+  let a = key_in sys 0 and outcome = ref None in
+  fund sys a 100;
+  System.submit sys ~on_done:(fun o -> outcome := Some o)
+    (transfer_tx ~txid:1 sys ~from_:a ~to_:(a ^ "x") ~amount:40);
+  run_to_done sys;
+  Alcotest.(check bool) "one-member shard commits" true (!outcome = Some System.Committed)
+
 let test_single_shard_abort_on_overdraft () =
   let sys = make_system () in
   let a = key_in sys 0 in
@@ -755,6 +776,7 @@ let () =
         [
           Alcotest.test_case "single-shard commit" `Quick test_single_shard_commit;
           Alcotest.test_case "single-shard abort" `Quick test_single_shard_abort_on_overdraft;
+          Alcotest.test_case "one-member committees commit" `Quick test_one_member_committees_commit;
           Alcotest.test_case "cross-shard commit" `Quick test_cross_shard_commit;
           Alcotest.test_case "cross-shard atomic abort" `Quick test_cross_shard_atomic_abort;
           Alcotest.test_case "money conservation" `Quick test_cross_shard_money_conservation;

@@ -292,18 +292,17 @@ let test_node_inbox_backpressure () =
 (* Network                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Node 1 logs what it receives, node 0 ignores everything. *)
 let two_nodes () =
   let e = Engine.create ~seed:1L in
   let net = Network.create e ~topology:(Topology.lan ()) in
-  let received = ref [] in
-  let n0 = Node.create e ~id:0 ~inbox_mode:(Inbox.Shared 100) ~handler:(fun _ _ -> ()) in
-  let n1 =
-    Node.create e ~id:1 ~inbox_mode:(Inbox.Shared 100) ~handler:(fun _ m ->
-        received := (m, Engine.now e) :: !received)
+  let received, nodes =
+    Network.spawn net ~n:2 ~inbox_mode:(Inbox.Shared 100)
+      ~handle:(fun received ~member m ->
+        if member = 1 then received := (m, Engine.now e) :: !received)
+      (fun ~send:_ ~charge:_ -> ref [])
   in
-  Network.register net n0;
-  Network.register net n1;
-  (e, net, n0, n1, received)
+  (e, net, nodes.(0), nodes.(1), received)
 
 let test_network_delivers_with_latency () =
   let e, net, n0, _, received = two_nodes () in
@@ -363,16 +362,45 @@ let test_network_filter_duplicate () =
 let test_network_broadcast_excludes_self () =
   let e = Engine.create ~seed:1L in
   let net = Network.create e ~topology:(Topology.lan ()) in
-  let hits = Array.make 3 0 in
-  let nodes =
-    Array.init 3 (fun id ->
-        Node.create e ~id ~inbox_mode:(Inbox.Shared 10) ~handler:(fun node _ ->
-            hits.(Node.id node) <- hits.(Node.id node) + 1))
+  let hits, nodes =
+    Network.spawn net ~n:3 ~inbox_mode:(Inbox.Shared 10)
+      ~handle:(fun hits ~member _ -> hits.(member) <- hits.(member) + 1)
+      (fun ~send:_ ~charge:_ -> Array.make 3 0)
   in
-  Array.iter (Network.register net) nodes;
   Network.broadcast net ~src:nodes.(0) ~dsts:[ 0; 1; 2 ] ~channel:Inbox.Consensus ~bytes:10 "b";
   Engine.run_until_idle e;
   Alcotest.(check (array int)) "others only" [| 0; 1; 1 |] hits
+
+let test_network_spawn () =
+  (* Members are indexed from 0 but live at node ids [base ..]; every
+     charge is scaled by [cpu_scale]. *)
+  let e = Engine.create ~seed:1L in
+  let net = Network.create e ~topology:(Topology.lan ()) in
+  let (send, charge, received), nodes =
+    Network.spawn net ~base:3 ~cpu_scale:2.0 ~n:2 ~inbox_mode:(Inbox.Shared 10)
+      ~handle:(fun (_, _, received) ~member m ->
+        received := (member, m, Engine.now e) :: !received)
+      (fun ~send ~charge -> (send, charge, ref []))
+  in
+  Alcotest.(check (array int)) "node ids" [| 3; 4 |] (Array.map Node.id nodes);
+  send ~src:0 ~dst:1 ~channel:Inbox.Consensus ~bytes:10 "to member 1";
+  Engine.run_until_idle e;
+  (match !received with
+  | [ (1, "to member 1", _) ] -> ()
+  | _ -> Alcotest.fail "expected one delivery to member 1");
+  Network.send_external net ~src_region:0 ~dst:4 ~channel:Inbox.Consensus ~bytes:10 "to node 4";
+  Engine.run_until_idle e;
+  (match !received with
+  | (1, "to node 4", _) :: _ -> ()
+  | _ -> Alcotest.fail "node 4 is member 1");
+  let start = Engine.now e in
+  charge ~member:0 0.5;
+  check_float "busy for twice the charge" 1.0 (Node.charged nodes.(0));
+  ignore (Node.deliver nodes.(0) Inbox.Consensus "queued");
+  Engine.run_until_idle e;
+  match !received with
+  | (0, "queued", at) :: _ -> check_float "handled once the CPU frees" (start +. 1.0) at
+  | _ -> Alcotest.fail "expected member 0 to handle the queued message"
 
 let test_network_send_external () =
   let e, net, _, _, received = two_nodes () in
@@ -576,6 +604,7 @@ let () =
           Alcotest.test_case "filter duplicate" `Quick test_network_filter_duplicate;
           Alcotest.test_case "broadcast excludes self" `Quick test_network_broadcast_excludes_self;
           Alcotest.test_case "external sender" `Quick test_network_send_external;
+          Alcotest.test_case "spawn offsets ids and scales charges" `Quick test_network_spawn;
           Alcotest.test_case "duplicate registration" `Quick test_network_duplicate_registration;
         ] );
       ( "faults+metrics",

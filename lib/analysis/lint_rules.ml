@@ -13,6 +13,11 @@ let in_r1_call_scope path = starts_with ~prefix:"lib/" path || starts_with ~pref
 (* Hash-order iteration: library code only (bench/test may print freely). *)
 let in_r1_table_scope path = starts_with ~prefix:"lib/" path
 
+(* A [Hashtbl.Make] instance carries its own unsorted [iter]/[fold], which
+   the [Hashtbl.iter]/[fold] ban cannot see; instances live in [lib/util/]
+   behind interfaces that expose only sorted traversal. *)
+let in_r1_functor_scope path = in_r1_table_scope path && not (starts_with ~prefix:"lib/util/" path)
+
 (* Polymorphic comparison: the consensus/ledger/shard message and state
    paths, where a structural compare on a float- or closure-carrying value
    is a latent crash or a silent ordering divergence. *)
@@ -257,6 +262,19 @@ let check_expr ~path ~report (e : Parsetree.expression) =
         "assert false hides an impossible-case claim; make the state unrepresentable or return an error"
   | _ -> ()
 
+let check_module_expr ~path ~report (m : Parsetree.module_expr) =
+  match m.pmod_desc with
+  | Pmod_apply ({ pmod_desc = Pmod_ident { txt; _ }; _ }, _) when in_r1_functor_scope path -> (
+      match last2 (flatten txt) with
+      | Some ("Hashtbl", (("Make" | "MakeSeeded") as f)) ->
+          report ~rule:R1 ~severity:Error m.pmod_loc
+            (Printf.sprintf
+               "Hashtbl.%s instance exposes hash-order iter/fold; use Repro_util.Int_table or a \
+                lib/util module with sorted traversal"
+               f)
+      | _ -> ())
+  | _ -> ()
+
 let of_structure ~path (structure : Parsetree.structure) =
   let acc = ref [] in
   let report ~rule ~severity loc message =
@@ -268,6 +286,10 @@ let of_structure ~path (structure : Parsetree.structure) =
     check_expr ~path ~report e;
     super.expr this e
   in
-  let iterator = { super with expr } in
+  let module_expr this m =
+    check_module_expr ~path ~report m;
+    super.module_expr this m
+  in
+  let iterator = { super with expr; module_expr } in
   iterator.structure iterator structure;
   List.sort compare_finding !acc

@@ -1,6 +1,8 @@
 open Repro_crypto
 open Repro_sim
 open Types
+module Idset = Repro_util.Idset
+module Int_table = Repro_util.Int_table
 
 type flavour = Tendermint | Ibft
 
@@ -17,8 +19,8 @@ type replica = {
   mutable round : int;
   mutable locked : (int * request list * int) option; (* digest, batch, round *)
   pool : request Queue.t;
-  pooled : (int, unit) Hashtbl.t;
-  executed : (int, unit) Hashtbl.t;
+  pooled : unit Int_table.t;
+  executed : Idset.t;
   prevotes : Quorum.t; (* view = height, seq = round *)
   precommits : Quorum.t;
   proposals : (int * int, int * request list) Hashtbl.t; (* (height, round) -> digest, batch *)
@@ -91,7 +93,7 @@ let rec try_propose c r =
           while List.length !batch < c.batch_max && !budget > 0 do
             decr budget;
             let req = Queue.take r.pool in
-            if not (Hashtbl.mem r.executed req.req_id) then batch := req :: !batch
+            if not (Idset.mem r.executed req.req_id) then batch := req :: !batch
           done;
           (match !batch with
           | [] -> None
@@ -191,12 +193,12 @@ and batch_for _c r ~height ~digest =
         r.proposals None
 
 and commit c r ~batch =
-  let fresh = List.filter (fun q -> not (Hashtbl.mem r.executed q.req_id)) batch in
+  let fresh = List.filter (fun q -> not (Idset.mem r.executed q.req_id)) batch in
   charge c r (commit_overhead +. (float_of_int (List.length fresh) *. c.costs.Cost_model.tx_execute));
   List.iter
     (fun q ->
-      Hashtbl.replace r.executed q.req_id ();
-      Hashtbl.remove r.pooled q.req_id)
+      Idset.add r.executed q.req_id;
+      Int_table.remove r.pooled q.req_id)
     batch;
   if r.index = 0 then begin
     Commits.commit c.commits ~count:(List.length fresh);
@@ -222,9 +224,9 @@ let handle c ~member m =
   match m with
   | Req { req; relayed } ->
       charge c r 15e-6;
-      if (not (Hashtbl.mem r.executed req.req_id)) && not (Hashtbl.mem r.pooled req.req_id)
+      if (not (Idset.mem r.executed req.req_id)) && not (Int_table.mem r.pooled req.req_id)
       then begin
-        Hashtbl.replace r.pooled req.req_id ();
+        Int_table.replace r.pooled req.req_id ();
         Queue.add req r.pool;
         if not relayed then
           for dst = 0 to c.n - 1 do
@@ -252,7 +254,7 @@ let start c =
     (fun r ->
       r.round_deadline <- now c +. round_timeout;
       let rec watchdog () =
-        let has_work = Hashtbl.length r.pooled > 0 || Option.is_some r.locked in
+        let has_work = Int_table.length r.pooled > 0 || Option.is_some r.locked in
         if now c > r.round_deadline && has_work then advance_round c r;
         Engine.schedule c.engine ~delay:(round_timeout /. 4.0) watchdog
       in
@@ -286,8 +288,8 @@ let create ~engine ~keystore ~costs ~flavour ~n ~batch_max ~commits ~send ~charg
           round = 0;
           locked = None;
           pool = Queue.create ();
-          pooled = Hashtbl.create 256;
-          executed = Hashtbl.create 1024;
+          pooled = Int_table.create 256;
+          executed = Idset.create ();
           prevotes = Quorum.create ~n;
           precommits = Quorum.create ~n;
           proposals = Hashtbl.create 64;

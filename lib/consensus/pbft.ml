@@ -4,6 +4,8 @@ open Repro_sgx
 open Types
 module Probe = Repro_obs.Probe
 module Ev = Repro_obs.Event
+module Idset = Repro_util.Idset
+module Int_table = Repro_util.Int_table
 
 type msg =
   | Request of { req : request; relayed : bool }
@@ -60,9 +62,9 @@ type replica = {
   mutable next_seq : int;
   pending : request Queue.t;
   mutable oldest_pending_since : float;
-  queued : (int, unit) Hashtbl.t; (* req ids in pending or proposed by me *)
-  known : (int, request) Hashtbl.t; (* unexecuted requests this replica knows *)
-  executed : (int, unit) Hashtbl.t;
+  queued : unit Int_table.t; (* req ids in pending or proposed by me *)
+  known : request Int_table.t; (* unexecuted requests this replica knows *)
+  executed : Idset.t;
   preprep : (int, int * int * request list) Hashtbl.t; (* seq -> view, digest, batch *)
   prepares : Quorum.t;
   commits : Quorum.t;
@@ -300,9 +302,9 @@ let make_replica c ~enclave_base_id index =
     next_seq = 1;
     pending = Queue.create ();
     oldest_pending_since = infinity;
-    queued = Hashtbl.create 256;
-    known = Hashtbl.create 256;
-    executed = Hashtbl.create 1024;
+    queued = Int_table.create 256;
+    known = Int_table.create 256;
+    executed = Idset.create ();
     preprep = Hashtbl.create 128;
     prepares = Quorum.create ~n:c.cfg.Config.n;
     commits = Quorum.create ~n:c.cfg.Config.n;
@@ -330,10 +332,8 @@ let create ~engine ~keystore ~costs ~config ~faults ~enclave_base_id ~send ~char
   let obs =
     let rec first i =
       if i >= config.Config.n then 0
-      else
-        match Faults.behavior faults i with
-        | Faults.Honest -> i
-        | Faults.Crashed | Faults.Byzantine -> first (i + 1)
+      else if Faults.is_byzantine faults i then first (i + 1)
+      else i
     in
     first 0
   in
@@ -370,16 +370,16 @@ let create ~engine ~keystore ~costs ~config ~faults ~enclave_base_id ~send ~char
 (* ------------------------------------------------------------------ *)
 
 let add_known c r req =
-  if (not (Hashtbl.mem r.executed req.req_id)) && not (Hashtbl.mem r.known req.req_id) then begin
-    if Hashtbl.length r.known = 0 then r.earliest_known <- now c;
-    Hashtbl.replace r.known req.req_id req
+  if (not (Idset.mem r.executed req.req_id)) && not (Int_table.mem r.known req.req_id) then begin
+    if Int_table.length r.known = 0 then r.earliest_known <- now c;
+    Int_table.replace r.known req.req_id req
   end
 
 let add_pending c r req =
-  if (not (Hashtbl.mem r.executed req.req_id)) && not (Hashtbl.mem r.queued req.req_id) then begin
+  if (not (Idset.mem r.executed req.req_id)) && not (Int_table.mem r.queued req.req_id) then begin
     if Queue.is_empty r.pending then r.oldest_pending_since <- now c;
     Queue.add req r.pending;
-    Hashtbl.replace r.queued req.req_id ()
+    Int_table.replace r.queued req.req_id ()
   end
 
 let relay_pool_key ~phase ~view ~seq ~digest = (phase_log phase, view, seq, digest)
@@ -547,11 +547,7 @@ and mark_committed c r ~seq ~digest =
           ignore
             (Engine.timer c.engine ~delay:c.cfg.Config.progress_timeout (fun () ->
                  r.gap_timer_armed <- false;
-                 if
-                   c.alive r.index
-                   && (not (Faults.is_crashed c.faults r.index))
-                   && (not r.fetching) && gapped c r
-                 then request_catch_up c r))
+                 if c.alive r.index && (not r.fetching) && gapped c r then request_catch_up c r))
         end
     | Some _ | None -> ()
   end
@@ -565,13 +561,13 @@ and try_execute c r =
   | None -> ()
   | Some (view, digest, batch) ->
       let seq = r.last_exec + 1 in
-      let fresh = List.filter (fun q -> not (Hashtbl.mem r.executed q.req_id)) batch in
+      let fresh = List.filter (fun q -> not (Idset.mem r.executed q.req_id)) batch in
       charge_exec c r (float_of_int (List.length fresh) *. c.costs.Cost_model.tx_execute);
       List.iter
         (fun q ->
-          Hashtbl.replace r.executed q.req_id ();
-          Hashtbl.remove r.known q.req_id;
-          Hashtbl.remove r.queued q.req_id)
+          Idset.add r.executed q.req_id;
+          Int_table.remove r.known q.req_id;
+          Int_table.remove r.queued q.req_id)
         batch;
       c.commit_hook ~member:r.index ~view ~seq ~digest ~batch;
       c.execute_cb ~member:r.index ~seq fresh;
@@ -681,8 +677,7 @@ and request_catch_up c r =
       (Engine.timer c.engine ~delay:c.cfg.Config.progress_timeout (fun () ->
            if r.fetching then begin
              r.fetching <- false;
-             if c.alive r.index && (not (Faults.is_crashed c.faults r.index)) && gapped c r
-             then request_catch_up c r
+             if c.alive r.index && gapped c r then request_catch_up c r
            end))
   end
 
@@ -833,10 +828,10 @@ and adopt_new_view c r ~view ~reproposals =
       let max_repro = List.fold_left (fun acc (s, _, _) -> Int.max acc s) 0 reproposals in
       r.next_seq <- 1 + List.fold_left Int.max 0 [ r.last_stable; r.last_exec; max_repro; r.next_seq - 1 ];
       (* Requeue everything I know about that is not in flight. *)
-      Hashtbl.reset r.queued;
-      Queue.iter (fun q -> Hashtbl.replace r.queued q.req_id ()) r.pending;
-      List.iter (fun (_, _, batch) -> List.iter (fun q -> Hashtbl.replace r.queued q.req_id ()) batch) reproposals;
-      Repro_util.Det.iter ~compare:Int.compare (fun _ q -> add_pending c r q) r.known;
+      Int_table.reset r.queued;
+      Queue.iter (fun q -> Int_table.replace r.queued q.req_id ()) r.pending;
+      List.iter (fun (_, _, batch) -> List.iter (fun q -> Int_table.replace r.queued q.req_id ()) batch) reproposals;
+      Int_table.iter_sorted (fun _ q -> add_pending c r q) r.known;
       (* Fill every slot below [next_seq] that neither committed nor got a
          re-proposal with a no-op batch (Castro–Liskov null requests): a
          proposal that died unprepared in the old view leaves a hole that
@@ -861,7 +856,7 @@ and adopt_new_view c r ~view ~reproposals =
       (* Hand the new leader the requests we still wait on. *)
       let leader = leader_of_view_int c view in
       let budget = ref 128 in
-      Repro_util.Det.iter ~compare:Int.compare
+      Int_table.iter_sorted
         (fun _ q ->
           if !budget > 0 then begin
             decr budget;
@@ -1106,7 +1101,7 @@ and byz_handle c r m =
 
 let handle_request c r req ~relayed =
   parse_in c r c.cfg.Config.request_parse_cost;
-  if not (Hashtbl.mem r.executed req.req_id) then begin
+  if not (Idset.mem r.executed req.req_id) then begin
     add_known c r req;
     let variant = c.cfg.Config.variant in
     if variant.Config.forward_requests then begin
@@ -1235,8 +1230,8 @@ let adopt_checkpoint c r ~seq ~digest =
     Hashtbl.replace r.roots seq digest;
     Queue.clear r.pending;
     r.oldest_pending_since <- infinity;
-    Hashtbl.reset r.queued;
-    Hashtbl.reset r.known;
+    Int_table.reset r.queued;
+    Int_table.reset r.known;
     r.earliest_known <- infinity;
     r.next_seq <- Int.max r.next_seq (seq + 1);
     if not (Hashtbl.mem r.ckpt_certs seq) then
@@ -1306,7 +1301,7 @@ let handle_fetch_resp c r ~view ~ckpt ~blocks =
         if Probe.enabled c.probe then Probe.incr c.probe "ckpt.fetch.snapshots";
         c.snapshot_fetch ~member:r.index ~seq:cseq ~digest:cdigest
           ~k:(fun ok ->
-            if c.alive r.index && not (Faults.is_crashed c.faults r.index) then
+            if c.alive r.index then
               if ok then begin
                 adopt_checkpoint c r ~seq:cseq ~digest:cdigest;
                 List.iter insert sorted;
@@ -1337,8 +1332,7 @@ let handle_quorum_cert c r ~phase ~view ~seq ~digest ~proof =
 
 let handle c ~member m =
   let r = c.replicas.(member) in
-  if Faults.is_crashed c.faults member then ()
-  else if is_byz c r then byz_handle c r m
+  if is_byz c r then byz_handle c r m
   else
     match m with
     | Request { req; relayed } -> handle_request c r req ~relayed
@@ -1372,7 +1366,7 @@ let handle c ~member m =
 (* ------------------------------------------------------------------ *)
 
 let watchdog c r () =
-  if Faults.is_crashed c.faults r.index || not (c.alive r.index) then ()
+  if not (c.alive r.index) then ()
   else if is_byz c r then begin
     match c.byz.leader_attack with
     | Some _ when byz_holds_slot c r ->
@@ -1394,7 +1388,7 @@ let watchdog c r () =
     let timeout = c.cfg.Config.progress_timeout in
     let t = now c in
     if
-      Hashtbl.length r.known > 0
+      Int_table.length r.known > 0
       && t -. r.last_exec_time > timeout
       && t -. r.earliest_known > timeout
     then begin
@@ -1403,7 +1397,7 @@ let watchdog c r () =
          their timers arm too — without it, a request known to one replica
          whose forward was lost can never assemble a view-change quorum. *)
       let budget = ref 64 in
-      Repro_util.Det.iter ~compare:Int.compare
+      Int_table.iter_sorted
         (fun _ req ->
           if !budget > 0 then begin
             decr budget;
@@ -1444,7 +1438,7 @@ let last_executed c ~member = c.replicas.(member).last_exec
 
 let tally c = c.tally
 
-let known_backlog c ~member = Hashtbl.length c.replicas.(member).known
+let known_backlog c ~member = Int_table.length c.replicas.(member).known
 
 let last_stable c ~member = c.replicas.(member).last_stable
 
@@ -1463,7 +1457,7 @@ let notify_recovered c ~member =
   let r = c.replicas.(member) in
   r.fetching <- false;
   r.last_exec_time <- now c;
-  r.earliest_known <- (if Hashtbl.length r.known > 0 then now c else infinity);
+  r.earliest_known <- (if Int_table.length r.known > 0 then now c else infinity);
   if not (is_byz c r) then request_catch_up c r
 
 let reset_member c ~member =
@@ -1481,9 +1475,9 @@ let reset_member c ~member =
   Queue.clear r.pending;
   r.oldest_pending_since <- infinity;
   r.earliest_known <- infinity;
-  List.iter Hashtbl.reset
-    [ r.queued; r.executed ];
-  Hashtbl.reset r.known;
+  Int_table.reset r.queued;
+  Idset.clear r.executed;
+  Int_table.reset r.known;
   Hashtbl.reset r.preprep;
   Hashtbl.reset r.prepared;
   Hashtbl.reset r.committed;

@@ -1,6 +1,8 @@
 open Repro_crypto
 open Repro_sim
 open Types
+module Idset = Repro_util.Idset
+module Int_table = Repro_util.Int_table
 
 type msg =
   | Req of { req : request; relayed : bool }
@@ -24,8 +26,8 @@ type replica = {
   mutable in_flight : (int * request list) option; (* index being replicated *)
   mutable acks : int;
   pool : request Queue.t;
-  pooled : (int, unit) Hashtbl.t;
-  executed : (int, unit) Hashtbl.t;
+  pooled : unit Int_table.t;
+  executed : Idset.t;
   entries : (int, request list) Hashtbl.t;
   mutable last_heartbeat : float;
   mutable election_deadline : float;
@@ -111,13 +113,13 @@ and execute c r ~index =
   | None -> ()
   | Some batch ->
       if index = r.commit_index + 1 then begin
-        let fresh = List.filter (fun q -> not (Hashtbl.mem r.executed q.req_id)) batch in
+        let fresh = List.filter (fun q -> not (Idset.mem r.executed q.req_id)) batch in
         charge c r
           ((block_overhead /. 2.0) +. (float_of_int (List.length fresh) *. evm_execute));
         List.iter
           (fun q ->
-            Hashtbl.replace r.executed q.req_id ();
-            Hashtbl.remove r.pooled q.req_id)
+            Idset.add r.executed q.req_id;
+            Int_table.remove r.pooled q.req_id)
           batch;
         if r.index = 0 then begin
           Commits.commit c.commits ~count:(List.length fresh);
@@ -159,16 +161,16 @@ let handle c ~member m =
     match m with
     | Req { req; relayed } ->
         charge c r 15e-6;
-        if (not (Hashtbl.mem r.executed req.req_id)) && not (Hashtbl.mem r.pooled req.req_id)
+        if (not (Idset.mem r.executed req.req_id)) && not (Int_table.mem r.pooled req.req_id)
         then
           if is_leader r then begin
-            Hashtbl.replace r.pooled req.req_id ();
+            Int_table.replace r.pooled req.req_id ();
             Queue.add req r.pool;
             try_replicate c r
           end
           else if not relayed then begin
             (* Forward to the presumed leader: whoever heartbeats. *)
-            Hashtbl.replace r.pooled req.req_id ();
+            Int_table.replace r.pooled req.req_id ();
             Queue.add req r.pool
           end
     | Append { term; index; batch; leader } ->
@@ -214,7 +216,7 @@ let handle c ~member m =
             let count = Int.min 64 (Queue.length r.pool) in
             for _ = 1 to count do
               let req = Queue.take r.pool in
-              Hashtbl.remove r.pooled req.req_id;
+              Int_table.remove r.pooled req.req_id;
               send c r ~dst:leader (Req { req; relayed = true })
             done
           end
@@ -282,8 +284,8 @@ let create ~engine ~costs ~n ~batch_max ~commits ~send ~charge =
           in_flight = None;
           acks = 0;
           pool = Queue.create ();
-          pooled = Hashtbl.create 256;
-          executed = Hashtbl.create 1024;
+          pooled = Int_table.create 256;
+          executed = Idset.create ();
           entries = Hashtbl.create 256;
           last_heartbeat = 0.0;
           election_deadline = infinity;

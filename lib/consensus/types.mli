@@ -1,7 +1,8 @@
 (** Shared vocabulary of the consensus protocols. *)
 
 type request = {
-  req_id : int;       (** globally unique *)
+  req_id : int;       (** globally unique, non-negative and dense from 0:
+                          replicas keep executed ids in a bitmap *)
   client : int;       (** submitting client id *)
   submitted : float;  (** virtual submission time, for latency accounting *)
   size : int;         (** serialized bytes *)

@@ -1,17 +1,15 @@
 open Repro_util
 
-type behavior = Honest | Crashed | Byzantine
+type t = { byzantine : bool array }
 
-type t = { roster : behavior array }
-
-let honest n = { roster = Array.make n Honest }
+let honest n = { byzantine = Array.make n false }
 
 let with_byzantine rng ~n ~count =
   if count > n then Sim_error.invalid "Faults.with_byzantine: count exceeds n";
   let t = honest n in
   let ids = Rng.permutation rng n in
   for i = 0 to count - 1 do
-    t.roster.(ids.(i)) <- Byzantine
+    t.byzantine.(ids.(i)) <- true
   done;
   t
 
@@ -20,26 +18,19 @@ let with_byzantine_ids ~n ~ids =
   List.iter
     (fun id ->
       if id < 0 || id >= n then Sim_error.invalid "Faults.with_byzantine_ids: id out of range";
-      t.roster.(id) <- Byzantine)
+      t.byzantine.(id) <- true)
     ids;
   t
 
-let behavior t id = t.roster.(id)
-
-let is_byzantine t id = t.roster.(id) = Byzantine
-
-let is_crashed t id = t.roster.(id) = Crashed
+let is_byzantine t id = t.byzantine.(id)
 
 let byzantine_ids t =
   let acc = ref [] in
-  Array.iteri (fun i b -> if b = Byzantine then acc := i :: !acc) t.roster;
+  Array.iteri (fun i b -> if b then acc := i :: !acc) t.byzantine;
   List.rev !acc
 
-let corrupt t id = t.roster.(id) <- Byzantine
+let corrupt_after engine t id ~delay = Engine.schedule engine ~delay (fun () -> t.byzantine.(id) <- true)
 
-let corrupt_after engine t id ~delay = Engine.schedule engine ~delay (fun () -> corrupt t id)
+let byzantine_count t = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.byzantine
 
-let byzantine_count t =
-  Array.fold_left (fun acc b -> if b = Byzantine then acc + 1 else acc) 0 t.roster
-
-let size t = Array.length t.roster
+let size t = Array.length t.byzantine

@@ -1,4 +1,4 @@
-(** Fault roster: which nodes are honest, crashed, or Byzantine.
+(** Fault roster: which nodes are honest or Byzantine.
 
     The paper's attack experiments (Figure 8 right, Figure 16 right) make
     Byzantine replicas send conflicting messages with different sequence
@@ -6,8 +6,6 @@
     roster to decide whether to misbehave.  The adaptive-corruption model
     of Section 3.3 is expressed as a scheduled corruption that takes
     effect after a delay. *)
-
-type behavior = Honest | Crashed | Byzantine
 
 type t
 
@@ -19,11 +17,7 @@ val with_byzantine : Repro_util.Rng.t -> n:int -> count:int -> t
 
 val with_byzantine_ids : n:int -> ids:int list -> t
 
-val behavior : t -> int -> behavior
-
 val is_byzantine : t -> int -> bool
-
-val is_crashed : t -> int -> bool
 
 val byzantine_ids : t -> int list
 

@@ -9,7 +9,7 @@ type verdict =
 type 'msg t = {
   engine : Engine.t;
   topology : Topology.t;
-  nodes : (int, 'msg Node.t * int) Hashtbl.t; (* id -> node, region *)
+  mutable nodes : ('msg Node.t * int) option array; (* id -> node, region *)
   rng : Rng.t;
   mutable filter : (src:int -> dst:int -> 'msg -> verdict) option;
   mutable sent : int;
@@ -22,7 +22,7 @@ let create engine ~topology =
   {
     engine;
     topology;
-    nodes = Hashtbl.create 64;
+    nodes = Array.make 64 None;
     rng = Rng.split_named (Engine.rng engine) "network";
     filter = None;
     sent = 0;
@@ -31,12 +31,23 @@ let create engine ~topology =
     probe = Repro_obs.Probe.none;
   }
 
+(* Ids are dense ([Network.spawn] hands out [base .. base+n-1]), so the
+   node table is an array indexed by id; an id outside it reads as absent. *)
+let find t id = if id >= 0 && id < Array.length t.nodes then Array.unsafe_get t.nodes id else None
+
 let register_in_region t node ~region =
   let id = Node.id node in
-  if Hashtbl.mem t.nodes id then Sim_error.invalid "Network.register: duplicate node id";
+  if id < 0 then Sim_error.invalid "Network.register: negative node id";
+  if Option.is_some (find t id) then Sim_error.invalid "Network.register: duplicate node id";
   if region < 0 || region >= Topology.regions t.topology then
     Sim_error.invalid "Network.register: region out of range";
-  Hashtbl.replace t.nodes id (node, region)
+  let len = Array.length t.nodes in
+  if id >= len then begin
+    let nodes = Array.make (Int.max (2 * len) (id + 1)) None in
+    Array.blit t.nodes 0 nodes 0 len;
+    t.nodes <- nodes
+  end;
+  t.nodes.(id) <- Some (node, region)
 
 let register t node =
   register_in_region t node ~region:(Topology.region_of_node t.topology (Node.id node))
@@ -44,7 +55,7 @@ let register t node =
 
 let transmit t ~src_id ~src_region ~departure ~dst ~channel ~bytes msg =
   t.sent <- t.sent + 1;
-  match Hashtbl.find_opt t.nodes dst with
+  match find t dst with
   | None -> ()
   | Some (dst_node, dst_region) -> (
       let decide () =
@@ -81,7 +92,7 @@ let transmit t ~src_id ~src_region ~departure ~dst ~channel ~bytes msg =
 let send t ~src ~dst ~channel ~bytes msg =
   let src_id = Node.id src in
   let src_region =
-    match Hashtbl.find_opt t.nodes src_id with
+    match find t src_id with
     | Some (_, r) -> r
     | None -> Sim_error.invalid "Network.send: source not registered"
   in

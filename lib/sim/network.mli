@@ -21,7 +21,8 @@ val create : Engine.t -> topology:Topology.t -> 'msg t
 
 val register : 'msg t -> 'msg Node.t -> unit
 (** Make a node addressable; its region comes from
-    [Topology.region_of_node].  Node ids must be unique. *)
+    [Topology.region_of_node].  Node ids must be non-negative and unique;
+    the node table is an array indexed by id, so keep them dense. *)
 
 val send :
   'msg t -> src:'msg Node.t -> dst:int -> channel:Inbox.channel -> bytes:int -> 'msg -> unit

@@ -1,0 +1,20 @@
+module H = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+type 'v t = 'v H.t
+
+let create = H.create
+let mem = H.mem
+let replace = H.replace
+let remove = H.remove
+let length = H.length
+let reset = H.reset
+
+let iter_sorted f t =
+  (* The sort erases whatever order the buckets produced. *)
+  let raw = H.fold (fun k v acc -> (k, v) :: acc) t [] in
+  List.iter (fun (k, v) -> f k v) (List.sort (fun (a, _) (b, _) -> Int.compare a b) raw)

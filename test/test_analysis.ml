@@ -34,6 +34,12 @@ let test_r1_inline_allow () =
     (List.for_all (fun f -> f.Lint_types.suppressed) fs);
   Alcotest.(check int) "no active findings" 0 (List.length (active fs))
 
+let test_r1_functor () =
+  let fires logical = count Lint_types.R1 (check_fixture ~logical "r1_functor.ml") in
+  Alcotest.(check int) "both instances fire in lib/consensus" 2 (fires "lib/consensus");
+  Alcotest.(check int) "lib/util may instantiate" 0 (fires "lib/util");
+  Alcotest.(check int) "quiet outside lib" 0 (fires "test")
+
 (* --- R2: comparison safety ------------------------------------------ *)
 
 let test_r2_positive_in_scope () =
@@ -415,6 +421,7 @@ let () =
           Alcotest.test_case "positive fixture fires" `Quick test_r1_positive;
           Alcotest.test_case "negative fixture quiet" `Quick test_r1_negative;
           Alcotest.test_case "inline allow suppresses" `Quick test_r1_inline_allow;
+          Alcotest.test_case "Hashtbl.Make outside lib/util fires" `Quick test_r1_functor;
         ] );
       ( "r2-comparison",
         [

@@ -416,6 +416,36 @@ let test_network_duplicate_registration () =
   Alcotest.check_raises "dup" (Sim_error.Invalid "Network.register: duplicate node id") (fun () ->
       Network.register net n)
 
+(* The node table is an array indexed by id: ids past its end, holes
+   inside it and negative ids are all absent destinations. *)
+let test_network_absent_destinations () =
+  let e, net, n0, _, received = two_nodes () in
+  List.iter
+    (fun dst -> Network.send net ~src:n0 ~dst ~channel:Inbox.Consensus ~bytes:10 "void")
+    [ 1_000_000; 10; -1 ];
+  Network.send_external net ~src_region:0 ~dst:(-7) ~channel:Inbox.Request ~bytes:10 "void";
+  Engine.run_until_idle e;
+  Alcotest.(check int) "every send counted" 4 (Network.sent_count net);
+  Alcotest.(check int) "nothing delivered" 0 (Network.delivered_count net);
+  Alcotest.(check int) "not a filter drop" 0 (Network.dropped_in_network net);
+  Alcotest.(check int) "no handler ran" 0 (List.length !received)
+
+let test_network_register_far_id () =
+  let e, net, n0, _, _ = two_nodes () in
+  let hits = ref 0 in
+  let far = Node.create e ~id:100_000 ~inbox_mode:(Inbox.Shared 10) ~handler:(fun _ _ -> incr hits) in
+  Network.register net far;
+  Network.send net ~src:n0 ~dst:100_000 ~channel:Inbox.Consensus ~bytes:10 "far";
+  Network.send net ~src:far ~dst:99_999 ~channel:Inbox.Consensus ~bytes:10 "hole";
+  Engine.run_until_idle e;
+  Alcotest.(check int) "far node reached" 1 !hits;
+  Alcotest.(check int) "hole below it absent" 1 (Network.delivered_count net);
+  Alcotest.check_raises "dup past the old capacity"
+    (Sim_error.Invalid "Network.register: duplicate node id") (fun () -> Network.register net far);
+  let neg = Node.create e ~id:(-1) ~inbox_mode:(Inbox.Shared 10) ~handler:(fun _ _ -> ()) in
+  Alcotest.check_raises "negative id" (Sim_error.Invalid "Network.register: negative node id")
+    (fun () -> Network.register net neg)
+
 (* ------------------------------------------------------------------ *)
 (* Faults / Commits                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -606,6 +636,8 @@ let () =
           Alcotest.test_case "external sender" `Quick test_network_send_external;
           Alcotest.test_case "spawn offsets ids and scales charges" `Quick test_network_spawn;
           Alcotest.test_case "duplicate registration" `Quick test_network_duplicate_registration;
+          Alcotest.test_case "absent destinations" `Quick test_network_absent_destinations;
+          Alcotest.test_case "register far above capacity" `Quick test_network_register_far_id;
         ] );
       ( "faults+metrics",
         [

@@ -526,6 +526,24 @@ let test_series_render () =
   Alcotest.(check bool) "contains title" true
     (String.length out > 0 && String.sub out 0 4 = "== t")
 
+let test_idset_rejects_negative () =
+  let s = Idset.create () in
+  Alcotest.check_raises "add" (Invariant.Violation "Idset: negative id -1") (fun () ->
+      Idset.add s (-1));
+  Alcotest.check_raises "mem" (Invariant.Violation "Idset: negative id -3") (fun () ->
+      ignore (Idset.mem s (-3)))
+
+let test_int_table_reset () =
+  let t = Int_table.create 4 in
+  List.iter (fun k -> Int_table.replace t k (string_of_int k)) [ 3; 1; 2 ];
+  let seen = ref [] in
+  Int_table.iter_sorted (fun k v -> seen := (k, v) :: !seen) t;
+  Alcotest.(check (list (pair int string))) "ascending" [ (1, "1"); (2, "2"); (3, "3") ]
+    (List.rev !seen);
+  Int_table.reset t;
+  Alcotest.(check int) "empty" 0 (Int_table.length t);
+  Alcotest.(check bool) "forgotten" false (Int_table.mem t 2)
+
 (* ------------------------------------------------------------------ *)
 (* Property-based tests                                                *)
 (* ------------------------------------------------------------------ *)
@@ -648,6 +666,53 @@ let prop_log_add_commutative =
     QCheck.(pair (float_range (-50.0) 50.0) (float_range (-50.0) 50.0))
     (fun (a, b) -> Float.abs (Logspace.log_add a b -. Logspace.log_add b a) < 1e-9)
 
+(* Ids up to 40_000 cross the bitmap's growth points (1024, 2048, ...
+   32768 ids) many times over; clears in between restart it small. *)
+let prop_idset_matches_hashtbl =
+  QCheck.Test.make ~name:"idset matches a Hashtbl model" ~count:200
+    QCheck.(list (pair (int_bound 19) (int_bound 40_000)))
+    (fun ops ->
+      let s = Idset.create () in
+      let model = Hashtbl.create 64 in
+      let agree id = Bool.equal (Idset.mem s id) (Hashtbl.mem model id) in
+      List.for_all
+        (fun (kind, id) ->
+          if kind = 0 then begin
+            Idset.clear s;
+            Hashtbl.reset model
+          end
+          else if kind <= 10 then begin
+            Idset.add s id;
+            Hashtbl.replace model id ()
+          end;
+          agree id && agree (id + 1) && agree (2 * id))
+        ops
+      && List.for_all agree (List.map snd ops))
+
+let prop_int_table_iter_sorted =
+  QCheck.Test.make ~name:"int_table iter_sorted matches Det.iter" ~count:200
+    QCheck.(list (triple bool (int_range (-1000) 5000) small_int))
+    (fun ops ->
+      let t = Int_table.create 4 in
+      let model = Hashtbl.create 4 in
+      List.iter
+        (fun (keep, k, v) ->
+          if keep then begin
+            Int_table.replace t k v;
+            Hashtbl.replace model k v
+          end
+          else begin
+            Int_table.remove t k;
+            Hashtbl.remove model k
+          end)
+        ops;
+      let seen = ref [] and expected = ref [] in
+      Int_table.iter_sorted (fun k v -> seen := (k, v) :: !seen) t;
+      Det.iter ~compare:Int.compare (fun k v -> expected := (k, v) :: !expected) model;
+      !seen = !expected
+      && Int_table.length t = Hashtbl.length model
+      && List.for_all (fun (_, k, _) -> Bool.equal (Int_table.mem t k) (Hashtbl.mem model k)) ops)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -659,6 +724,8 @@ let qsuite =
       prop_zipf_sample_in_range;
       prop_hypergeom_tail_in_unit;
       prop_log_add_commutative;
+      prop_idset_matches_hashtbl;
+      prop_int_table_iter_sorted;
     ]
 
 let () =
@@ -739,6 +806,11 @@ let () =
           Alcotest.test_case "binomial limits" `Quick test_binomial_tail_limits;
           Alcotest.test_case "binomial approximates hypergeom" `Quick
             test_binomial_approximates_hypergeom;
+        ] );
+      ( "idset+int_table",
+        [
+          Alcotest.test_case "rejects negative ids" `Quick test_idset_rejects_negative;
+          Alcotest.test_case "int_table reset and order" `Quick test_int_table_reset;
         ] );
       ( "table",
         [

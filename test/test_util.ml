@@ -807,7 +807,7 @@ let () =
           Alcotest.test_case "binomial approximates hypergeom" `Quick
             test_binomial_approximates_hypergeom;
         ] );
-      ( "idset+int_table",
+      ( "idset",
         [
           Alcotest.test_case "rejects negative ids" `Quick test_idset_rejects_negative;
           Alcotest.test_case "int_table reset and order" `Quick test_int_table_reset;

@@ -194,6 +194,73 @@ let walk ~excludes roots =
   List.sort String.compare !acc
 
 (* ------------------------------------------------------------------ *)
+(* R9: lib modules no executable reaches                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Modules the paper's argument needs although no executable runs them,
+   each with the section it stands for. *)
+let paper_only =
+  [
+    "Rapidchain" (* §6.1, Fig. 3a: RapidChain's cross-shard commit, the baseline *);
+    "Utxo" (* §6.1, Fig. 3a: the UTXO ledger RapidChain's commit runs over *);
+    "Attestation" (* §5.3: per-epoch remote attestation; ROADMAP item 6 decides it *);
+  ]
+
+let executable_roots = [ "bin/"; "bench/"; "examples/" ]
+
+(* Every capitalised identifier in a source: module paths, constructors and
+   exceptions alike.  Over-approximating a module's uses can only hide an
+   unreached module, never flag a reached one. *)
+let module_mentions src =
+  let lexbuf = Lexing.from_string src in
+  Lexer.init ();
+  let rec go acc =
+    match Lexer.token lexbuf with
+    | Parser.EOF -> acc
+    | Parser.UIDENT name -> go (name :: acc)
+    | _ -> go acc
+  in
+  match go [] with names -> names | exception Lexer.Error _ -> []
+
+(* [sources] are (logical path, text) pairs for every scanned .ml/.mli.  A
+   lib module is reached when an executable's source names it, or a
+   reached lib module's .ml or .mli does; modules are matched by name. *)
+let unreached_modules sources =
+  let in_lib (lg, _) = Lint_rules.starts_with ~prefix:"lib/" lg in
+  let lib = List.filter in_lib sources in
+  let reached = Hashtbl.create 64 in
+  let rec reach name =
+    if not (Hashtbl.mem reached name) then begin
+      Hashtbl.replace reached name ();
+      List.iter
+        (fun (lg, src) ->
+          if String.equal (module_name_of lg) name then List.iter reach (module_mentions src))
+        lib
+    end
+  in
+  List.iter
+    (fun (lg, src) ->
+      if List.exists (fun prefix -> Lint_rules.starts_with ~prefix lg) executable_roots then
+        List.iter reach (module_mentions src))
+    sources;
+  List.filter_map
+    (fun (lg, _) ->
+      let name = module_name_of lg in
+      if
+        has_suffix ~suffix:".ml" lg
+        && (not (Hashtbl.mem reached name))
+        && not (List.exists (String.equal name) paper_only)
+      then
+        Some
+          (make ~rule:R9 ~file:lg ~line:1 ~col:1
+             (Printf.sprintf
+                "lib module %s is reached from no bin/, bench/ or examples/ code; delete it or \
+                 allowlist it with its paper section"
+                name))
+      else None)
+    lib
+
+(* ------------------------------------------------------------------ *)
 (* Whole-project scan                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -275,6 +342,15 @@ let scan ?(base = "") ~roots ~excludes () =
                 in
                 findings := mark_suppressed ~src unused @ !findings))
     mli_files;
+  (* R9 needs the executables in view, so it runs only when a bin root is
+     scanned (fixture trees that scan lib alone keep their findings). *)
+  let bin_root r = List.exists (String.equal (logical (normalize r))) [ "bin"; "bin/" ] in
+  if List.exists bin_root roots then begin
+    let source file =
+      Result.to_option (read_file file) |> Option.map (fun src -> (logical file, src))
+    in
+    findings := unreached_modules (List.filter_map source files) @ !findings
+  end;
   List.sort compare_finding !findings
 
 (* ------------------------------------------------------------------ *)

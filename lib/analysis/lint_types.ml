@@ -1,4 +1,4 @@
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | Parse_error
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | Parse_error
 
 type severity = Error | Warning
 
@@ -21,6 +21,7 @@ let rule_id = function
   | R6 -> "R6"
   | R7 -> "R7"
   | R8 -> "R8"
+  | R9 -> "R9"
   | Parse_error -> "parse"
 
 let rule_of_id = function
@@ -32,6 +33,7 @@ let rule_of_id = function
   | "R6" -> Some R6
   | "R7" -> Some R7
   | "R8" -> Some R8
+  | "R9" -> Some R9
   | "parse" -> Some Parse_error
   | _ -> None
 
@@ -87,9 +89,10 @@ let rule_description = function
   | R6 -> "Console hygiene: no direct console printing in library code"
   | R7 -> "Domain safety: no unguarded shared mutable state reachable from domain tasks"
   | R8 -> "Nondeterminism sources: no ambient entropy reaching traces or consensus state"
+  | R9 -> "Reachability: every lib module is used by bin/, bench/ or examples/ code"
   | Parse_error -> "File failed to parse"
 
-let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; Parse_error ]
+let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; Parse_error ]
 
 let to_sarif findings =
   let buf = Buffer.create 4096 in

@@ -24,9 +24,13 @@
     - R8 nondeterminism sources: no ambient [Random] draws,
       [Domain.self], [Gc] statistics, or polymorphic [Hashtbl.hash]
       reachable from trace-, metric-, artifact-, or consensus-producing
-      code (cross-module). *)
+      code (cross-module).
+    - R9 reachability: every [lib] module is reached, directly or through
+      other [lib] modules, from code under [bin/], [bench/] or
+      [examples/] ([test/] does not count), unless it is allowlisted as
+      paper-only.  Runs only when a [bin] root is scanned. *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | Parse_error
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | Parse_error
 
 type severity = Error | Warning
 
@@ -41,7 +45,7 @@ type finding = {
 }
 
 val rule_id : rule -> string
-(** "R1".."R8", or "parse" for unparseable files. *)
+(** "R1".."R9", or "parse" for unparseable files. *)
 
 val rule_of_id : string -> rule option
 

@@ -94,18 +94,21 @@ let differential ~f ~trials ~seed ~budget =
 let leader_schedule ~n ~f index =
   let served = List.filter (fun i -> i <> n - 1) (List.init n (fun i -> i)) in
   {
-    Schedule.byz = List.init f (fun i -> i);
-    split_brain = false;
-    stale_replay = false;
-    silent_toward = [];
-    leader =
-      Some (if index mod 2 = 0 then Schedule.Stall else Schedule.Serve_only served);
+    Schedule.adversary =
+      {
+        Pbft.honest with
+        Pbft.byzantine = List.init f (fun i -> i);
+        leader_attack =
+          Some (if index mod 2 = 0 then Pbft.Leader_stall else Pbft.Leader_serve_only served);
+      };
     requests = 6 + (2 * index);
     events = [];
   }
 
 let stall_trial t =
-  match t.schedule.Schedule.leader with Some Schedule.Stall -> true | _ -> false
+  match t.schedule.Schedule.adversary.Pbft.leader_attack with
+  | Some Pbft.Leader_stall -> true
+  | _ -> false
 
 let is_relay r = String.equal r.params.variant.Config.name Config.ahlr.Config.name
 

@@ -1,4 +1,5 @@
 open Repro_util
+module Pbft = Repro_consensus.Pbft
 
 type event_kind =
   | Drop of float
@@ -9,29 +10,17 @@ type event_kind =
 
 type event = { start : float; stop : float; kind : event_kind }
 
-type leader_attack =
-  | Stall  (** the byzantine clique wins leader slots and withholds batches *)
-  | Serve_only of int list  (** serves pre-prepares/commits only to these peers *)
-  | Drip of float  (** one batch per interval, probing the watchdog boundary *)
-
-type t = {
-  byz : int list;
-  split_brain : bool;
-  stale_replay : bool;
-  silent_toward : int list;
-  leader : leader_attack option;
-  requests : int;
-  events : event list;
-}
+type t = { adversary : Pbft.adversary; requests : int; events : event list }
 
 let heal_time t = List.fold_left (fun acc ev -> Float.max acc ev.stop) 0.0 t.events
 
 let active ev ~at = at >= ev.start && at < ev.stop
 
 let size t =
-  List.length t.events + List.length t.byz + List.length t.silent_toward
-  + (if t.stale_replay then 1 else 0)
-  + (match t.leader with None -> 0 | Some _ -> 1)
+  let a = t.adversary in
+  List.length t.events + List.length a.byzantine + List.length a.silent_toward
+  + (if a.stale_view_replay then 1 else 0)
+  + (match a.leader_attack with None -> 0 | Some _ -> 1)
   + (t.requests / 2)
 
 (* ------------------------------------------------------------------ *)
@@ -60,9 +49,9 @@ let gen_event rng ~n =
   { start; stop; kind }
 
 let generate rng ~n ~f =
-  let byz = List.init f (fun i -> i) in
+  let byzantine = List.init f (fun i -> i) in
   let split_brain = f >= 1 in
-  let stale_replay = f >= 1 && Rng.bool rng in
+  let stale_view_replay = f >= 1 && Rng.bool rng in
   let silent_toward =
     (* Occasionally the byzantine clique ghosts one high-indexed honest
        member entirely (selective silence, Section 3.3 flavour). *)
@@ -73,39 +62,49 @@ let generate rng ~n ~f =
   (* Leader attacks: the clique campaigns for (and wins) leader slots.
      Drawn after every other field so seeds from the pre-leader-attack
      palette keep generating the same base schedules. *)
-  let leader =
+  let leader_attack =
     if f >= 1 && Rng.int rng 3 = 0 then
       match Rng.int rng 3 with
-      | 0 -> Some Stall
+      | 0 -> Some Pbft.Leader_stall
       | 1 ->
           (* Serve every replica except one high-indexed honest member. *)
           let starved = n - 1 in
-          Some (Serve_only (List.filter (fun i -> i <> starved) (List.init n (fun i -> i))))
-      | _ -> Some (Drip 1.9) (* just under the 2 s progress watchdog *)
+          let served = List.filter (fun i -> i <> starved) (List.init n (fun i -> i)) in
+          Some (Pbft.Leader_serve_only served)
+      | _ -> Some (Pbft.Leader_drip 1.9) (* just under the 2 s progress watchdog *)
     else None
   in
-  { byz; split_brain; stale_replay; silent_toward; leader; requests; events }
+  {
+    adversary = { byzantine; split_brain; silent_toward; stale_view_replay; leader_attack };
+    requests;
+    events;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking candidates                                                *)
 (* ------------------------------------------------------------------ *)
 
 let candidates s =
+  let a = s.adversary in
+  let with_adversary adversary = { s with adversary } in
   let drop_events =
     List.mapi (fun i _ -> { s with events = List.filteri (fun j _ -> j <> i) s.events }) s.events
   in
   let simpler_flags =
-    (if s.stale_replay then [ { s with stale_replay = false } ] else [])
-    @ (match s.leader with None -> [] | Some _ -> [ { s with leader = None } ])
-    @ match s.silent_toward with [] -> [] | _ -> [ { s with silent_toward = [] } ]
+    (if a.stale_view_replay then [ with_adversary { a with stale_view_replay = false } ] else [])
+    @ (match a.leader_attack with
+      | None -> []
+      | Some _ -> [ with_adversary { a with leader_attack = None } ])
+    @
+    match a.silent_toward with [] -> [] | _ -> [ with_adversary { a with silent_toward = [] } ]
   in
   let fewer_requests =
     if s.requests > 2 then [ { s with requests = Int.max 2 (s.requests / 2) } ] else []
   in
   let fewer_byz =
-    match List.rev s.byz with
+    match List.rev a.byzantine with
     | [] | [ _ ] -> [] (* keep at least one byzantine: it is the attack *)
-    | _ :: keep -> [ { s with byz = List.rev keep } ]
+    | _ :: keep -> [ with_adversary { a with byzantine = List.rev keep } ]
   in
   drop_events @ simpler_flags @ fewer_byz @ fewer_requests
 
@@ -143,26 +142,27 @@ let event_of_string tok =
   { start; stop; kind }
 
 let string_of_leader = function
-  | Stall -> "stall"
-  | Serve_only ids -> Printf.sprintf "serve:%s" (plus_ids ids)
-  | Drip interval -> Printf.sprintf "drip:%s" (fl interval)
+  | Pbft.Leader_stall -> "stall"
+  | Pbft.Leader_serve_only ids -> Printf.sprintf "serve:%s" (plus_ids ids)
+  | Pbft.Leader_drip interval -> Printf.sprintf "drip:%s" (fl interval)
 
 let leader_of_string s witness =
   match String.split_on_char ':' s with
-  | [ "stall" ] -> Stall
-  | [ "serve"; ids ] -> Serve_only (Witness.nats '+' ids)
-  | [ "drip"; interval ] -> Drip (Witness.float interval)
+  | [ "stall" ] -> Pbft.Leader_stall
+  | [ "serve"; ids ] -> Pbft.Leader_serve_only (Witness.nats '+' ids)
+  | [ "drip"; interval ] -> Pbft.Leader_drip (Witness.float interval)
   | _ -> raise (Witness.Invalid_witness witness)
 
 let to_string t =
+  let a = t.adversary in
   String.concat " "
-    (("v1" :: Printf.sprintf "byz=%s" (Witness.ids t.byz)
-     :: Printf.sprintf "sb=%d" (if t.split_brain then 1 else 0)
-     :: Printf.sprintf "stale=%d" (if t.stale_replay then 1 else 0)
-     :: Printf.sprintf "quiet=%s" (Witness.ids t.silent_toward)
+    (("v1" :: Printf.sprintf "byz=%s" (Witness.ids a.byzantine)
+     :: Printf.sprintf "sb=%d" (if a.split_brain then 1 else 0)
+     :: Printf.sprintf "stale=%d" (if a.stale_view_replay then 1 else 0)
+     :: Printf.sprintf "quiet=%s" (Witness.ids a.silent_toward)
      :: Printf.sprintf "req=%d" t.requests
      ::
-     (match t.leader with
+     (match a.leader_attack with
      | None -> List.map string_of_event t.events
      | Some l -> Printf.sprintf "lead=%s" (string_of_leader l) :: List.map string_of_event t.events)))
 
@@ -172,18 +172,21 @@ let of_string s =
       let field = Witness.field ~witness:s in
       (* The [lead=] token is optional, so pre-leader-attack witnesses
          stay replayable verbatim. *)
-      let leader, events =
+      let leader_attack, events =
         match rest with
         | tok :: tl when String.starts_with ~prefix:"lead=" tok ->
             (Some (leader_of_string (field "lead" tok) s), tl)
         | _ -> (None, rest)
       in
       {
-        byz = Witness.ids_of (field "byz" byz);
-        split_brain = String.equal (field "sb" sb) "1";
-        stale_replay = String.equal (field "stale" stale) "1";
-        silent_toward = Witness.ids_of (field "quiet" quiet);
-        leader;
+        adversary =
+          {
+            byzantine = Witness.ids_of (field "byz" byz);
+            split_brain = String.equal (field "sb" sb) "1";
+            stale_view_replay = String.equal (field "stale" stale) "1";
+            silent_toward = Witness.ids_of (field "quiet" quiet);
+            leader_attack;
+          };
         requests = Witness.nat (field "req" req);
         events = List.map event_of_string events;
       }

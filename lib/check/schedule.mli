@@ -1,8 +1,9 @@
 (** Seed-driven adversarial schedules.
 
-    A schedule is the adversary's whole script for one run: which replicas
-    are byzantine and how they are scripted ({!Repro_consensus.Pbft.byz_strategy}
-    knobs), how many client requests arrive, and a list of timed network
+    A schedule is the adversary's whole script for one run: the
+    committee's {!Repro_consensus.Pbft.adversary} (which replicas are
+    byzantine and how they are scripted, handed to the committee as is),
+    how many client requests arrive, and a list of timed network
     perturbation events (message drops, delivery jitter, duplication,
     partitions, directed silence).  Schedules are generated from an
     explicit {!Repro_util.Rng.t}, so [(seed, schedule)] identifies a run
@@ -21,23 +22,9 @@ type event_kind =
 
 type event = { start : float; stop : float; kind : event_kind }
 
-type leader_attack =
-  | Stall
-      (** the clique campaigns for leader slots, wins them with credible
-          New_views, then withholds every batch (deposed only by timeout) *)
-  | Serve_only of int list
-      (** as leader, serve pre-prepares/commit votes only to these peers *)
-  | Drip of float
-      (** as leader, one batch per interval — just under the watchdog
-          period this throttles the committee without ever being deposed *)
-
 type t = {
-  byz : int list;  (** byzantine member ids (the colluding clique) *)
-  split_brain : bool;  (** script the Figure 8/16 conflicting-batch attack *)
-  stale_replay : bool;  (** byzantine replicas replay stale-view prepares *)
-  silent_toward : int list;  (** peers the byzantine clique never messages *)
-  leader : leader_attack option;
-      (** byzantine-leader strategy (the Fig. 16 right-panel adversary);
+  adversary : Repro_consensus.Pbft.adversary;
+      (** the colluding clique and its script; its [leader_attack] is
           serialized as an optional [lead=] witness token, so witnesses
           predating the leader palette replay verbatim *)
   requests : int;  (** client submissions (one every 50 ms, round-robin) *)

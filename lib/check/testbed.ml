@@ -33,26 +33,14 @@ let run ~engine_seed ~variant ~n (sched : Schedule.t) =
     { (Config.default variant ~n) with Config.checkpoint_interval = 1_000_000 }
   in
   let keystore = Keys.create_keystore (Engine.rng engine) in
-  let faults = Faults.with_byzantine_ids ~n ~ids:sched.Schedule.byz in
+  let adversary = sched.Schedule.adversary in
   let network : Pbft.msg Network.t = Network.create engine ~topology:(Topology.lan ()) in
   let c, _ =
     Network.spawn network ~n ~inbox_mode:(Config.inbox_mode cfg) ~handle:Pbft.handle
-      (Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg ~faults
+      (Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg ~adversary
          ~enclave_base_id:0
          ~execute:(fun ~member:_ ~seq:_ _ -> ()))
   in
-  Pbft.set_byz_strategy c
-    {
-      Pbft.split_brain = sched.Schedule.split_brain;
-      silent_toward = sched.Schedule.silent_toward;
-      stale_view_replay = sched.Schedule.stale_replay;
-      leader_attack =
-        (match sched.Schedule.leader with
-        | None -> None
-        | Some Schedule.Stall -> Some Pbft.Leader_stall
-        | Some (Schedule.Serve_only ids) -> Some (Pbft.Leader_serve_only ids)
-        | Some (Schedule.Drip interval) -> Some (Pbft.Leader_drip interval));
-    };
   let commits = ref [] in
   Pbft.set_commit_hook c (fun ~member ~view ~seq ~digest ~batch ->
       commits :=
@@ -93,7 +81,9 @@ let run ~engine_seed ~variant ~n (sched : Schedule.t) =
      to at least one correct member, so the liveness oracle's demand that
      all of them eventually execute is fair. *)
   let honest =
-    List.filter (fun id -> not (Faults.is_byzantine faults id)) (List.init n (fun i -> i))
+    List.filter
+      (fun id -> not (List.exists (Int.equal id) adversary.Pbft.byzantine))
+      (List.init n (fun i -> i))
   in
   let intake = Array.of_list honest in
   let submitted = List.init sched.Schedule.requests (fun k -> k) in

@@ -23,7 +23,7 @@ type result = {
   messages_sent : int;
 }
 
-let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?byz_ids ?byz_strategy
+let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?adversary
     ?(crashes = []) ?(recovers = []) ?(cpu_scale = 1.0) ?(costs = Cost_model.default)
     ?(tune = fun (c : Config.t) -> c) ?(probe = Repro_obs.Probe.none) ~variant ~n ~topology
     ~workload () =
@@ -32,19 +32,22 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?byz_id
   let cfg = tune (Config.default variant ~n) in
   let keystore = Keys.create_keystore (Engine.rng engine) in
   let commits = Commits.create engine in
-  let faults =
-    match byz_ids with
-    | Some ids -> Faults.with_byzantine_ids ~n ~ids
+  let adversary =
+    match adversary with
+    | Some a -> a
+    | None when byzantine = 0 -> Pbft.honest
     | None ->
-        if byzantine = 0 then Faults.honest n
-        else
-          Faults.with_byzantine (Rng.split_named (Engine.rng engine) "faults") ~n ~count:byzantine
+        if byzantine > n then
+          Sim_error.invalid "Harness.run: byzantine count %d exceeds n %d" byzantine n;
+        let perm = Rng.permutation (Rng.split_named (Engine.rng engine) "faults") n in
+        let ids = List.init byzantine (Array.get perm) in
+        { Pbft.honest with Pbft.byzantine = List.sort Int.compare ids }
   in
   (* Commits are measured at the observer: the lowest honest member, or
      with scheduled crashes the lowest honest member that never crashes
      (the default one may be about to die). *)
   let observer =
-    let honest i = not (Faults.is_byzantine faults i) in
+    let honest i = not (List.exists (Int.equal i) adversary.Pbft.byzantine) in
     let crashes_at i = List.exists (fun (m, _) -> Int.equal m i) crashes in
     let members = List.init n Fun.id in
     match List.find_opt (fun i -> honest i && not (crashes_at i)) members with
@@ -57,7 +60,7 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?byz_id
   let on_commit : (int -> unit) ref = ref (fun _ -> ()) in
   let c, nodes =
     Network.spawn network ~cpu_scale ~n ~inbox_mode:(Config.inbox_mode cfg) ~handle:Pbft.handle
-      (Pbft.create ~engine ~keystore ~costs ~config:cfg ~faults ~enclave_base_id:0
+      (Pbft.create ~engine ~keystore ~costs ~config:cfg ~adversary ~enclave_base_id:0
          ~execute:(fun ~member ~seq:_ batch ->
            if member = observer then begin
              Commits.commit commits ~count:(List.length batch);
@@ -67,7 +70,6 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?byz_id
   in
   Network.set_probe network probe;
   Pbft.set_observer c observer;
-  (match byz_strategy with Some s -> Pbft.set_byz_strategy c s | None -> ());
   Pbft.set_probe c probe;
   Pbft.set_alive c (fun m -> not (Node.is_crashed nodes.(m)));
   List.iter

@@ -35,8 +35,7 @@ val run :
   ?duration:float ->
   ?warmup:float ->
   ?byzantine:int ->
-  ?byz_ids:int list ->
-  ?byz_strategy:Pbft.byz_strategy ->
+  ?adversary:Pbft.adversary ->
   ?crashes:(int * float) list ->
   ?recovers:(int * float) list ->
   ?cpu_scale:float ->
@@ -50,24 +49,26 @@ val run :
   unit ->
   result
 (** Defaults: seed 1, 20 s runs with 5 s warmup, no Byzantine nodes.
-    [byz_ids] pins the byzantine members to fixed ids (overriding the
-    seeded random pick of [byzantine]); [byz_strategy] scripts them
-    (default {!Pbft.default_byz_strategy}) — together they wire the
-    Fig. 16 leader attacks, which need the clique sitting on the early
-    leader slots.  [crashes] is a list of [(member, time)] crash-fault
-    injections: the
-    node stops at [time] seconds and stays down (its watchdog timers are
-    muted through {!Pbft.set_alive}) unless a matching [(member, time)]
-    entry in [recovers] revives it later: the inbox reopens and the replica
-    runs checkpoint catch-up ({!Pbft.notify_recovered}) for the slots it
-    missed; the observer ({!Pbft.observer}) is moved to the first member
-    that stays honest and alive.  [cpu_scale] multiplies every
+    [byzantine] members are picked at random from the run's seed and run
+    the plain script ({!Pbft.honest}'s flags).  [adversary] replaces that
+    pick: its ids and script are the committee's whole adversary — this
+    wires the Fig. 16 leader attacks, which need the clique sitting on the
+    early leader slots.  [crashes] is a list of [(member, time)]
+    crash-fault injections: the node stops at [time] seconds and stays
+    down (its watchdog timers are muted through {!Pbft.set_alive}) unless
+    a matching [(member, time)] entry in [recovers] revives it later: the
+    inbox reopens and the replica runs checkpoint catch-up
+    ({!Pbft.notify_recovered}) for the slots it missed; the observer
+    ({!Pbft.observer}) is moved to the first member that stays honest and
+    alive.  [cpu_scale] multiplies every
     CPU charge — 1.0 models the paper's 3.5 GHz Xeon cluster servers, 3.5
     the 2-vCPU GCP instances.  [tune] post-processes the default
     {!Config.t} (batch sizes, timeouts) for ablations.  [probe] (default
     disabled) threads observability through the committee and transport:
     PBFT phase/view-change events, network delivery latency and drop
     counters, crash instants, and a per-replica inbox-depth counter series
-    sampled at 2 Hz. *)
+    sampled at 2 Hz.
+    @raise Repro_sim.Sim_error.Invalid before anything runs if
+    [byzantine] exceeds [n] (and no [adversary] is given). *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -103,13 +103,14 @@ type leader_attack =
       (** as leader, emit at most one batch every given interval — pick it
           just under the watchdog period to probe the detection boundary *)
 
-type byz_strategy = {
+type adversary = {
+  byzantine : int list;
   split_brain : bool;
       (** as view-0 leader, propose two real conflicting batches and drive
           each committee half to commit its own — the Figure 8/16 attack;
           when off, overheard pre-prepares draw garbage prepare votes and
           per-half conflicting digests instead *)
-  silent_toward : int list;  (** peers this replica never talks to *)
+  silent_toward : int list;  (** peers the byzantine replicas never talk to *)
   stale_view_replay : bool;
       (** stash overheard prepares and replay them after a new view *)
   leader_attack : leader_attack option;
@@ -130,7 +131,8 @@ type committee = {
   keystore : Keys.keystore;
   costs : Cost_model.t;
   cfg : Config.t;
-  faults : Faults.t;
+  adversary : adversary;
+  byz_member : bool array; (* member -> listed in [adversary.byzantine] *)
   send_cb : src:int -> dst:int -> channel:Inbox.channel -> bytes:int -> msg -> unit;
   charge_cb : member:int -> float -> unit;
   execute_cb : member:int -> seq:int -> request list -> unit;
@@ -140,7 +142,6 @@ type committee = {
   mutable alive : int -> bool;
       (* embedding hook: timers of nodes that are offline (crashed or
          transitioning between shards) must not fire *)
-  mutable byz : byz_strategy;
   equiv_plans : (int * int, int * request list * int * request list) Hashtbl.t;
       (* (view, seq) -> digest_a, batch_a, digest_b, batch_b: the colluding
          replicas' shared script for a split-brain sequence number *)
@@ -154,8 +155,9 @@ type committee = {
   tally : tally; (* counted at the observer only *)
 }
 
-let default_byz_strategy =
+let honest =
   {
+    byzantine = [];
     split_brain = false;
     silent_toward = [];
     stale_view_replay = false;
@@ -211,7 +213,7 @@ let leader_of_view_int c v = ((v mod n_of c) + n_of c) mod n_of c
 
 let is_leader c r = r.active && leader_of_view_int c r.view = r.index
 
-let is_byz c r = Faults.is_byzantine c.faults r.index
+let is_byz c r = c.byz_member.(r.index)
 
 let observer c = c.observer
 
@@ -326,15 +328,16 @@ let make_replica c ~enclave_base_id index =
     drip_next = 0.0;
   }
 
-let create ~engine ~keystore ~costs ~config ~faults ~enclave_base_id ~send ~charge ~execute =
-  if Faults.size faults <> config.Config.n then
-    Sim_error.invalid "Pbft.create: fault roster size must equal n";
+let create ~engine ~keystore ~costs ~config ~adversary ~enclave_base_id ~send ~charge ~execute =
+  let n = config.Config.n in
+  let byz_member = Array.make n false in
+  List.iter
+    (fun id ->
+      if id < 0 || id >= n then Sim_error.invalid "Pbft.create: byzantine id %d out of range" id;
+      byz_member.(id) <- true)
+    adversary.byzantine;
   let obs =
-    let rec first i =
-      if i >= config.Config.n then 0
-      else if Faults.is_byzantine faults i then first (i + 1)
-      else i
-    in
+    let rec first i = if i >= n then 0 else if byz_member.(i) then first (i + 1) else i in
     first 0
   in
   let c =
@@ -343,7 +346,8 @@ let create ~engine ~keystore ~costs ~config ~faults ~enclave_base_id ~send ~char
       keystore;
       costs;
       cfg = config;
-      faults;
+      adversary;
+      byz_member;
       send_cb = send;
       charge_cb = charge;
       execute_cb = execute;
@@ -351,7 +355,6 @@ let create ~engine ~keystore ~costs ~config ~faults ~enclave_base_id ~send ~char
       observer = obs;
       rng = Repro_util.Rng.split_named (Engine.rng engine) "pbft";
       alive = (fun _ -> true);
-      byz = default_byz_strategy;
       equiv_plans = Hashtbl.create 16;
       stale_log = [];
       commit_hook = (fun ~member:_ ~view:_ ~seq:_ ~digest:_ ~batch:_ -> ());
@@ -770,7 +773,7 @@ and record_view_change_vote c r ~target ~sender ~prepared =
     votes >= quorum c
     && leader_of_view_int c target = r.index
     && (r.view < target || not r.active)
-    && ((not (is_byz c r)) || Option.is_some c.byz.leader_attack)
+    && ((not (is_byz c r)) || Option.is_some c.adversary.leader_attack)
     (* A byzantine replica running a leader attack emits a credible
        New_view — it wants to *win* the slot so it can attack it. *)
   then begin
@@ -903,8 +906,8 @@ and respond_to_preprepare c r ~view ~seq ~digest =
 (* Byzantine behaviours (the Figure 8/16 attack)                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A Byzantine replica follows the committee's {!byz_strategy}.  The
-   default mounts the paper's conflicting-message attack: on every
+(* A Byzantine replica follows the committee's {!adversary}.  The
+   plain one mounts the paper's conflicting-message attack: on every
    pre-prepare it spams peers with garbage votes carrying wrong sequence
    numbers (burning honest verification CPU), and without A2M it also
    equivocates, telling half the committee a different digest — but those
@@ -912,18 +915,20 @@ and respond_to_preprepare c r ~view ~seq ~digest =
    committing.  The scripted [split_brain] strategy is the real
    Figure 8/16 attack: the byzantine view-0 leader proposes two genuinely
    conflicting batches of real requests and drives each half of the
-   committee to commit its own. *)
-and byz_silent c dst = List.exists (fun id -> Int.equal id dst) c.byz.silent_toward
+   committee to commit its own.  The honest handlers above never call into
+   this code; it joins the honest protocol only through
+   [record_view_change_vote] and [adopt_new_view]. *)
+let byz_silent c dst = List.exists (fun id -> Int.equal id dst) c.adversary.silent_toward
 
-and byz_send c r ~dst m = if not (byz_silent c dst) then send c r ~dst ~channel:consensus_channel m
+let byz_send c r ~dst m = if not (byz_silent c dst) then send c r ~dst ~channel:consensus_channel m
 
 (* Side A of the split is the low-indexed half of the committee; with
    byzantine ids 0..f-1, the first honest replica (the observer) always
    lands on side A, which is also the side whose A2M append goes first and
    therefore survives attestation. *)
-and byz_split_side_a c dst = 2 * dst < n_of c
+let byz_split_side_a c dst = 2 * dst < n_of c
 
-and byz_try_split_propose c r =
+let byz_try_split_propose c r =
   if leader_of_view_int c r.view = r.index then
     while Queue.length r.pending >= 2 do
       let a = Queue.take r.pending in
@@ -954,7 +959,7 @@ and byz_try_split_propose c r =
 
 (* A non-leader accomplice looks the plan up and votes both sides —
    each vote still gated by its own attested log. *)
-and byz_collude_on_preprepare c r ~view ~seq =
+let byz_collude_on_preprepare c r ~view ~seq =
   match Hashtbl.find_opt c.equiv_plans (view, seq) with
   | None -> ()
   | Some (digest_a, _, digest_b, _) ->
@@ -972,7 +977,7 @@ and byz_collude_on_preprepare c r ~view ~seq =
         end
       done
 
-and byz_naive_equivocate c r ~view ~seq ~digest =
+let byz_naive_equivocate c r ~view ~seq ~digest =
   if not c.cfg.Config.variant.Config.attested then
     (* Equivocation: conflicting digests to the two halves. *)
     for dst = 0 to n_of c - 1 do
@@ -1002,14 +1007,14 @@ and byz_naive_equivocate c r ~view ~seq ~digest =
    the leader slot, and — once it holds it — attacks it: total silence
    (stall), service restricted to a chosen subset, or batches dripped just
    under the watchdog period. *)
-and byz_holds_slot c r = r.active && leader_of_view_int c r.view = r.index
+let byz_holds_slot c r = r.active && leader_of_view_int c r.view = r.index
 
 (* Emit one honest-looking batch from the byzantine leader, restricted to
    [only] when given (selective serving).  The pre-prepare carries real
    requests and a correct digest, so served replicas make normal progress;
    a matching commit vote follows so the served subset can complete its
    commit quorum without the starved peers. *)
-and byz_leader_emit c r ~only =
+let byz_leader_emit c r ~only =
   if not (Queue.is_empty r.pending) then begin
     let batch = ref [] in
     let count = Int.min c.cfg.Config.batch_max (Queue.length r.pending) in
@@ -1031,7 +1036,7 @@ and byz_leader_emit c r ~only =
     done
   end
 
-and byz_leader_drip c r ~delay =
+let rec byz_leader_drip c r ~delay =
   let t = now c in
   if Queue.is_empty r.pending then ()
   else if t >= r.drip_next then begin
@@ -1049,21 +1054,21 @@ and byz_leader_drip c r ~delay =
 
 and byz_leader_try_propose c r =
   if byz_holds_slot c r then
-    match c.byz.leader_attack with
+    match c.adversary.leader_attack with
     | None | Some Leader_stall -> ()
     | Some (Leader_serve_only ids) -> byz_leader_emit c r ~only:(Some ids)
     | Some (Leader_drip delay) -> byz_leader_drip c r ~delay
 
-and byz_handle c r m =
+let byz_handle c r m =
   (match m with
-  | Prepare _ when c.byz.stale_view_replay && List.length c.stale_log < 16 ->
+  | Prepare _ when c.adversary.stale_view_replay && List.length c.stale_log < 16 ->
       c.stale_log <- m :: c.stale_log
   | _ -> ());
-  let leader_attack = Option.is_some c.byz.leader_attack in
+  let leader_attack = Option.is_some c.adversary.leader_attack in
   match m with
   | Pre_prepare { view; seq; digest; _ } ->
       verify_in c r;
-      if c.byz.split_brain then byz_collude_on_preprepare c r ~view ~seq
+      if c.adversary.split_brain then byz_collude_on_preprepare c r ~view ~seq
       else begin
         (* Vote noise, then per-half conflicting digests on fabricated
            batches: burns honest CPU but can never commit. *)
@@ -1073,7 +1078,7 @@ and byz_handle c r m =
       end
   | Request { req; _ } | Forward req ->
       parse_in c r c.cfg.Config.request_parse_cost;
-      if c.byz.split_brain then begin
+      if c.adversary.split_brain then begin
         add_pending c r req;
         byz_try_split_propose c r
       end
@@ -1091,7 +1096,7 @@ and byz_handle c r m =
       parse_in c r c.cfg.Config.msg_parse_cost;
       if leader_attack && sender = leader_of_view_int c view then
         adopt_new_view c r ~view ~reproposals;
-      if c.byz.stale_view_replay then
+      if c.adversary.stale_view_replay then
         List.iter (fun stale -> broadcast c r ~channel:consensus_channel stale) c.stale_log
   | _ -> parse_in c r c.cfg.Config.msg_parse_cost
 
@@ -1368,7 +1373,7 @@ let handle c ~member m =
 let watchdog c r () =
   if not (c.alive r.index) then ()
   else if is_byz c r then begin
-    match c.byz.leader_attack with
+    match c.adversary.leader_attack with
     | Some _ when byz_holds_slot c r ->
         (* Holding the slot: never vote against myself; keep the serve /
            drip emission paced off the watchdog tick. *)
@@ -1506,8 +1511,6 @@ let install_checkpoint c ~member ~seq ~digest ~voters =
 let set_snapshot_hook c f = c.snapshot_fetch <- f
 
 let set_alive c f = c.alive <- f
-
-let set_byz_strategy c s = c.byz <- s
 
 let set_observer c o = c.observer <- o
 

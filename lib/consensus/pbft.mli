@@ -88,7 +88,10 @@ type leader_attack =
           just under the watchdog period to probe the detection boundary
           (throughput collapses but no timeout ever fires) *)
 
-type byz_strategy = {
+(** A committee's whole adversary, fixed at {!create}: which members are
+    Byzantine and how they behave (one script shared by all of them). *)
+type adversary = {
+  byzantine : int list;  (** the colluding members, each in [0..n-1] *)
   split_brain : bool;
       (** as view-0 leader, propose two real conflicting batches and drive
           each committee half to commit its own (the Figure 8/16 attack);
@@ -105,13 +108,11 @@ type byz_strategy = {
           right-panel adversary.  [None]: byzantine replicas never lead. *)
 }
 
-val default_byz_strategy : byz_strategy
-(** No split brain, no silencing, no stale replay, no leader attack:
-    byzantine replicas add vote noise and naive equivocation only — the
-    behaviour used by the throughput experiments. *)
-
-val set_byz_strategy : committee -> byz_strategy -> unit
-(** Script the committee's byzantine members (shared by all of them). *)
+val honest : adversary
+(** No byzantine member.  Its flags (no split brain, no silencing, no stale
+    replay, no leader attack) are the plain script: [{ honest with
+    byzantine = ids }] makes [ids] add vote noise and naive equivocation
+    only — the behaviour used by the throughput experiments. *)
 
 val set_commit_hook :
   committee -> (member:int -> view:int -> seq:int -> digest:int -> batch:request list -> unit) -> unit
@@ -125,7 +126,7 @@ val create :
   keystore:Repro_crypto.Keys.keystore ->
   costs:Repro_crypto.Cost_model.t ->
   config:Config.t ->
-  faults:Repro_sim.Faults.t ->
+  adversary:adversary ->
   enclave_base_id:int ->
   send:(src:int -> dst:int -> channel:Repro_sim.Inbox.channel -> bytes:int -> msg -> unit) ->
   charge:(member:int -> float -> unit) ->
@@ -133,10 +134,12 @@ val create :
   committee
 (** [enclave_base_id]: the attested variants register one enclave per
     member with keystore principal ids [base .. base+n-1] (pass a range
-    disjoint from other committees).  [faults] is indexed by member.
+    disjoint from other committees).  [adversary] names members by index.
     [execute] is called on every replica with the not-yet-executed requests
     of each decided batch, in sequence order; an embedding that logs
-    commits does so for [member = observer c] only. *)
+    commits does so for [member = observer c] only.
+    @raise Repro_sim.Sim_error.Invalid if a byzantine id is outside
+    [0..n-1]. *)
 
 val set_observer : committee -> int -> unit
 (** Override the observer (default: lowest-indexed honest member).  Must

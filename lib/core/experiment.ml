@@ -111,19 +111,22 @@ let run_pbft ~quick ~byzantine ~leader_attack ~site ~variant ~n =
          never arms a watchdog) and scale the progress timeout to the 15 s
          simulated horizon — the paper's counts come from runs minutes
          long. *)
-      let byz_ids, byz_strategy =
+      let adversary =
         if leader_attack && byzantine > 0 then
-          ( Some (List.init byzantine (fun i -> i)),
-            Some { Pbft.default_byz_strategy with Pbft.leader_attack = Some Pbft.Leader_stall }
-          )
-        else (None, None)
+          Some
+            {
+              Pbft.honest with
+              Pbft.byzantine = List.init byzantine (fun i -> i);
+              leader_attack = Some Pbft.Leader_stall;
+            }
+        else None
       in
       let tune c =
         let c = tune_of site c in
         if leader_attack then { c with Config.progress_timeout = 1.0 } else c
       in
       let clients = if leader_attack then n else 10 in
-      Harness.run ~duration:(duration ~quick) ~warmup ~byzantine ?byz_ids ?byz_strategy
+      Harness.run ~duration:(duration ~quick) ~warmup ~byzantine ?adversary
         ~cpu_scale:(cpu_scale_of site) ~tune ~probe ~variant ~n
         ~topology:(topology_of site)
         ~workload:(Harness.Open_loop { rate = 2200.0; clients })

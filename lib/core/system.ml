@@ -820,7 +820,7 @@ let create cfg =
       Network.spawn network ~base ~cpu_scale:cfg.cpu_scale ~n
         ~inbox_mode:(Config.inbox_mode pbft_cfg) ~handle:Pbft.handle
         (Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:pbft_cfg
-           ~faults:(Faults.honest n) ~enclave_base_id:base ~execute)
+           ~adversary:Pbft.honest ~enclave_base_id:base ~execute)
     in
     let coordsm =
       match cfg.mode with

@@ -2,11 +2,11 @@ type invocation = { fn : string; args : string list }
 
 type response = Success of string | Failure of string
 
-type t = { name : string; handler : State.t -> txid:int -> invocation -> response }
+type t = State.t -> txid:int -> invocation -> response
 
-let define ~name handler = { name; handler }
+let define handler = handler
 
-let invoke t state ~txid inv = t.handler state ~txid inv
+let invoke t state ~txid inv = t state ~txid inv
 
 let op_to_args op =
   match op with

@@ -13,8 +13,7 @@ type response = Success of string | Failure of string
 
 type t
 
-val define :
-  name:string -> (State.t -> txid:int -> invocation -> response) -> t
+val define : (State.t -> txid:int -> invocation -> response) -> t
 
 val invoke : t -> State.t -> txid:int -> invocation -> response
 (** Unknown functions return [Failure]. *)

@@ -90,7 +90,7 @@ let analyze t ~shards ~args =
       | many -> `Cross many)
 
 let to_chaincode t =
-  Chaincode.define ~name:t.name (fun state ~txid { Chaincode.fn; args } ->
+  Chaincode.define (fun state ~txid { Chaincode.fn; args } ->
       if fn = t.name then
         (* Original single-shard entry point: prepare + commit fused. *)
         match compile t ~args with

@@ -78,7 +78,7 @@ let handler state ~txid:_ { Chaincode.fn; args } =
           Chaincode.Success "")
   | other -> Chaincode.Failure ("unknown function " ^ other)
 
-let chaincode = Chaincode.define ~name:"kvstore" handler
+let chaincode = Chaincode.define handler
 
 let counter_key k = "ctr_" ^ k
 

@@ -76,7 +76,7 @@ let handler state ~txid { Chaincode.fn; args } =
       arity_error fn
   | other, _ -> Chaincode.Failure ("unknown function " ^ other)
 
-let chaincode = Chaincode.define ~name:"smallbank" handler
+let chaincode = Chaincode.define handler
 
 (* Credits are unconditional increments, so they commute: declare them
    mergeable (DESIGN §18).  Debits keep the 2PC+2PL path — their

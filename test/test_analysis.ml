@@ -195,6 +195,24 @@ let test_r4_scan () =
   in
   Alcotest.(check bool) "Widget.used not flagged" false used_flagged
 
+(* --- R9: reachability from the executables (whole-tree scan) -------- *)
+
+let test_r9_scan () =
+  let tree = fixture "r9tree" in
+  let scan roots =
+    List.filter
+      (fun f -> f.Lint_types.rule = Lint_types.R9)
+      (active
+         (Lint.scan ~base:(tree ^ "/")
+            ~roots:(List.map (Filename.concat tree) roots)
+            ~excludes:[] ()))
+  in
+  let r9 = scan [ "bin"; "lib"; "test" ] in
+  Alcotest.(check (list string)) "only the module a test alone names is flagged"
+    [ "lib/orphan.ml" ]
+    (List.map (fun f -> f.Lint_types.file) r9);
+  Alcotest.(check int) "no bin root, no R9" 0 (List.length (scan [ "lib"; "test" ]))
+
 (* --- R7: domain safety (cross-module scan) -------------------------- *)
 
 let scan_tree name =
@@ -466,6 +484,7 @@ let () =
             test_r7_concurrent_mutations;
         ] );
       ("r8-nondeterminism", [ Alcotest.test_case "tree scan" `Quick test_r8_scan ]);
+      ("r9-reachability", [ Alcotest.test_case "tree scan" `Quick test_r9_scan ]);
       ( "summary-pass",
         [
           Alcotest.test_case "cell classification" `Quick test_summary_cells;

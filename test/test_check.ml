@@ -16,11 +16,14 @@ let contains hay needle =
 let sched ?(byz = [ 0 ]) ?(split_brain = true) ?(stale = false) ?(silent = []) ?leader
     ?(requests = 8) ?(events = []) () =
   {
-    Schedule.byz;
-    split_brain;
-    stale_replay = stale;
-    silent_toward = silent;
-    leader;
+    Schedule.adversary =
+      {
+        Pbft.byzantine = byz;
+        split_brain;
+        stale_view_replay = stale;
+        silent_toward = silent;
+        leader_attack = leader;
+      };
     requests;
     events;
   }
@@ -46,7 +49,8 @@ let test_schedule_roundtrip () =
   in
   let s' = Schedule.of_string (Schedule.to_string s) in
   Alcotest.(check string) "string form round-trips" (Schedule.to_string s) (Schedule.to_string s');
-  Alcotest.(check (list int)) "byz preserved" s.Schedule.byz s'.Schedule.byz;
+  Alcotest.(check (list int)) "byz preserved" s.Schedule.adversary.Pbft.byzantine
+    s'.Schedule.adversary.Pbft.byzantine;
   Alcotest.(check int) "requests preserved" s.Schedule.requests s'.Schedule.requests;
   Alcotest.(check int) "events preserved" 5 (List.length s'.Schedule.events)
 
@@ -58,13 +62,15 @@ let test_schedule_leader_token () =
       let s' = Schedule.of_string (Schedule.to_string s) in
       Alcotest.(check string) "leader witness round-trips" (Schedule.to_string s)
         (Schedule.to_string s');
-      Alcotest.(check bool) "leader preserved" true (s'.Schedule.leader = Some leader))
-    [ Schedule.Stall; Schedule.Serve_only [ 0; 2 ]; Schedule.Drip 1.9 ];
+      Alcotest.(check bool) "leader preserved" true
+        (s'.Schedule.adversary.Pbft.leader_attack = Some leader))
+    [ Pbft.Leader_stall; Pbft.Leader_serve_only [ 0; 2 ]; Pbft.Leader_drip 1.9 ];
   (* Witnesses predating the leader palette parse verbatim: no token
      means no leader attack. *)
   let old = "v1 byz=0 sb=1 stale=0 quiet=- req=4" in
   let s = Schedule.of_string old in
-  Alcotest.(check bool) "pre-palette witness has no leader" true (s.Schedule.leader = None);
+  Alcotest.(check bool) "pre-palette witness has no leader" true
+    (s.Schedule.adversary.Pbft.leader_attack = None);
   Alcotest.(check string) "and still prints without the token" old (Schedule.to_string s)
 
 let test_schedule_rejects_malformed () =
@@ -86,8 +92,9 @@ let test_schedule_generation_deterministic () =
   Alcotest.(check string) "same rng, same schedule" (Schedule.to_string (gen ()))
     (Schedule.to_string (gen ()));
   let s = gen () in
-  Alcotest.(check (list int)) "byz clique is 0..f-1" [ 0; 1 ] s.Schedule.byz;
-  Alcotest.(check bool) "split-brain scripted when f >= 1" true s.Schedule.split_brain;
+  Alcotest.(check (list int)) "byz clique is 0..f-1" [ 0; 1 ] s.Schedule.adversary.Pbft.byzantine;
+  Alcotest.(check bool) "split-brain scripted when f >= 1" true
+    s.Schedule.adversary.Pbft.split_brain;
   Alcotest.(check bool) "even request count" true (s.Schedule.requests mod 2 = 0)
 
 let test_schedule_heal_active_size () =
@@ -218,8 +225,9 @@ let test_shrink_minimize_greedy_and_bounded () =
      structural floor. *)
   let shrunk, reruns = Explore.shrink ~replay:(fun _ -> Some v) ~budget:64 base v in
   Alcotest.(check int) "all events dropped" 0 (List.length shrunk.Schedule.events);
-  Alcotest.(check bool) "stale replay disabled" false shrunk.Schedule.stale_replay;
-  Alcotest.(check (list int)) "silence dropped" [] shrunk.Schedule.silent_toward;
+  Alcotest.(check bool) "stale replay disabled" false
+    shrunk.Schedule.adversary.Pbft.stale_view_replay;
+  Alcotest.(check (list int)) "silence dropped" [] shrunk.Schedule.adversary.Pbft.silent_toward;
   Alcotest.(check int) "requests at floor" 2 shrunk.Schedule.requests;
   Alcotest.(check bool) "within budget" true (reruns <= 64);
   (* A replay that never reproduces keeps the original schedule. *)
@@ -312,8 +320,8 @@ let test_leader_stall_differential_holds () =
   Alcotest.(check int) "a stalling leader never breaks safety" 0
     d.Explore.broken.Explore.safety_violations;
   let stall t =
-    match t.Explore.schedule.Schedule.leader with
-    | Some Schedule.Stall -> true
+    match t.Explore.schedule.Schedule.adversary.Pbft.leader_attack with
+    | Some Pbft.Leader_stall -> true
     | _ -> false
   in
   List.iter
@@ -343,11 +351,11 @@ let test_leader_stall_differential_holds () =
     ahlr.Explore.trials
 
 let test_shrink_drops_leader_attack () =
-  let s = sched ~byz:[ 0 ] ~split_brain:false ~leader:Schedule.Stall ~requests:2 () in
+  let s = sched ~byz:[ 0 ] ~split_brain:false ~leader:Pbft.Leader_stall ~requests:2 () in
   let cs = Schedule.candidates s in
   Alcotest.(check int) "leader attack is the only shrinkable axis" 1 (List.length cs);
   Alcotest.(check bool) "the candidate turns the leader honest" true
-    (List.for_all (fun c -> c.Schedule.leader = None) cs)
+    (List.for_all (fun c -> c.Schedule.adversary.Pbft.leader_attack = None) cs)
 
 let test_explore_json () =
   let r = Explore.run ~variant:Config.ahl ~n:3 ~f:1 ~trials:1 ~seed:11L ~budget:4 in

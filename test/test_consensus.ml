@@ -85,13 +85,15 @@ let test_config_n_for_f () =
   Alcotest.(check int) "HL 3f+1" 16 (Config.n_for_f Config.hl ~f:5);
   Alcotest.(check int) "AHL 2f+1" 11 (Config.n_for_f Config.ahl_plus ~f:5)
 
-let test_default_byz_strategy_flags () =
+let test_honest_adversary_flags () =
   (* The throughput experiments' scripted adversary: conflicting-message
      noise on, the targeted attacks off. *)
-  let s = Pbft.default_byz_strategy in
+  let s = Pbft.honest in
+  Alcotest.(check (list int)) "nobody byzantine" [] s.Pbft.byzantine;
   Alcotest.(check bool) "split brain off" false s.Pbft.split_brain;
   Alcotest.(check bool) "no silent targets" true (s.Pbft.silent_toward = []);
-  Alcotest.(check bool) "no stale replay" false s.Pbft.stale_view_replay
+  Alcotest.(check bool) "no stale replay" false s.Pbft.stale_view_replay;
+  Alcotest.(check bool) "no leader attack" true (Option.is_none s.Pbft.leader_attack)
 
 let test_config_variant_flags () =
   Alcotest.(check bool) "HL plain" false Config.hl.Config.attested;
@@ -112,14 +114,12 @@ type fixture = {
   network : Pbft.msg Network.t;
   executions : (int, (int * int list) list ref) Hashtbl.t;
       (* member -> (seq, req ids) in execution order *)
-  faults : Faults.t;
 }
 
 let make_fixture ?(variant = Config.ahl_plus) ?(n = 5) ?(byzantine = []) () =
   let engine = Engine.create ~seed:11L in
   let cfg = Config.default variant ~n in
   let keystore = Keys.create_keystore (Engine.rng engine) in
-  let faults = Faults.with_byzantine_ids ~n ~ids:byzantine in
   let network = Network.create engine ~topology:(Topology.lan ()) in
   let executions = Hashtbl.create 8 in
   for m = 0 to n - 1 do
@@ -127,15 +127,15 @@ let make_fixture ?(variant = Config.ahl_plus) ?(n = 5) ?(byzantine = []) () =
   done;
   let c, nodes =
     Network.spawn network ~n ~inbox_mode:(Config.inbox_mode cfg) ~handle:Pbft.handle
-      (Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg ~faults
-         ~enclave_base_id:0
+      (Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg
+         ~adversary:{ Pbft.honest with Pbft.byzantine } ~enclave_base_id:0
          ~execute:(fun ~member ~seq batch ->
            let log = Hashtbl.find executions member in
            log := (seq, List.map (fun r -> r.Types.req_id) batch) :: !log))
   in
   Pbft.set_alive c (fun m -> not (Node.is_crashed nodes.(m)));
   Pbft.start c;
-  { engine; nodes; committee = c; network; executions; faults }
+  { engine; nodes; committee = c; network; executions }
 
 let submit ?via fx ~req_id =
   let member = match via with Some m -> m | None -> req_id mod Array.length fx.nodes in
@@ -294,6 +294,50 @@ let test_pbft_hl_message_complexity_higher () =
 let test_pbft_observer_skips_byzantine () =
   let fx = make_fixture ~n:5 ~byzantine:[ 0 ] () in
   Alcotest.(check int) "observer is first honest" 1 (Pbft.observer fx.committee)
+
+(* ------------------------------------------------------------------ *)
+(* The committee's adversary                                           *)
+(* ------------------------------------------------------------------ *)
+
+let test_adversary_roster () =
+  let rejects byzantine =
+    let engine = Engine.create ~seed:1L in
+    match
+      Pbft.create ~engine
+        ~keystore:(Keys.create_keystore (Engine.rng engine))
+        ~costs:Cost_model.default ~config:(Config.default Config.ahl ~n:5)
+        ~adversary:{ Pbft.honest with Pbft.byzantine } ~enclave_base_id:0
+        ~send:(fun ~src:_ ~dst:_ ~channel:_ ~bytes:_ _ -> ())
+        ~charge:(fun ~member:_ _ -> ())
+        ~execute:(fun ~member:_ ~seq:_ _ -> ())
+    with
+    | exception Sim_error.Invalid _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "id n rejected" true (rejects [ 1; 5 ]);
+  Alcotest.(check bool) "negative id rejected" true (rejects [ -1 ]);
+  Alcotest.(check bool) "in-range ids accepted" false (rejects [ 0; 4 ]);
+  let fx = make_fixture ~n:5 ~byzantine:[ 0; 1 ] () in
+  Alcotest.(check int) "observer is the lowest honest member" 2 (Pbft.observer fx.committee)
+
+let test_adversary_random_selection () =
+  (* More seeded byzantine picks than members: refused before the run
+     starts, so nothing is traced. *)
+  let trace = Repro_obs.Trace.create () and metrics = Repro_obs.Metrics.create () in
+  let probe = Repro_obs.Probe.make ~trace ~metrics in
+  let n = 4 in
+  let raised =
+    match
+      Harness.run ~duration:1.0 ~warmup:0.0 ~byzantine:(n + 1) ~probe ~variant:Config.ahl ~n
+        ~topology:(Topology.lan ())
+        ~workload:(Harness.Open_loop { rate = 100.0; clients = 2 })
+        ()
+    with
+    | exception Sim_error.Invalid _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "count above n raises" true raised;
+  Alcotest.(check int) "nothing ran" 0 (Repro_obs.Trace.length trace)
 
 (* ------------------------------------------------------------------ *)
 (* Lockstep (Tendermint / IBFT)                                        *)
@@ -736,8 +780,9 @@ let test_vc_backoff_cap_recovers_from_failed_view_changes () =
     let trace = Repro_obs.Trace.create () and metrics = Repro_obs.Metrics.create () in
     let probe = Repro_obs.Probe.make ~trace ~metrics in
     let r =
-      Harness.run ~seed:2L ~duration:12.0 ~warmup:0.0 ~byzantine:6
-        ~byz_ids:[ 1; 2; 3; 4; 5; 6 ] ~crashes:[ (0, 0.1) ]
+      Harness.run ~seed:2L ~duration:12.0 ~warmup:0.0
+        ~adversary:{ Pbft.honest with Pbft.byzantine = [ 1; 2; 3; 4; 5; 6 ] }
+        ~crashes:[ (0, 0.1) ]
         ~tune:(fun c -> { c with Config.progress_timeout = 0.25; vc_backoff_cap = cap })
         ~probe ~variant:Config.ahl ~n:15 ~topology:(Topology.lan ())
         ~workload:(Harness.Open_loop { rate = 400.0; clients = 8 })
@@ -766,19 +811,18 @@ let test_relay_watchdog_fires_on_selective_serving () =
   let run ~attack =
     let trace = Repro_obs.Trace.create () and metrics = Repro_obs.Metrics.create () in
     let probe = Repro_obs.Probe.make ~trace ~metrics in
-    let byz_ids, byz_strategy =
+    let adversary =
       if attack then
-        ( [ 0 ],
-          Some
-            {
-              Pbft.default_byz_strategy with
-              Pbft.leader_attack = Some (Pbft.Leader_serve_only [ 0; 1; 2 ]);
-            } )
-      else ([], None)
+        {
+          Pbft.honest with
+          Pbft.byzantine = [ 0 ];
+          leader_attack = Some (Pbft.Leader_serve_only [ 0; 1; 2 ]);
+        }
+      else Pbft.honest
     in
     let r =
-      Harness.run ~seed:2L ~duration:12.0 ~warmup:0.0 ~byzantine:(List.length byz_ids) ~byz_ids
-        ?byz_strategy ~probe ~variant:Config.ahlr ~n:4 ~topology:(Topology.lan ())
+      Harness.run ~seed:2L ~duration:12.0 ~warmup:0.0 ~adversary ~probe ~variant:Config.ahlr
+        ~n:4 ~topology:(Topology.lan ())
         ~workload:(Harness.Open_loop { rate = 400.0; clients = 4 })
         ()
     in
@@ -803,18 +847,17 @@ let test_slow_drip_leader_throttles_without_detection () =
   (* The drip strategy emits each batch just under the watchdog period:
      the committee is throttled hard but no replica ever suspects the
      leader — the stealth end of the leader-attack palette. *)
-  let run byz_strategy =
-    Harness.run ~seed:2L ~duration:12.0 ~warmup:2.0
-      ~byzantine:(if byz_strategy = None then 0 else 1)
-      ~byz_ids:(if byz_strategy = None then [] else [ 0 ])
-      ?byz_strategy ~variant:Config.ahl ~n:4 ~topology:(Topology.lan ())
+  let run adversary =
+    Harness.run ~seed:2L ~duration:12.0 ~warmup:2.0 ~adversary ~variant:Config.ahl ~n:4
+      ~topology:(Topology.lan ())
       ~workload:(Harness.Open_loop { rate = 400.0; clients = 4 })
       ()
   in
   let dripped =
-    run (Some { Pbft.default_byz_strategy with Pbft.leader_attack = Some (Pbft.Leader_drip 1.9) })
+    run
+      { Pbft.honest with Pbft.byzantine = [ 0 ]; leader_attack = Some (Pbft.Leader_drip 1.9) }
   in
-  let honest = run None in
+  let honest = run Pbft.honest in
   Alcotest.(check int) "never deposed" 0 dripped.Harness.view_changes;
   Alcotest.(check bool) "still commits" true (dripped.Harness.committed > 0);
   Alcotest.(check bool) "but badly throttled" true
@@ -929,7 +972,7 @@ let () =
           Alcotest.test_case "quorum rules" `Quick test_config_quorum_rules;
           Alcotest.test_case "n_for_f" `Quick test_config_n_for_f;
           Alcotest.test_case "variant flags" `Quick test_config_variant_flags;
-          Alcotest.test_case "default byz strategy" `Quick test_default_byz_strategy_flags;
+          Alcotest.test_case "default byz strategy" `Quick test_honest_adversary_flags;
         ] );
       ( "pbft",
         [
@@ -946,6 +989,11 @@ let () =
             test_pbft_byzantine_equivocation_tolerated;
           Alcotest.test_case "message complexity" `Quick test_pbft_hl_message_complexity_higher;
           Alcotest.test_case "observer skips byzantine" `Quick test_pbft_observer_skips_byzantine;
+        ] );
+      ( "adversary",
+        [
+          Alcotest.test_case "roster" `Quick test_adversary_roster;
+          Alcotest.test_case "random selection" `Quick test_adversary_random_selection;
         ] );
       ( "lockstep",
         [

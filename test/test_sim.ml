@@ -447,48 +447,8 @@ let test_network_register_far_id () =
     (fun () -> Network.register net neg)
 
 (* ------------------------------------------------------------------ *)
-(* Faults / Commits                                                    *)
+(* Commits                                                             *)
 (* ------------------------------------------------------------------ *)
-
-let test_faults_roster () =
-  let f = Faults.with_byzantine_ids ~n:5 ~ids:[ 1; 3 ] in
-  Alcotest.(check bool) "1 byz" true (Faults.is_byzantine f 1);
-  Alcotest.(check bool) "0 honest" false (Faults.is_byzantine f 0);
-  Alcotest.(check int) "count" 2 (Faults.byzantine_count f);
-  Alcotest.(check (list int)) "ids" [ 1; 3 ] (Faults.byzantine_ids f)
-
-let test_faults_random_selection () =
-  let f = Faults.with_byzantine (Rng.create 5L) ~n:100 ~count:25 in
-  Alcotest.(check int) "25 byzantine" 25 (Faults.byzantine_count f)
-
-let test_faults_adaptive_corruption_delay () =
-  let e = Engine.create ~seed:1L in
-  let f = Faults.honest 3 in
-  Faults.corrupt_after e f 1 ~delay:5.0;
-  Engine.run e ~until:4.0;
-  Alcotest.(check bool) "not yet corrupted" false (Faults.is_byzantine f 1);
-  Engine.run e ~until:6.0;
-  Alcotest.(check bool) "corrupted after delay" true (Faults.is_byzantine f 1)
-
-let test_faults_adaptive_corruption_timestamp () =
-  (* Section 3.3 adaptive corruption: pin down the exact engine time at
-     which the roster flips by sampling it from a probe event stream. *)
-  let e = Engine.create ~seed:1L in
-  let f = Faults.honest 3 in
-  let flip_seen_at = ref nan in
-  Faults.corrupt_after e f 1 ~delay:2.5;
-  let rec probe () =
-    if Faults.is_byzantine f 1 then begin
-      if Float.is_nan !flip_seen_at then flip_seen_at := Engine.now e
-    end
-    else Engine.schedule e ~delay:0.25 probe
-  in
-  probe ();
-  Engine.run e ~until:10.0;
-  check_float "first probe seeing corruption" 2.5 !flip_seen_at;
-  Alcotest.(check int) "exactly one byzantine" 1 (Faults.byzantine_count f);
-  Alcotest.(check bool) "others untouched" false
-    (Faults.is_byzantine f 0 || Faults.is_byzantine f 2)
 
 let test_commits_throughput () =
   let e = Engine.create ~seed:1L in
@@ -641,11 +601,6 @@ let () =
         ] );
       ( "faults+metrics",
         [
-          Alcotest.test_case "roster" `Quick test_faults_roster;
-          Alcotest.test_case "random selection" `Quick test_faults_random_selection;
-          Alcotest.test_case "adaptive corruption" `Quick test_faults_adaptive_corruption_delay;
-          Alcotest.test_case "adaptive corruption timestamp" `Quick
-            test_faults_adaptive_corruption_timestamp;
           Alcotest.test_case "throughput" `Quick test_commits_throughput;
           Alcotest.test_case "abort rate" `Quick test_commits_abort_rate;
           Alcotest.test_case "throughput series" `Quick test_commits_throughput_series;

@@ -60,6 +60,36 @@ let micro_tests () =
         ])
       (List.init 16 Fun.id)
   in
+  (* The per-transaction path: one two-shard transaction's coordination
+     steps through the registry, the workload generator per kind, and a
+     participant's prepare+commit of a sendPayment. *)
+  let registry = Coordination.create_registry () in
+  let xshard_steps =
+    let ops = Repro_ledger.Smallbank_cc.send_payment_ops ~src:"acc1" ~dst:"acc2" ~amount:3 in
+    let leg shard = List.filteri (fun i _ -> i = shard) ops in
+    [ Coordination.Begin_tx { txid = 7; participants = [ 0; 1 ] } ]
+    @ List.concat_map
+        (fun shard ->
+          [
+            Coordination.Prepare_tx { txid = 7; ops = leg shard };
+            Coordination.Vote { txid = 7; shard; ok = true };
+            Coordination.Commit_tx { txid = 7; ops = leg shard };
+          ])
+        [ 0; 1 ]
+  in
+  let next_tx kind =
+    let sys = System.create (System.default_config ~shards:6 ~committee_size:3) in
+    (* A keyspace small enough that every account's shard is cached
+       within the first few thousand calls: the kernel times the steady
+       state. *)
+    let wl = Workload.create kind ~keyspace:1_000 ~theta:0.99 ~rng:(Rng.create 5L) in
+    Workload.setup wl sys ~initial_balance:1_000;
+    Staged.stage (fun () -> Workload.next_tx wl sys ~client:0)
+  in
+  let ledger = Repro_ledger.State.create () in
+  Repro_ledger.Executor.set_balance ledger "chk_acc1" 1_000;
+  Repro_ledger.Executor.set_balance ledger "chk_acc2" 1_000;
+  let forward = ref true in
   [
     Test.make ~name:"sha256/256B" (Staged.stage (fun () -> Sha256.digest_string payload));
     Test.make ~name:"hmac-sha256/256B"
@@ -99,6 +129,23 @@ let micro_tests () =
     Test.make ~name:"probe-on/incr" (Staged.stage (fun () -> Probe.incr live_probe "bench.ctr"));
     Test.make ~name:"probe-on/observe"
       (Staged.stage (fun () -> Probe.observe live_probe "bench.lat" 0.125));
+    Test.make ~name:"registry/xshard-tx"
+      (Staged.stage (fun () ->
+           List.iter (fun op -> ignore (Coordination.register registry op)) xshard_steps;
+           Coordination.release registry ~txid:7));
+    Test.make ~name:"next-tx/kvstore" (next_tx (Workload.Kvstore { updates_per_tx = 3 }));
+    Test.make ~name:"next-tx/smallbank" (next_tx Workload.Smallbank);
+    Test.make ~name:"next-tx/hot-increments"
+      (next_tx (Workload.Hot_increments { increment_fraction = 0.9 }));
+    (* Alternate the payment's direction so balances never run out. *)
+    Test.make ~name:"executor/prepare+commit"
+      (Staged.stage (fun () ->
+           forward := not !forward;
+           let src, dst = if !forward then ("acc1", "acc2") else ("acc2", "acc1") in
+           let ops = Repro_ledger.Smallbank_cc.send_payment_ops ~src ~dst ~amount:1 in
+           match Repro_ledger.Executor.try_prepare ledger ~txid:1 ops with
+           | Ok () -> Repro_ledger.Executor.commit ledger ~txid:1 ops
+           | Error _ -> failwith "executor/prepare+commit: prepare refused"));
   ]
 
 (* The probes live permanently in the consensus/2PC hot paths, so the

@@ -34,7 +34,12 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?advers
   let commits = Commits.create engine in
   let adversary =
     match adversary with
-    | Some a -> a
+    | Some a ->
+        let ids = List.length a.Pbft.byzantine in
+        if byzantine <> 0 && byzantine <> ids then
+          Sim_error.invalid "Harness.run: byzantine count %d disagrees with the adversary's %d ids"
+            byzantine ids;
+        a
     | None when byzantine = 0 -> Pbft.honest
     | None ->
         if byzantine > n then

@@ -69,6 +69,7 @@ val run :
     counters, crash instants, and a per-replica inbox-depth counter series
     sampled at 2 Hz.
     @raise Repro_sim.Sim_error.Invalid before anything runs if
-    [byzantine] exceeds [n] (and no [adversary] is given). *)
+    [byzantine] exceeds [n] (and no [adversary] is given), or if both are
+    given and a nonzero [byzantine] is not the adversary's id count. *)
 
 val pp_result : Format.formatter -> result -> unit

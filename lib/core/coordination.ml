@@ -58,46 +58,51 @@ let batch_order a b =
    back, so the registry stays bounded by the set of *distinct* in-flight
    operations rather than the number of messages sent.  [release] drops a
    finished transaction's entries; a late message carrying a released tag
-   simply fails [lookup] (the decision is already on every chain). *)
+   simply fails [lookup] (the decision is already on every chain).
+
+   The index never hashes an op: it files each under [slot op] (its
+   transaction and step kind, an int) in a short list compared
+   structurally, so a transaction's entries are the eight slots
+   [8 * txid .. 8 * txid + 7] and [release] needs no list of its own. *)
+module Int_table = Repro_util.Int_table
+
 type registry = {
   mutable next : int;
-  ops : (int, op) Hashtbl.t; (* tag -> op *)
-  index : (op, int) Hashtbl.t; (* structural op -> tag (idempotent re-sends) *)
-  by_txid : (int, int list) Hashtbl.t; (* txid -> tags, for compaction *)
+  ops : op Int_table.t; (* tag -> op *)
+  index : (op * int) list Int_table.t; (* slot -> (op, tag), for idempotent re-sends *)
 }
 
-let create_registry () =
-  { next = 0; ops = Hashtbl.create 1024; index = Hashtbl.create 1024; by_txid = Hashtbl.create 256 }
+(* One slot per [step_rank]: a new op kind needs a rank below this. *)
+let slots_per_txid = 8
+
+let slot op = (slots_per_txid * txid_of_op op) + step_rank op
+
+let create_registry () = { next = 0; ops = Int_table.create 1024; index = Int_table.create 1024 }
 
 let register r op =
-  match Hashtbl.find_opt r.index op with
-  | Some tag -> tag
+  let slot = slot op in
+  let filed = Option.value (Int_table.find_opt r.index slot) ~default:[] in
+  match List.find_opt (fun (o, _) -> o = op) filed with
+  | Some (_, tag) -> tag
   | None ->
       let tag = r.next in
       r.next <- tag + 1;
-      Hashtbl.replace r.ops tag op;
-      Hashtbl.replace r.index op tag;
-      let txid = txid_of_op op in
-      let tags = Option.value (Hashtbl.find_opt r.by_txid txid) ~default:[] in
-      Hashtbl.replace r.by_txid txid (tag :: tags);
+      Int_table.replace r.ops tag op;
+      Int_table.replace r.index slot ((op, tag) :: filed);
       tag
 
-let lookup r tag = Hashtbl.find_opt r.ops tag
+let lookup r tag = Int_table.find_opt r.ops tag
 
 let release r ~txid =
-  match Hashtbl.find_opt r.by_txid txid with
-  | None -> ()
-  | Some tags ->
-      List.iter
-        (fun tag ->
-          (match Hashtbl.find_opt r.ops tag with
-          | Some op -> Hashtbl.remove r.index op
-          | None -> ());
-          Hashtbl.remove r.ops tag)
-        tags;
-      Hashtbl.remove r.by_txid txid
+  for slot = slots_per_txid * txid to (slots_per_txid * txid) + slots_per_txid - 1 do
+    match Int_table.find_opt r.index slot with
+    | None -> ()
+    | Some filed ->
+        List.iter (fun (_, tag) -> Int_table.remove r.ops tag) filed;
+        Int_table.remove r.index slot
+  done
 
-let length r = Hashtbl.length r.ops
+let length r = Int_table.length r.ops
 
 let rec op_cost (costs : Repro_crypto.Cost_model.t) op =
   let per_op = costs.Repro_crypto.Cost_model.tx_execute in

@@ -60,10 +60,10 @@ type committee_ctx = {
          by every shard committee in [Flattened] mode (the coordinator
          shard of a transaction runs its machine), by nobody when the
          client coordinates *)
-  applied : (int * int, unit) Hashtbl.t;
-      (* (txid, phase) pairs already executed — client retries after
-         request loss make re-delivery possible, execution must be
-         idempotent *)
+  applied : unit Int_table.t;
+      (* [applied_key txid phase] of every step already executed — client
+         retries after request loss make re-delivery possible, execution
+         must be idempotent *)
   parked : (int, Tx.op list * Types.request * float) Hashtbl.t;
       (* wait-die: prepares waiting for a lock (with park time),
          retried on releases *)
@@ -98,7 +98,7 @@ type tx_record = {
   mutable votes : (int * bool) list; (* shard votes a coordinating client holds *)
   mutable decided : bool;
   mutable legs_left : int;
-  legs_done : (int, unit) Hashtbl.t;
+  mutable legs_done : int list; (* shards whose decision leg landed *)
   mutable outcome : tx_outcome;
   mutable relaying : bool; (* false once a malicious client went silent *)
   mutable prepare_started : float; (* -1 until the first prepare dispatch *)
@@ -363,9 +363,9 @@ let complete t rec_ outcome =
 let finish_leg t txid shard =
   match Hashtbl.find_opt t.inflight txid with
   | None -> ()
-  | Some rec_ when Hashtbl.mem rec_.legs_done shard -> ()
+  | Some rec_ when List.exists (Int.equal shard) rec_.legs_done -> ()
   | Some rec_ ->
-      Hashtbl.replace rec_.legs_done shard ();
+      rec_.legs_done <- shard :: rec_.legs_done;
       rec_.legs_left <- rec_.legs_left - 1;
       if rec_.decided_at >= 0.0 then
         Probe.observe t.probe "2pc.decision_leg_s" (Engine.now t.engine -. rec_.decided_at);
@@ -391,7 +391,7 @@ let decision_leg rec_ shard =
 let send_decision t rec_ =
   List.iter
     (fun shard ->
-      if not (Hashtbl.mem rec_.legs_done shard) then
+      if not (List.exists (Int.equal shard) rec_.legs_done) then
         send_to_committee t ~committee:shard ~client:rec_.tx.Tx.client (decision_leg rec_ shard))
     rec_.participant_shards
 
@@ -527,6 +527,14 @@ let retry_parked t ctx =
       | Error (Executor.Lock_conflict _) -> ())
     waiting
 
+(* A step's key in [ctx.applied]: phase 0 is a single-shard
+   transaction, 1 a commit, 2 an abort, 3 a delta leg. *)
+let applied_key txid phase = (4 * txid) + phase
+
+let is_applied ctx txid phase = Int_table.mem ctx.applied (applied_key txid phase)
+
+let mark_applied ctx txid phase = Int_table.replace ctx.applied (applied_key txid phase) ()
+
 let execute_on_shard t ctx (req : Types.request) =
   match Coordination.lookup t.registry req.Types.op_tag with
   | None -> ()
@@ -534,18 +542,18 @@ let execute_on_shard t ctx (req : Types.request) =
       match op with
       (* Client retries can re-deliver any step; state-changing ones are
          applied at most once per (txid, step). *)
-      | Coordination.Single { txid; _ } when Hashtbl.mem ctx.applied (txid, 0) -> ()
-      | Coordination.Commit_tx { txid; _ } when Hashtbl.mem ctx.applied (txid, 1) -> ()
-      | Coordination.Abort_tx { txid; _ } when Hashtbl.mem ctx.applied (txid, 2) -> ()
+      | Coordination.Single { txid; _ } when is_applied ctx txid 0 -> ()
+      | Coordination.Commit_tx { txid; _ } when is_applied ctx txid 1 -> ()
+      | Coordination.Abort_tx { txid; _ } when is_applied ctx txid 2 -> ()
       | Coordination.Prepare_tx { txid; _ }
-        when Hashtbl.mem ctx.applied (txid, 1) || Hashtbl.mem ctx.applied (txid, 2) ->
+        when is_applied ctx txid 1 || is_applied ctx txid 2 ->
           (* A retried prepare arriving after the decision must not
              re-acquire locks the commit/abort already released. *)
           ()
-      | Coordination.Merge_tx { txid; _ } when Hashtbl.mem ctx.applied (txid, 3) ->
+      | Coordination.Merge_tx { txid; _ } when is_applied ctx txid 3 ->
           () (* duplicated/retried delta legs append at most once *)
       | Coordination.Merge_tx { txid; deltas } ->
-          Hashtbl.replace ctx.applied (txid, 3) ();
+          mark_applied ctx txid 3;
           List.iter
             (fun (key, delta) -> Merge.append ctx.mlane ctx.state ~txid ~key delta)
             deltas;
@@ -557,7 +565,7 @@ let execute_on_shard t ctx (req : Types.request) =
             { at = Engine.now t.engine; txid; shard = ctx.index; commit = true } :: t.decisions;
           finish_leg t txid ctx.index
       | Coordination.Single { txid; ops } -> (
-          Hashtbl.replace ctx.applied (txid, 0) ();
+          mark_applied ctx txid 0;
           let outcome =
             match Executor.execute_single ctx.state ~txid ops with
             | Ok () -> Committed
@@ -606,7 +614,7 @@ let execute_on_shard t ctx (req : Types.request) =
                     vote t ctx req ~txid ~ok:false
                   end))
       | Coordination.Commit_tx { txid; ops } ->
-          Hashtbl.replace ctx.applied (txid, 1) ();
+          mark_applied ctx txid 1;
           Executor.commit ctx.state ~txid ops;
           Hashtbl.remove ctx.parked txid;
           Hashtbl.remove ctx.prepared txid;
@@ -615,7 +623,7 @@ let execute_on_shard t ctx (req : Types.request) =
           finish_leg t txid ctx.index;
           if t.cfg.concurrency = Wait_die then retry_parked t ctx
       | Coordination.Abort_tx { txid; ops } ->
-          Hashtbl.replace ctx.applied (txid, 2) ();
+          mark_applied ctx txid 2;
           Executor.abort ctx.state ~txid ops;
           Hashtbl.remove ctx.parked txid;
           Hashtbl.remove ctx.prepared txid;
@@ -838,7 +846,7 @@ let create cfg =
         state;
         chain;
         coordsm;
-        applied = Hashtbl.create 1024;
+        applied = Int_table.create 1024;
         parked = Hashtbl.create 64;
         prepared = Hashtbl.create 64;
         mlane = Merge.lane ();
@@ -935,7 +943,7 @@ let new_record t ~on_done ~relaying tx legs =
        it is classified; only its delta legs remain. *)
     decided = lane;
     legs_left = List.length touched;
-    legs_done = Hashtbl.create 4;
+    legs_done = [];
     outcome = (if lane then Committed else Aborted);
     relaying;
     prepare_started = -1.0;

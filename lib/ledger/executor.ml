@@ -11,32 +11,33 @@ let balance state account =
 
 let set_balance state account v = State.put state account (string_of_int v)
 
-(* Net effect of this transaction's local ops per account, so a prepare can
-   validate a debit that is funded by a credit in the same transaction. *)
+(* Net effect of this transaction's local ops per account, ascending by
+   account, so a prepare can validate a debit that is funded by a credit in
+   the same transaction. *)
 let net_deltas ops =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun op ->
-      let upd account d =
-        Hashtbl.replace table account (d + Option.value (Hashtbl.find_opt table account) ~default:0)
-      in
+  let rec add account d = function
+    | [] -> [ (account, d) ]
+    | ((held, sum) as entry) :: rest ->
+        let c = String.compare account held in
+        if c = 0 then (held, sum + d) :: rest
+        else if c < 0 then (account, d) :: entry :: rest
+        else entry :: add account d rest
+  in
+  List.fold_left
+    (fun deltas op ->
       match op with
-      | Tx.Debit { account; amount } -> upd account (-amount)
-      | Tx.Credit { account; amount } -> upd account amount
+      | Tx.Debit { account; amount } -> add account (-amount) deltas
+      | Tx.Credit { account; amount } -> add account amount deltas
       (* Merge deltas are unconditional: they never fail validation, so a
          downgraded merge transaction cannot abort on funds. *)
-      | Tx.Put _ | Tx.Get _ | Tx.Merge _ -> ())
-    ops;
-  table
+      | Tx.Put _ | Tx.Get _ | Tx.Merge _ -> deltas)
+    [] ops
 
+(* The first account, ascending, that the transaction would overdraw. *)
 let validate state ops =
-  let deltas = net_deltas ops in
-  Repro_util.Det.fold ~compare:String.compare
-    (fun account delta acc ->
-      match acc with
-      | Some _ -> acc
-      | None -> if balance state account + delta < 0 then Some account else None)
-    deltas None
+  List.find_map
+    (fun (account, delta) -> if balance state account + delta < 0 then Some account else None)
+    (net_deltas ops)
 
 let try_prepare state ~txid ops =
   let locks = Locks.create state in

@@ -121,25 +121,30 @@ let delta_token = function
   | Maxi n -> "max:" ^ string_of_int n
   | Union elts -> "union:" ^ String.concat "," elts
 
-let entry_line e = Printf.sprintf "%s|%d|%s" e.key e.txid (delta_token e.delta)
+(* An entry with its delta token, computed once for sorting and digest. *)
+let tokened e = (e, delta_token e.delta)
 
 (* Canonical fold order: by key, then txid, then delta token — no arrival
    component anywhere.  Commutativity makes the folded *values*
    order-independent; the canonical order makes the fold *digest* a pure
    function of the delta set, so every replica chains the same root per
    block no matter how its deltas arrived. *)
-let entry_order a b =
+let entry_order (a, ta) (b, tb) =
   let c = String.compare a.key b.key in
   if c <> 0 then c
   else
     let c = Int.compare a.txid b.txid in
-    if c <> 0 then c else String.compare (delta_token a.delta) (delta_token b.delta)
+    if c <> 0 then c else String.compare ta tb
 
+(* The digest covers one ["key|txid|token"] line per entry, concatenated. *)
 let fold_into lane state =
-  let entries = List.sort entry_order (List.rev lane.pending) in
-  List.iter (fun e -> apply_delta state e.key e.delta) entries;
+  let entries = List.sort entry_order (List.rev_map tokened lane.pending) in
+  List.iter (fun (e, _) -> apply_delta state e.key e.delta) entries;
   lane.pending <- [];
-  let digest = Sha256.digest_concat (List.map entry_line entries) in
+  let digest =
+    Sha256.digest_concat
+      (List.concat_map (fun (e, token) -> [ e.key; "|"; string_of_int e.txid; "|"; token ]) entries)
+  in
   lane.root <- Sha256.digest_concat [ Sha256.to_hex lane.root; Sha256.to_hex digest ];
   lane.folds <- lane.folds + 1;
   (List.length entries, digest)
@@ -166,7 +171,9 @@ let audit lane state =
       (match Hashtbl.find_opt lane.base key with
       | Some (Some v) -> State.put scratch key v
       | Some None | None -> ());
-      List.iter (fun e -> apply_delta scratch key e.delta) (List.sort entry_order entries);
+      List.iter
+        (fun (e, _) -> apply_delta scratch key e.delta)
+        (List.sort entry_order (List.map tokened entries));
       let expected = Option.value (State.get_data scratch key) ~default:"" in
       let actual = Option.value (State.get_data state key) ~default:"" in
       if String.equal expected actual then acc

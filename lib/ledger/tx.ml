@@ -33,23 +33,26 @@ let keys t = List.sort_uniq String.compare (List.map key_of_op t.ops)
 
 let shard_of_key ~shards key =
   if shards <= 0 then Repro_util.Invariant.fail "Tx.shard_of_key: shards must be positive";
-  let digest = Sha256.to_raw (Sha256.digest_string key) in
-  (* First 4 digest bytes as an unsigned int. *)
-  let v =
-    (Char.code digest.[0] lsl 24)
-    lor (Char.code digest.[1] lsl 16)
-    lor (Char.code digest.[2] lsl 8)
-    lor Char.code digest.[3]
-  in
-  v mod shards
+  (* [v mod 1 = 0] for every digest: one shard needs no hash. *)
+  if shards = 1 then 0
+  else
+    let digest = Sha256.to_raw (Sha256.digest_string key) in
+    (* First 4 digest bytes as an unsigned int. *)
+    let v =
+      (Char.code digest.[0] lsl 24)
+      lor (Char.code digest.[1] lsl 16)
+      lor (Char.code digest.[2] lsl 8)
+      lor Char.code digest.[3]
+    in
+    v mod shards
 
-let group_by_shard ~shards ~key items =
-  (* One hash per item; the stable sort keeps each shard's items in their
+let group_by_shard ~shard_of ~key items =
+  (* One lookup per item; the stable sort keeps each shard's items in their
      original order. *)
   let tagged =
     List.stable_sort
       (fun (a, _) (b, _) -> Int.compare a b)
-      (List.map (fun item -> (shard_of_key ~shards (key item), item)) items)
+      (List.map (fun item -> (shard_of (key item), item)) items)
   in
   let rec group = function
     | [] -> []
@@ -63,9 +66,10 @@ let group_by_shard ~shards ~key items =
   in
   group tagged
 
-let placement ~shards t =
+let placement ?shard_of ~shards t =
   if not (Int.equal t.placed_for shards) then begin
-    t.placed <- group_by_shard ~shards ~key:key_of_op t.ops;
+    let shard_of = match shard_of with Some f -> f | None -> shard_of_key ~shards in
+    t.placed <- group_by_shard ~shard_of ~key:key_of_op t.ops;
     t.placed_for <- shards
   end;
   t.placed

@@ -41,14 +41,18 @@ val keys : t -> string list
 
 val shard_of_key : shards:int -> string -> int
 (** Stable hash partitioning (SHA-256 based, matching Appendix B's
-    uniformly-random argument-to-shard mapping). *)
+    uniformly-random argument-to-shard mapping).  [shards = 1] answers 0
+    without hashing. *)
 
-val placement : shards:int -> t -> (int * op list) list
+val placement : ?shard_of:(string -> int) -> shards:int -> t -> (int * op list) list
 (** Every touched shard, ascending, with the sub-ops it must
     prepare/commit in their original order.  Memoised on the transaction
     for the last [shards] asked, so the workload's cross-shard count,
     submission, the fast lane and every leg share one hash per key; a
-    call with another shard count recomputes. *)
+    call with another shard count recomputes.  [shard_of] stands in for
+    [shard_of_key ~shards] when the memo is filled: a caller that already
+    knows its keys' shards (the workload's per-account cache) passes them
+    instead of re-hashing, and must answer exactly as [shard_of_key]. *)
 
 val on_shard : (int * 'a list) list -> int -> 'a list
 (** The items a placement (or a lane grouped like one) holds for one

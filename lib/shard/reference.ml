@@ -10,8 +10,8 @@ type decision = No_change | Now_started | Now_committed | Now_aborted
 
 type record = {
   mutable state : state;
-  participants : (int, unit) Hashtbl.t;
-  voted : (int, unit) Hashtbl.t;
+  participants : int list; (* distinct, ascending *)
+  mutable voted : int list;
 }
 
 type t = {
@@ -42,9 +42,10 @@ let finish t r outcome =
 
 let apply_vote t r ~shard ~ok =
   match r.state with
-  | Preparing remaining when Hashtbl.mem r.participants shard && not (Hashtbl.mem r.voted shard)
-    ->
-      Hashtbl.replace r.voted shard ();
+  | Preparing remaining
+    when List.exists (Int.equal shard) r.participants
+         && not (List.exists (Int.equal shard) r.voted) ->
+      r.voted <- shard :: r.voted;
       if not ok then finish t r Aborted
       else if remaining <= 1 then finish t r Committed
       else begin
@@ -65,11 +66,7 @@ let step t ~txid event =
       (match distinct with
       | [] -> Repro_sim.Sim_error.invalid "Reference.step: participants must be non-empty"
       | _ :: _ -> ());
-      let table = Hashtbl.create 4 in
-      List.iter (fun s -> Hashtbl.replace table s ()) distinct;
-      let r =
-        { state = Preparing (List.length distinct); participants = table; voted = Hashtbl.create 4 }
-      in
+      let r = { state = Preparing (List.length distinct); participants = distinct; voted = [] } in
       Hashtbl.replace t.txs txid r;
       (* Replay buffered early votes in canonical (shard, outcome) order so
          the Begin's net transition is a pure function of the vote *set*;

@@ -9,6 +9,7 @@ type 'v t = 'v H.t
 
 let create = H.create
 let mem = H.mem
+let find_opt = H.find_opt
 let replace = H.replace
 let remove = H.remove
 let length = H.length

@@ -16,6 +16,8 @@ val create : int -> 'v t
 
 val mem : 'v t -> int -> bool
 
+val find_opt : 'v t -> int -> 'v option
+
 val replace : 'v t -> int -> 'v -> unit
 
 val remove : 'v t -> int -> unit

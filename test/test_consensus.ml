@@ -339,6 +339,25 @@ let test_adversary_random_selection () =
   Alcotest.(check bool) "count above n raises" true raised;
   Alcotest.(check int) "nothing ran" 0 (Repro_obs.Trace.length trace)
 
+(* A seeded count and an explicit adversary must agree: a nonzero count
+   that is not the adversary's id count is refused before the run. *)
+let test_adversary_count_mismatch () =
+  let raises ~byzantine ids =
+    match
+      Harness.run ~duration:1.0 ~warmup:0.0 ~byzantine
+        ~adversary:{ Pbft.honest with Pbft.byzantine = ids }
+        ~variant:Config.ahl ~n:4 ~topology:(Topology.lan ())
+        ~workload:(Harness.Open_loop { rate = 100.0; clients = 2 })
+        ()
+    with
+    | exception Sim_error.Invalid _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "count above the ids raises" true (raises ~byzantine:2 [ 0 ]);
+  Alcotest.(check bool) "count below the ids raises" true (raises ~byzantine:1 [ 0; 1 ]);
+  Alcotest.(check bool) "matching count runs" false (raises ~byzantine:1 [ 0 ]);
+  Alcotest.(check bool) "zero count defers to the adversary" false (raises ~byzantine:0 [ 0 ])
+
 (* ------------------------------------------------------------------ *)
 (* Lockstep (Tendermint / IBFT)                                        *)
 (* ------------------------------------------------------------------ *)
@@ -994,6 +1013,7 @@ let () =
         [
           Alcotest.test_case "roster" `Quick test_adversary_roster;
           Alcotest.test_case "random selection" `Quick test_adversary_random_selection;
+          Alcotest.test_case "count mismatch refused" `Quick test_adversary_count_mismatch;
         ] );
       ( "lockstep",
         [

@@ -40,6 +40,123 @@ let test_registry_release () =
   Alcotest.(check int) "txid extraction" 8 (Coordination.txid_of_op v8);
   Coordination.release r ~txid:9999 (* unknown txid is a no-op *)
 
+(* The model for the int-keyed registry: the structural-[Hashtbl]
+   registry it replaced, which hashed whole ops.  Both hand out tags
+   from 0 in registration order, so they must agree tag for tag. *)
+module Structural_registry = struct
+  type t = {
+    mutable next : int;
+    ops : (int, Coordination.op) Hashtbl.t;
+    index : (Coordination.op, int) Hashtbl.t;
+    by_txid : (int, int list) Hashtbl.t;
+  }
+
+  let create () =
+    { next = 0; ops = Hashtbl.create 16; index = Hashtbl.create 16; by_txid = Hashtbl.create 16 }
+
+  let register r op =
+    match Hashtbl.find_opt r.index op with
+    | Some tag -> tag
+    | None ->
+        let tag = r.next in
+        r.next <- tag + 1;
+        Hashtbl.replace r.ops tag op;
+        Hashtbl.replace r.index op tag;
+        let txid = Coordination.txid_of_op op in
+        let tags = Option.value (Hashtbl.find_opt r.by_txid txid) ~default:[] in
+        Hashtbl.replace r.by_txid txid (tag :: tags);
+        tag
+
+  let release r ~txid =
+    List.iter
+      (fun tag ->
+        Option.iter (Hashtbl.remove r.index) (Hashtbl.find_opt r.ops tag);
+        Hashtbl.remove r.ops tag)
+      (Option.value (Hashtbl.find_opt r.by_txid txid) ~default:[]);
+    Hashtbl.remove r.by_txid txid
+end
+
+type registry_cmd =
+  | Register of Coordination.op
+  | Register_twice of Coordination.op  (* one op sent to two committees *)
+  | Release of int
+
+let gen_registry_cmds =
+  let open QCheck.Gen in
+  let txid = int_bound 4 in
+  let tx_ops =
+    oneofl
+      [
+        [];
+        [ Tx.Put { key = "k0"; value = "v" } ];
+        [ Tx.Debit { account = "a"; amount = 1 }; Tx.Credit { account = "b"; amount = 1 } ];
+      ]
+  in
+  let participants = oneofl [ [ 0; 1 ]; [ 1; 2 ]; [ 0; 1; 2 ] ] in
+  let coord_step =
+    txid >>= fun txid ->
+    oneof
+      [
+        map (fun participants -> Coordination.Begin_tx { txid; participants }) participants;
+        map2 (fun shard ok -> Coordination.Vote { txid; shard; ok }) (int_bound 2) bool;
+      ]
+  in
+  let op =
+    txid >>= fun txid ->
+    frequency
+      [
+        (1, map (fun ops -> Coordination.Single { txid; ops }) tx_ops);
+        (2, coord_step);
+        (2, map (fun ops -> Coordination.Prepare_tx { txid; ops }) tx_ops);
+        (1, map (fun ops -> Coordination.Commit_tx { txid; ops }) tx_ops);
+        (1, map (fun ops -> Coordination.Abort_tx { txid; ops }) tx_ops);
+        ( 1,
+          map
+            (fun n -> Coordination.Merge_tx { txid; deltas = [ ("ctr_" ^ string_of_int n, Tx.Add n) ] })
+            (int_bound 2) );
+        ( 2,
+          map2
+            (fun batch steps -> Coordination.Batch { batch; steps })
+            (int_bound 3) (list_size (1 -- 3) coord_step) );
+      ]
+  in
+  let release = oneof [ txid; map Coordination.batch_txid (int_bound 3) ] in
+  list_size (1 -- 60)
+    (frequency
+       [
+         (5, map (fun o -> Register o) op);
+         (2, map (fun o -> Register_twice o) op);
+         (2, map (fun txid -> Release txid) release);
+       ])
+
+let prop_registry_matches_structural_model =
+  QCheck.Test.make ~name:"registry = structural model" ~count:300
+    (QCheck.make ~print:(fun cmds -> Printf.sprintf "%d commands" (List.length cmds))
+       gen_registry_cmds)
+    (fun cmds ->
+      let r = Coordination.create_registry () and m = Structural_registry.create () in
+      let agree () =
+        Coordination.length r = Hashtbl.length m.Structural_registry.ops
+        && List.for_all
+             (fun tag ->
+               Coordination.lookup r tag = Hashtbl.find_opt m.Structural_registry.ops tag)
+             (List.init (m.Structural_registry.next + 1) Fun.id)
+      in
+      let register op = Coordination.register r op = Structural_registry.register m op in
+      let step = function
+        | Register op -> register op
+        | Register_twice op -> register op && register op
+        | Release txid ->
+            Coordination.release r ~txid;
+            Structural_registry.release m ~txid;
+            true
+      in
+      List.for_all (fun cmd -> step cmd && agree ()) cmds
+      &&
+      (List.iter (fun txid -> Coordination.release r ~txid)
+         (List.init 5 Fun.id @ List.init 4 Coordination.batch_txid);
+       Coordination.length r = 0))
+
 let test_op_cost_positive () =
   let costs = Repro_crypto.Cost_model.default in
   let ops = [ Tx.Put { key = "k"; value = "v" } ] in
@@ -686,6 +803,38 @@ let test_workload_txids_unique () =
   let b = Workload.next_tx wl sys ~client:1 in
   Alcotest.(check bool) "distinct txids" true (a.Tx.txid <> b.Tx.txid)
 
+(* The workload's per-account shard cache is invisible: every emitted
+   transaction carries the placement an uncached [Tx.shard_of_key]
+   grouping gives, for each kind and shard count, also when one workload
+   is driven against systems of different sizes in turn. *)
+let placement_systems =
+  lazy (Array.of_list (List.map (fun shards -> (shards, make_system ~shards ())) [ 1; 2; 5; 12 ]))
+
+let prop_workload_placement_uncached =
+  QCheck.Test.make ~name:"workload placement uncached" ~count:40
+    QCheck.(triple (int_bound 2) (int_bound 1000) (list_of_size Gen.(1 -- 4) (int_bound 3)))
+    (fun (kind, seed, visits) ->
+      let kind =
+        match kind with
+        | 0 -> Workload.Kvstore { updates_per_tx = 3 }
+        | 1 -> Workload.Smallbank
+        | _ -> Workload.Hot_increments { increment_fraction = 0.5 }
+      in
+      let wl =
+        Workload.create kind ~keyspace:64 ~theta:0.9 ~rng:(Rng.create (Int64.of_int seed))
+      in
+      List.for_all
+        (fun visit ->
+          let shards, sys = (Lazy.force placement_systems).(visit) in
+          Workload.setup wl sys ~initial_balance:100;
+          List.for_all
+            (fun _ ->
+              let tx = Workload.next_tx wl sys ~client:0 in
+              let uncached = Tx.make ~txid:tx.Tx.txid tx.Tx.ops in
+              Tx.placement ~shards tx = Tx.placement ~shards uncached)
+            (List.init 30 Fun.id))
+        visits)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end with workload driver                                     *)
 (* ------------------------------------------------------------------ *)
@@ -771,6 +920,7 @@ let () =
           Alcotest.test_case "op cost" `Quick test_op_cost_positive;
           Alcotest.test_case "batch order deterministic" `Quick
             test_batch_order_permutation_determinism;
+          QCheck_alcotest.to_alcotest prop_registry_matches_structural_model;
         ] );
       ( "system",
         [
@@ -821,6 +971,7 @@ let () =
           Alcotest.test_case "smallbank setup/gen" `Quick test_workload_smallbank_setup_and_gen;
           Alcotest.test_case "cross fraction = eq 3" `Quick test_workload_cross_fraction_matches_eq3;
           Alcotest.test_case "txids unique" `Quick test_workload_txids_unique;
+          QCheck_alcotest.to_alcotest prop_workload_placement_uncached;
         ] );
       ( "results",
         [

@@ -215,6 +215,25 @@ let test_executor_credit_funds_debit () =
   | Executor.Prepare_ok -> ()
   | Executor.Prepare_not_ok r -> Alcotest.fail r
 
+let test_executor_reports_first_overdrawn () =
+  (* Validation nets each account's ops and names the first overdrawn
+     account in key order, whatever the op order. *)
+  let s = State.create () in
+  List.iter (fun (a, v) -> Executor.set_balance s a v) [ ("a", 0); ("b", 0); ("c", 50) ];
+  let ops =
+    [
+      Tx.Debit { account = "c"; amount = 20 };
+      Tx.Debit { account = "b"; amount = 10 };
+      Tx.Credit { account = "a"; amount = 5 };
+      Tx.Debit { account = "a"; amount = 6 };
+      Tx.Credit { account = "b"; amount = 10 };
+    ]
+  in
+  match Executor.try_prepare s ~txid:1 ops with
+  | Error (Executor.Insufficient account) -> Alcotest.(check string) "first overdrawn" "a" account
+  | Error (Executor.Lock_conflict _) -> Alcotest.fail "lock conflict"
+  | Ok () -> Alcotest.fail "overdraft accepted"
+
 let test_executor_abort_releases_without_applying () =
   let s = funded () in
   ignore (Executor.prepare s ~txid:1 (transfer ~amount:30));
@@ -536,6 +555,37 @@ let test_tx_golden_placement () =
       (6, [ "savings_acc4" ]);
       (11, [ "acc1" ]);
     ]
+
+(* Known answers: the first four SHA-256 bytes of the key, big-endian,
+   modulo the shard count.  One shard takes every key without hashing. *)
+let test_tx_shard_known_answers () =
+  List.iter
+    (fun (key, shards, expected) ->
+      Alcotest.(check int) (Printf.sprintf "%s over %d" key shards) expected
+        (Tx.shard_of_key ~shards key))
+    [
+      ("account-42", 7, 5);
+      ("account-42", 12, 11);
+      ("chk_acc0", 7, 3);
+      ("ctr_acc7", 12, 10);
+      ("key19", 2, 0);
+      ("account-42", 1, 0);
+      ("chk_acc0", 1, 0);
+      ("", 1, 0);
+    ];
+  let tx =
+    Tx.make ~txid:1 (List.map (fun key -> Tx.Put { key; value = "" }) [ "account-42"; "alice"; "key19" ])
+  in
+  Alcotest.(check (list (pair int (list string))))
+    "one shard holds every op in order"
+    [ (0, [ "account-42"; "alice"; "key19" ]) ]
+    (placement_keys (Tx.placement ~shards:1 tx));
+  List.iter
+    (fun shards ->
+      match Tx.shard_of_key ~shards "alice" with
+      | exception Repro_util.Invariant.Violation _ -> ()
+      | s -> Alcotest.failf "%d shards answered %d" shards s)
+    [ 0; -3 ]
 
 let test_tx_placement_memoised () =
   let tx =
@@ -929,6 +979,7 @@ let () =
           Alcotest.test_case "digest distinguishes" `Quick test_tx_digest_distinguishes;
           Alcotest.test_case "golden placement" `Quick test_tx_golden_placement;
           Alcotest.test_case "placement memoised" `Quick test_tx_placement_memoised;
+          Alcotest.test_case "shard known answers" `Quick test_tx_shard_known_answers;
         ] );
       ( "executor",
         [
@@ -939,6 +990,7 @@ let () =
           Alcotest.test_case "commit needs locks" `Quick test_executor_commit_requires_own_locks;
           Alcotest.test_case "conflict votes NOK" `Quick test_executor_lock_conflict_votes_nok;
           Alcotest.test_case "single path" `Quick test_executor_single_path;
+          Alcotest.test_case "first overdrawn reported" `Quick test_executor_reports_first_overdrawn;
         ] );
       ( "block",
         [

@@ -86,6 +86,24 @@ let micro_tests () =
     Workload.setup wl sys ~initial_balance:1_000;
     Staged.stage (fun () -> Workload.next_tx wl sys ~client:0)
   in
+  (* The event queue in the hold model: the engine holds 9,000 pending
+     events (about [consensus_n79]'s traced queue depth), and each op fires
+     the earliest, which schedules one fresh closure ([hold_event (k + 1)]
+     is a new partial application each time). *)
+  let hold = Repro_sim.Engine.create ~seed:1L in
+  let hold_rng = Rng.create 11L in
+  let rec hold_event k () =
+    Repro_sim.Engine.schedule hold ~delay:(Rng.exponential hold_rng ~mean:1.0) (hold_event (k + 1))
+  in
+  for k = 1 to 9_000 do
+    hold_event k ()
+  done;
+  (* A shared inbox kept 100 deep, so the ring wraps: each op is one
+     arrival and one dequeue. *)
+  let inbox = Repro_sim.Inbox.create (Repro_sim.Inbox.Shared 5000) in
+  for k = 1 to 100 do
+    ignore (Repro_sim.Inbox.push inbox Repro_sim.Inbox.Consensus k)
+  done;
   let ledger = Repro_ledger.State.create () in
   Repro_ledger.Executor.set_balance ledger "chk_acc1" 1_000;
   Repro_ledger.Executor.set_balance ledger "chk_acc2" 1_000;
@@ -109,6 +127,12 @@ let micro_tests () =
            Repro_shard.Sizing.min_committee_size ~total:2000 ~fraction:0.25
              ~rule:Repro_shard.Sizing.Ahl_half ~security_bits:20));
     Test.make ~name:"zipf-sample" (Staged.stage (fun () -> Zipf.sample zipf zrng));
+    Test.make ~name:"engine/hold-9k"
+      (Staged.stage (fun () -> Repro_sim.Engine.run_until_idle ~max_events:1 hold));
+    Test.make ~name:"inbox/shared-push-take"
+      (Staged.stage (fun () ->
+           ignore (Repro_sim.Inbox.push inbox Repro_sim.Inbox.Consensus 0);
+           Repro_sim.Inbox.take inbox));
     (* The batched-commit pair: one slot applying 64 coordinator steps in
        a single pass vs the same steps as 64 separate slot executions.
        Both recreate the state machine per iteration so the comparison is

@@ -64,10 +64,10 @@ type committee_ctx = {
       (* [applied_key txid phase] of every step already executed — client
          retries after request loss make re-delivery possible, execution
          must be idempotent *)
-  parked : (int, Tx.op list * Types.request * float) Hashtbl.t;
+  parked : (Tx.op list * Types.request * float) Int_table.t;
       (* wait-die: prepares waiting for a lock (with park time),
          retried on releases *)
-  prepared : (int, bool) Hashtbl.t;
+  prepared : bool Int_table.t;
       (* the shard observer's record of each prepare's quorum outcome —
          the evidence R's fallback sweep reads instead of guessing from
          lock tuples (a prepare still in flight has no entry) *)
@@ -125,7 +125,7 @@ type t = {
   merge_reg : Merge.registry; (* chaincode-declared commutative ops *)
   mutable committees : committee_ctx array; (* shards, then optionally R last *)
   commits : Commits.t; (* transaction-level *)
-  inflight : (int, tx_record) Hashtbl.t;
+  inflight : tx_record Int_table.t;
   mutable next_req : int;
   rng : Rng.t;
   mutable leg_filter : (dst:int -> Coordination.op -> Network.verdict) option;
@@ -351,7 +351,7 @@ let enqueue_step t ~committee ~client op =
    count the outcome, and hand it to the submitter. *)
 let complete t rec_ outcome =
   let txid = rec_.tx.Tx.txid in
-  Hashtbl.remove t.inflight txid;
+  Int_table.remove t.inflight txid;
   Coordination.release t.registry ~txid;
   (match outcome with
   | Committed ->
@@ -361,7 +361,7 @@ let complete t rec_ outcome =
   rec_.on_done outcome
 
 let finish_leg t txid shard =
-  match Hashtbl.find_opt t.inflight txid with
+  match Int_table.find_opt t.inflight txid with
   | None -> ()
   | Some rec_ when List.exists (Int.equal shard) rec_.legs_done -> ()
   | Some rec_ ->
@@ -404,7 +404,7 @@ let send_prepare t rec_ shard =
   | Deltas _ -> ()
 
 let dispatch_decision t txid ok =
-  match Hashtbl.find_opt t.inflight txid with
+  match Int_table.find_opt t.inflight txid with
   | None -> ()
   | Some rec_ ->
       if not rec_.decided then begin
@@ -501,8 +501,8 @@ let record_block t ctx batch =
    goes to whoever coordinates.  A silent client relays nothing: its
    coordinator's sweep reads the evidence instead. *)
 let vote t ctx (req : Types.request) ~txid ~ok =
-  Hashtbl.replace ctx.prepared txid ok;
-  match Hashtbl.find_opt t.inflight txid with
+  Int_table.replace ctx.prepared txid ok;
+  match Int_table.find_opt t.inflight txid with
   | Some { coordinator = Some committee; relaying = true; _ } ->
       enqueue_step t ~committee ~client:req.Types.client
         (Coordination.Vote { txid; shard = ctx.index; ok })
@@ -511,21 +511,20 @@ let vote t ctx (req : Types.request) ~txid ~ok =
 
 (* Wait-die retry: lock releases wake parked prepares in txid order. *)
 let retry_parked t ctx =
-  let waiting = Det.bindings ~compare:Int.compare ctx.parked in
-  List.iter
-    (fun (txid, (ops, req, parked_at)) ->
+  Int_table.iter_sorted
+    (fun txid (ops, req, parked_at) ->
       match Executor.try_prepare ctx.state ~txid ops with
       | Ok () ->
-          Hashtbl.remove ctx.parked txid;
+          Int_table.remove ctx.parked txid;
           Probe.incr t.probe "2pc.waitdie.retry_ok";
           Probe.observe t.probe "2pc.waitdie.wait_s" (Engine.now t.engine -. parked_at);
           vote t ctx req ~txid ~ok:true
       | Error (Executor.Insufficient _) ->
-          Hashtbl.remove ctx.parked txid;
+          Int_table.remove ctx.parked txid;
           Probe.incr t.probe "2pc.vote_nok.insufficient";
           vote t ctx req ~txid ~ok:false
       | Error (Executor.Lock_conflict _) -> ())
-    waiting
+    ctx.parked
 
 (* A step's key in [ctx.applied]: phase 0 is a single-shard
    transaction, 1 a commit, 2 an abort, 3 a delta leg. *)
@@ -571,7 +570,7 @@ let execute_on_shard t ctx (req : Types.request) =
             | Ok () -> Committed
             | Error _ -> Aborted
           in
-          match Hashtbl.find_opt t.inflight txid with
+          match Int_table.find_opt t.inflight txid with
           | Some rec_ -> complete t rec_ outcome
           | None -> ())
       | Coordination.Prepare_tx { txid; ops } -> (
@@ -593,16 +592,16 @@ let execute_on_shard t ctx (req : Types.request) =
                   Probe.incr t.probe "2pc.vote_nok.lock_conflict";
                   vote t ctx req ~txid ~ok:false
               | Wait_die ->
-                  if txid < holder && not (Hashtbl.mem ctx.parked txid) then begin
+                  if txid < holder && not (Int_table.mem ctx.parked txid) then begin
                     (* Older waits; a park timeout bounds the wait.  No
                        evidence is recorded while parked: the prepare is
                        still undecided. *)
                     Probe.incr t.probe "2pc.waitdie.parked";
-                    Hashtbl.replace ctx.parked txid (ops, req, Engine.now t.engine);
+                    Int_table.replace ctx.parked txid (ops, req, Engine.now t.engine);
                     Engine.schedule t.engine ~delay:4.0 (fun () ->
-                        match Hashtbl.find_opt ctx.parked txid with
+                        match Int_table.find_opt ctx.parked txid with
                         | Some (_, req, parked_at) ->
-                            Hashtbl.remove ctx.parked txid;
+                            Int_table.remove ctx.parked txid;
                             Probe.incr t.probe "2pc.waitdie.park_timeout";
                             Probe.observe t.probe "2pc.waitdie.wait_s"
                               (Engine.now t.engine -. parked_at);
@@ -616,8 +615,8 @@ let execute_on_shard t ctx (req : Types.request) =
       | Coordination.Commit_tx { txid; ops } ->
           mark_applied ctx txid 1;
           Executor.commit ctx.state ~txid ops;
-          Hashtbl.remove ctx.parked txid;
-          Hashtbl.remove ctx.prepared txid;
+          Int_table.remove ctx.parked txid;
+          Int_table.remove ctx.prepared txid;
           t.decisions <-
             { at = Engine.now t.engine; txid; shard = ctx.index; commit = true } :: t.decisions;
           finish_leg t txid ctx.index;
@@ -625,8 +624,8 @@ let execute_on_shard t ctx (req : Types.request) =
       | Coordination.Abort_tx { txid; ops } ->
           mark_applied ctx txid 2;
           Executor.abort ctx.state ~txid ops;
-          Hashtbl.remove ctx.parked txid;
-          Hashtbl.remove ctx.prepared txid;
+          Int_table.remove ctx.parked txid;
+          Int_table.remove ctx.prepared txid;
           t.decisions <-
             { at = Engine.now t.engine; txid; shard = ctx.index; commit = false } :: t.decisions;
           finish_leg t txid ctx.index;
@@ -636,7 +635,7 @@ let execute_on_shard t ctx (req : Types.request) =
 
 let observe_vote_leg t txid =
   if Probe.enabled t.probe then
-    match Hashtbl.find_opt t.inflight txid with
+    match Int_table.find_opt t.inflight txid with
     | Some rec_ when rec_.prepare_started >= 0.0 && not rec_.decided ->
         Probe.observe t.probe "2pc.vote_leg_s" (Engine.now t.engine -. rec_.prepare_started)
     | Some _ | None -> ()
@@ -652,7 +651,7 @@ let rec react_begin t txid decision =
   | Reference.Now_started -> (
       (* A relaying client already dispatched prepares alongside BeginTx
          (pipelining); only a silent one leaves the work to the coordinator. *)
-      match Hashtbl.find_opt t.inflight txid with
+      match Int_table.find_opt t.inflight txid with
       | Some rec_ when not rec_.relaying ->
           (* Fallback: the coordinator's nodes dispatch PrepareTx
              themselves if the client relay stays silent, then sweep for
@@ -730,7 +729,7 @@ and execute_coord t ctx ~batch steps =
    [client_fallback_timeout] until the transaction is done, re-driving
    undelivered decision legs too (the client will not). *)
 and fallback_collect t txid =
-  match Hashtbl.find_opt t.inflight txid with
+  match Int_table.find_opt t.inflight txid with
   | None -> ()
   | Some rec_ ->
       Probe.incr t.probe "2pc.fallback_sweeps";
@@ -743,7 +742,7 @@ and fallback_collect t txid =
            (fun committee ->
              List.iter
                (fun shard ->
-                 match Hashtbl.find_opt t.committees.(shard).prepared txid with
+                 match Int_table.find_opt t.committees.(shard).prepared txid with
                  | Some ok ->
                      enqueue_step t ~committee ~client:rec_.tx.Tx.client
                        (Coordination.Vote { txid; shard; ok })
@@ -791,7 +790,7 @@ let create cfg =
       merge_reg;
       committees = [||];
       commits;
-      inflight = Hashtbl.create 1024;
+      inflight = Int_table.create 1024;
       next_req = 0;
       rng = Rng.split_named (Engine.rng engine) "system";
       leg_filter = None;
@@ -847,8 +846,8 @@ let create cfg =
         chain;
         coordsm;
         applied = Int_table.create 1024;
-        parked = Hashtbl.create 64;
-        prepared = Hashtbl.create 64;
+        parked = Int_table.create 64;
+        prepared = Int_table.create 64;
         mlane = Merge.lane ();
         state_commit = State.root state;
       }
@@ -894,7 +893,7 @@ let client_retry_period = 25.0
 
 let rec arm_retry t txid =
   Engine.schedule t.engine ~delay:client_retry_period (fun () ->
-      match Hashtbl.find_opt t.inflight txid with
+      match Int_table.find_opt t.inflight txid with
       | None -> ()
       | Some rec_ when not rec_.relaying -> ignore rec_ (* malicious: stays silent *)
       | Some rec_ ->
@@ -954,7 +953,7 @@ let new_record t ~on_done ~relaying tx legs =
 let submit_merge t ~on_done ~malicious_client tx lane =
   let txid = tx.Tx.txid in
   let rec_ = new_record t ~on_done ~relaying:(not malicious_client) tx (Deltas lane) in
-  Hashtbl.replace t.inflight txid rec_;
+  Int_table.replace t.inflight txid rec_;
   Probe.incr t.probe "merge.lane_hits";
   send_decision t rec_;
   arm_retry t txid
@@ -964,14 +963,14 @@ let submit_locked t ~on_done ~malicious_client tx =
   match Tx.placement ~shards:t.cfg.shards tx with
   | [] -> on_done Aborted
   | [ (shard, _) ] as placement ->
-      Hashtbl.replace t.inflight txid
+      Int_table.replace t.inflight txid
         (new_record t ~on_done ~relaying:true tx (Ops placement));
       send_to_committee t ~committee:shard ~client:tx.Tx.client
         (Coordination.Single { txid; ops = tx.Tx.ops });
       arm_retry t txid
   | placement ->
       let rec_ = new_record t ~on_done ~relaying:(not malicious_client) tx (Ops placement) in
-      Hashtbl.replace t.inflight txid rec_;
+      Int_table.replace t.inflight txid rec_;
       start_2pc t rec_;
       arm_retry t txid
 
@@ -1087,7 +1086,7 @@ let merge_roots t =
 
 let decision_trace t = List.rev t.decisions
 
-let prepare_evidence t ~shard ~txid = Hashtbl.find_opt t.committees.(shard).prepared txid
+let prepare_evidence t ~shard ~txid = Int_table.find_opt t.committees.(shard).prepared txid
 
 let registry_size t = Coordination.length t.registry
 

@@ -1,3 +1,5 @@
+module Int_table = Repro_util.Int_table
+
 type state = Started | Preparing of int | Committed | Aborted
 
 type event =
@@ -15,8 +17,8 @@ type record = {
 }
 
 type t = {
-  txs : (int, record) Hashtbl.t;
-  early : (int, (int * bool) list) Hashtbl.t;
+  txs : record Int_table.t;
+  early : (int * bool) list Int_table.t;
       (* votes that arrived before the transaction's Begin (the pipelined
          commit path dispatches prepares without waiting for Begin's
          consensus slot), newest first; replayed in canonical shard order
@@ -26,11 +28,11 @@ type t = {
 }
 
 let create () =
-  { txs = Hashtbl.create 256; early = Hashtbl.create 64; committed = 0; aborted = 0 }
+  { txs = Int_table.create 256; early = Int_table.create 64; committed = 0; aborted = 0 }
 
-let state_of t ~txid = Option.map (fun r -> r.state) (Hashtbl.find_opt t.txs txid)
+let state_of t ~txid = Option.map (fun r -> r.state) (Int_table.find_opt t.txs txid)
 
-let early_votes t = Hashtbl.length t.early
+let early_votes t = Int_table.length t.early
 
 let finish t r outcome =
   r.state <- outcome;
@@ -55,24 +57,24 @@ let apply_vote t r ~shard ~ok =
   | Preparing _ | Started | Committed | Aborted -> No_change
 
 let buffer_early t ~txid ~shard ~ok =
-  let prior = Option.value (Hashtbl.find_opt t.early txid) ~default:[] in
-  Hashtbl.replace t.early txid ((shard, ok) :: prior);
+  let prior = Option.value (Int_table.find_opt t.early txid) ~default:[] in
+  Int_table.replace t.early txid ((shard, ok) :: prior);
   No_change
 
 let step t ~txid event =
-  match (Hashtbl.find_opt t.txs txid, event) with
+  match (Int_table.find_opt t.txs txid, event) with
   | None, Begin { participants } ->
       let distinct = List.sort_uniq Int.compare participants in
       (match distinct with
       | [] -> Repro_sim.Sim_error.invalid "Reference.step: participants must be non-empty"
       | _ :: _ -> ());
       let r = { state = Preparing (List.length distinct); participants = distinct; voted = [] } in
-      Hashtbl.replace t.txs txid r;
+      Int_table.replace t.txs txid r;
       (* Replay buffered early votes in canonical (shard, outcome) order so
          the Begin's net transition is a pure function of the vote *set*;
          the machine is idempotent per shard, so duplicates are inert. *)
-      let early = Option.value (Hashtbl.find_opt t.early txid) ~default:[] in
-      Hashtbl.remove t.early txid;
+      let early = Option.value (Int_table.find_opt t.early txid) ~default:[] in
+      Int_table.remove t.early txid;
       let early =
         List.sort_uniq
           (fun (s1, ok1) (s2, ok2) ->
@@ -101,9 +103,8 @@ let step t ~txid event =
 let step_batch t steps = List.map (fun (txid, event) -> (txid, step t ~txid event)) steps
 
 let stats t =
-  let in_flight =
-    Repro_util.Det.fold ~compare:Int.compare
-      (fun _ r acc -> match r.state with Preparing _ | Started -> acc + 1 | _ -> acc)
-      t.txs 0
-  in
-  (in_flight, t.committed, t.aborted)
+  let in_flight = ref 0 in
+  Int_table.iter_sorted
+    (fun _ r -> match r.state with Preparing _ | Started -> incr in_flight | _ -> ())
+    t.txs;
+  (!in_flight, t.committed, t.aborted)

@@ -2,8 +2,12 @@ open Repro_util
 
 type t = {
   clock : float ref;
-      (* a flat float record: advancing the clock stores the float in
-         place instead of writing a fresh box through the write barrier *)
+      (* A [float ref] holds a boxed float ([ref] is polymorphic, so it is
+         not a flat float record).  Advancing the clock stores the box
+         [Heap.min_key] returned, one store per event, and [now] hands
+         that box out without allocating.  A flat clock would box on
+         every [now] read from another module instead, several per
+         event. *)
   queue : (unit -> unit) Heap.t;
   root_rng : Rng.t;
   mutable processed : int;

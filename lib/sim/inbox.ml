@@ -4,29 +4,82 @@ type mode =
   | Shared of int
   | Split of { request_cap : int; consensus_cap : int }
 
+(* A FIFO ring over a power-of-two array that doubles up to [cap]: entry
+   [k] (0 = oldest) sits at [(head + k) land (size - 1)].  Each entry is a
+   message and the channel it arrived on, in two parallel arrays, so a
+   push or a take allocates nothing once the ring has grown and stores
+   one pointer. *)
+type 'msg ring = {
+  cap : int; (* tail-drop above this many entries *)
+  mutable msgs : 'msg array;
+  mutable chans : channel array;
+  mutable head : int;
+  mutable len : int;
+}
+
 type 'msg t = {
   mode : mode;
-  shared : (channel * 'msg) Queue.t; (* used in Shared mode *)
-  requests : 'msg Queue.t; (* used in Split mode *)
-  consensus : 'msg Queue.t;
+  shared : 'msg ring; (* used in Shared mode *)
+  requests : 'msg ring; (* used in Split mode *)
+  consensus : 'msg ring;
   mutable dropped_requests : int;
   mutable dropped_consensus : int;
 }
 
+(* Filler for vacant message slots, as in [Repro_util.Heap]: an immediate
+   the GC never follows, so a taken or cleared message is released at
+   once. *)
+let vacant () : 'msg = Obj.magic 0
+
+let ring cap = { cap; msgs = [||]; chans = [||]; head = 0; len = 0 }
+
+(* Double the array (from 16), unwrapping the entries to start at 0. *)
+let grow r =
+  let size = Array.length r.msgs in
+  let nsize = if size = 0 then 16 else 2 * size in
+  let msgs = Array.make nsize (vacant ()) and chans = Array.make nsize Request in
+  for k = 0 to r.len - 1 do
+    let j = (r.head + k) land (size - 1) in
+    Array.unsafe_set msgs k (Array.unsafe_get r.msgs j);
+    Array.unsafe_set chans k (Array.unsafe_get r.chans j)
+  done;
+  r.msgs <- msgs;
+  r.chans <- chans;
+  r.head <- 0
+
+let ring_push r channel msg =
+  if r.len = Array.length r.msgs then grow r;
+  let j = (r.head + r.len) land (Array.length r.msgs - 1) in
+  Array.unsafe_set r.msgs j msg;
+  Array.unsafe_set r.chans j channel;
+  r.len <- r.len + 1
+
+(* The oldest entry's message; the caller has checked [r.len > 0]. *)
+let ring_take r =
+  let j = r.head in
+  let msg = Array.unsafe_get r.msgs j in
+  Array.unsafe_set r.msgs j (vacant ());
+  r.head <- (j + 1) land (Array.length r.msgs - 1);
+  r.len <- r.len - 1;
+  msg
+
+let ring_clear r =
+  for k = 0 to r.len - 1 do
+    Array.unsafe_set r.msgs ((r.head + k) land (Array.length r.msgs - 1)) (vacant ())
+  done;
+  r.head <- 0;
+  r.len <- 0
+
 let create mode =
-  (match mode with
-  | Shared cap when cap <= 0 -> Sim_error.invalid "Inbox.create: capacity must be positive"
-  | Split { request_cap; consensus_cap } when request_cap <= 0 || consensus_cap <= 0 ->
-      Sim_error.invalid "Inbox.create: capacity must be positive"
-  | _ -> ());
-  {
-    mode;
-    shared = Queue.create ();
-    requests = Queue.create ();
-    consensus = Queue.create ();
-    dropped_requests = 0;
-    dropped_consensus = 0;
-  }
+  let shared, requests, consensus =
+    match mode with
+    | Shared cap when cap <= 0 -> Sim_error.invalid "Inbox.create: capacity must be positive"
+    | Split { request_cap; consensus_cap } when request_cap <= 0 || consensus_cap <= 0 ->
+        Sim_error.invalid "Inbox.create: capacity must be positive"
+    | Shared cap -> (ring cap, ring 0, ring 0)
+    | Split { request_cap; consensus_cap } -> (ring 0, ring request_cap, ring consensus_cap)
+  in
+  { mode; shared; requests; consensus; dropped_requests = 0; dropped_consensus = 0 }
 
 let drop t channel =
   (match channel with
@@ -35,49 +88,43 @@ let drop t channel =
   false
 
 let push t channel msg =
+  let r =
+    match t.mode with
+    | Shared _ -> t.shared
+    | Split _ -> ( match channel with Request -> t.requests | Consensus -> t.consensus)
+  in
+  if r.len >= r.cap then drop t channel
+  else begin
+    ring_push r channel msg;
+    true
+  end
+
+(* The ring the next message comes from: in Split mode consensus first. *)
+let next_ring t =
   match t.mode with
-  | Shared cap ->
-      if Queue.length t.shared >= cap then drop t channel
-      else begin
-        Queue.add (channel, msg) t.shared;
-        true
-      end
-  | Split { request_cap; consensus_cap } -> (
-      match channel with
-      | Request ->
-          if Queue.length t.requests >= request_cap then drop t channel
-          else begin
-            Queue.add msg t.requests;
-            true
-          end
-      | Consensus ->
-          if Queue.length t.consensus >= consensus_cap then drop t channel
-          else begin
-            Queue.add msg t.consensus;
-            true
-          end)
+  | Shared _ -> t.shared
+  | Split _ -> if t.consensus.len > 0 then t.consensus else t.requests
 
 let pop t =
-  match t.mode with
-  | Shared _ -> Queue.take_opt t.shared
-  | Split _ -> (
-      match Queue.take_opt t.consensus with
-      | Some msg -> Some (Consensus, msg)
-      | None -> (
-          match Queue.take_opt t.requests with
-          | Some msg -> Some (Request, msg)
-          | None -> None))
+  let r = next_ring t in
+  if r.len = 0 then None
+  else begin
+    let channel = Array.unsafe_get r.chans r.head in
+    Some (channel, ring_take r)
+  end
 
-let length t =
-  match t.mode with
-  | Shared _ -> Queue.length t.shared
-  | Split _ -> Queue.length t.requests + Queue.length t.consensus
+let take t =
+  let r = next_ring t in
+  if r.len = 0 then Sim_error.invalid "Inbox.take: empty inbox";
+  ring_take r
+
+let length t = t.shared.len + t.requests.len + t.consensus.len
 
 let dropped t = function
   | Request -> t.dropped_requests
   | Consensus -> t.dropped_consensus
 
 let clear t =
-  Queue.clear t.shared;
-  Queue.clear t.requests;
-  Queue.clear t.consensus
+  ring_clear t.shared;
+  ring_clear t.requests;
+  ring_clear t.consensus

@@ -24,6 +24,10 @@ val push : 'msg t -> channel -> 'msg -> bool
 val pop : 'msg t -> (channel * 'msg) option
 (** In [Split] mode, consensus messages are served first. *)
 
+val take : 'msg t -> 'msg
+(** Removes and returns the message {!pop} would, without its channel and
+    without allocating.  Raises {!Sim_error.Invalid} on an empty inbox. *)
+
 val length : 'msg t -> int
 (** Total queued messages across channels. *)
 

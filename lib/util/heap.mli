@@ -5,7 +5,9 @@
     deterministic regardless of heap internals.  Formally, entries pop in
     ascending (key, insertion sequence) order.
 
-    Keys are stored unboxed and values in their own array, so {!push} and
+    Keys are stored unboxed, and each value sits in one pool slot from
+    {!push} to removal, so sifting never moves a pointer: a push or a
+    removal makes one pointer store, not one per heap level.  {!push} and
     {!take_min} allocate nothing once the heap has grown to its high-water
     mark, and {!min_key} at most the float it returns.  A removed value is
     released by the heap at once. *)

@@ -278,6 +278,43 @@ let test_node_busy_fraction () =
   Engine.run e ~until:4.0;
   Alcotest.(check (float 1e-9)) "1s busy of 4s" 0.25 (Node.busy_fraction node)
 
+(* The CPU clocks: [charge] extends the busy horizon from max(now,
+   horizon), [charged] is what is left of it, [busy_fraction] divides all
+   charged work by the time since the epoch began, and [recover] restarts
+   the epoch and the horizon but keeps the accumulated work. *)
+let test_node_clocks () =
+  let e = Engine.create ~seed:1L in
+  let node = make_node e (fun _ _ -> ()) in
+  Node.charge node 1.5;
+  Node.charge node 0.5;
+  check_float "charged stacks" 2.0 (Node.charged node);
+  Engine.run e ~until:1.0;
+  check_float "charged drains with time" 1.0 (Node.charged node);
+  check_float "fraction capped at 1" 1.0 (Node.busy_fraction node);
+  Engine.run e ~until:4.0;
+  check_float "idle: nothing left" 0.0 (Node.charged node);
+  check_float "2 s busy of 4 s" 0.5 (Node.busy_fraction node);
+  Node.charge node 0.5;
+  check_float "charge from an idle CPU starts now" 0.5 (Node.charged node);
+  check_float "work counts when charged" 0.625 (Node.busy_fraction node);
+  Alcotest.check_raises "negative cost" (Sim_error.Invalid "Node.charge: negative cost") (fun () ->
+      Node.charge node (-0.1));
+  check_float "a refused charge changes nothing" 0.5 (Node.charged node);
+  Node.charge node 10.0;
+  Node.recover node;
+  check_float "recover of a live node is a no-op" 10.5 (Node.charged node);
+  Node.crash node;
+  Engine.run e ~until:10.0;
+  Node.recover node;
+  check_float "recover resets the horizon" 0.0 (Node.charged node);
+  check_float "new epoch, no time elapsed" 0.0 (Node.busy_fraction node);
+  Node.charge node 1.0;
+  Engine.run e ~until:20.0;
+  check_float "work before the crash still counts" 1.0 (Node.busy_fraction node);
+  Engine.run e ~until:200.0;
+  (* 1.5 + 0.5 + 0.5 + 10 (cut short by the crash, counted in full) + 1 *)
+  check_float "13.5 s of work over a 190 s epoch" (13.5 /. 190.0) (Node.busy_fraction node)
+
 let test_node_inbox_backpressure () =
   let e = Engine.create ~seed:1L in
   let node =
@@ -533,9 +570,103 @@ let prop_inbox_never_exceeds_capacity =
           Inbox.length q <= cap)
         pushes)
 
+(* The ring-buffer inbox against a model of [Stdlib.Queue]s: one queue
+   of (channel, message) for Shared, one per channel for Split with
+   consensus served first.  Caps up to 40 and runs of up to 400 ops make
+   the rings wrap, grow past 16 and 32, tail-drop at capacity, and get
+   reused after [clear]. *)
+type inbox_op = Push of Inbox.channel | Pop | Take | Clear
+
+let prop_inbox_matches_queue_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, return (Push Inbox.Request));
+          (4, return (Push Inbox.Consensus));
+          (3, return Pop);
+          (3, return Take);
+          (1, return Clear);
+        ])
+  in
+  let mode =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun cap -> Inbox.Shared cap) (1 -- 40);
+          map2
+            (fun request_cap consensus_cap -> Inbox.Split { request_cap; consensus_cap })
+            (1 -- 40) (1 -- 40);
+        ])
+  in
+  QCheck.Test.make ~name:"inbox matches a Queue model" ~count:300
+    (QCheck.make QCheck.Gen.(pair mode (list_size (0 -- 400) op)))
+    (fun (mode, ops) ->
+      let q = Inbox.create mode in
+      let shared = Queue.create () and requests = Queue.create () and consensus = Queue.create () in
+      let dropped_r = ref 0 and dropped_c = ref 0 and next = ref 0 in
+      let model_push channel msg =
+        let fits queue cap =
+          if Queue.length queue >= cap then false
+          else begin
+            Queue.add (channel, msg) queue;
+            true
+          end
+        in
+        let ok =
+          match (mode, channel) with
+          | Inbox.Shared cap, _ -> fits shared cap
+          | Inbox.Split { request_cap; _ }, Inbox.Request -> fits requests request_cap
+          | Inbox.Split { consensus_cap; _ }, Inbox.Consensus -> fits consensus consensus_cap
+        in
+        if not ok then incr (match channel with Inbox.Request -> dropped_r | Inbox.Consensus -> dropped_c);
+        ok
+      in
+      let model_pop () =
+        match mode with
+        | Inbox.Shared _ -> Queue.take_opt shared
+        | Inbox.Split _ -> (
+            match Queue.take_opt consensus with
+            | Some _ as head -> head
+            | None -> Queue.take_opt requests)
+      in
+      let model_length () = Queue.length shared + Queue.length requests + Queue.length consensus in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Push channel ->
+                let msg = !next in
+                incr next;
+                Inbox.push q channel msg = model_push channel msg
+            | Pop -> Inbox.pop q = model_pop ()
+            | Take -> (
+                match model_pop () with
+                | Some (_, msg) -> Inbox.take q = msg
+                | None -> (
+                    match Inbox.take q with
+                    | _ -> false
+                    | exception Sim_error.Invalid _ -> true))
+            | Clear ->
+                Inbox.clear q;
+                Queue.clear shared;
+                Queue.clear requests;
+                Queue.clear consensus;
+                true
+          in
+          ok
+          && Inbox.length q = model_length ()
+          && Inbox.dropped q Inbox.Request = !dropped_r
+          && Inbox.dropped q Inbox.Consensus = !dropped_c)
+        ops)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_engine_events_fire_in_order; prop_inbox_never_exceeds_capacity ]
+    [
+      prop_engine_events_fire_in_order;
+      prop_inbox_never_exceeds_capacity;
+      prop_inbox_matches_queue_model;
+    ]
 
 let () =
   Alcotest.run "sim"
@@ -584,6 +715,7 @@ let () =
           Alcotest.test_case "recover resumes" `Quick test_node_recover_resumes;
           Alcotest.test_case "busy fraction" `Quick test_node_busy_fraction;
           Alcotest.test_case "inbox backpressure" `Quick test_node_inbox_backpressure;
+          Alcotest.test_case "clocks" `Quick test_node_clocks;
         ] );
       ( "network",
         [

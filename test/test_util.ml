@@ -210,6 +210,40 @@ let test_heap_releases_popped () =
   Alcotest.(check bool) "moved-then-popped value collected" true (collected 2);
   Alcotest.(check bool) "empty" true (Heap.is_empty h)
 
+(* The pool: values sit in slots that popped entries free and later
+   pushes reuse.  After growth past several capacities, a popped value is
+   collected while the values still queued stay alive, and so is a value
+   that went into a reused slot. *)
+let test_heap_pool_releases_popped () =
+  let h = Heap.create () in
+  let n = 40 in
+  let w = Weak.create (n + 10) in
+  let push_fresh i key =
+    let v = Sys.opaque_identity (ref i) in
+    Weak.set w i (Some v);
+    Heap.push h key v
+  in
+  for i = 0 to n - 1 do
+    push_fresh i (float_of_int ((i * 7) mod n))
+  done;
+  let popped = List.init (n / 2) (fun _ -> !(Heap.take_min h)) in
+  Gc.full_major ();
+  List.iter
+    (fun i -> Alcotest.(check bool) (Printf.sprintf "popped %d collected" i) false (Weak.check w i))
+    popped;
+  Alcotest.(check int) "queued values alive" (n / 2)
+    (List.length (List.filter (fun i -> Weak.check w i) (List.init n Fun.id)));
+  for i = n to n + 9 do
+    push_fresh i 0.5
+  done;
+  while not (Heap.is_empty h) do
+    ignore (Heap.take_min h)
+  done;
+  Gc.full_major ();
+  for i = 0 to n + 9 do
+    Alcotest.(check bool) (Printf.sprintf "value %d collected" i) false (Weak.check w i)
+  done
+
 let test_heap_take_min () =
   let h = Heap.create () in
   List.iter (fun (k, v) -> Heap.push h k v) [ (2.0, "b"); (1.0, "a"); (2.0, "c") ];
@@ -622,6 +656,47 @@ let prop_heap_interleaved_matches_stable_sort =
           && Heap.peek_key h = Option.map (fun (k, _) -> float_of_int k) (model_min ()))
         ops)
 
+let prop_heap_pool_matches_stable_sort =
+  (* Bursts of pushes and pops: a burst of up to 60 pushes grows the heap
+     past several capacities, and pops free pool slots that the next burst
+     reuses.  Each value is a fresh box carrying its insertion index, and
+     every removal must return the box a stable sort by key, i.e. by
+     (key, insertion seq), puts first. *)
+  QCheck.Test.make ~name:"heap pool bursts match a stable sort" ~count:200
+    QCheck.(
+      list_of_size
+        Gen.(1 -- 12)
+        (pair (list_of_size Gen.(0 -- 60) (int_bound 5)) (int_bound 60)))
+    (fun bursts ->
+      let h = Heap.create () in
+      let module M = Map.Make (struct
+        type t = int * int
+
+        let compare = Stdlib.compare
+      end) in
+      let model = ref M.empty and next = ref 0 in
+      List.for_all
+        (fun (keys, pops) ->
+          List.iter
+            (fun key ->
+              Heap.push h (float_of_int key) (ref !next);
+              model := M.add (key, !next) !next !model;
+              incr next)
+            keys;
+          let ok = ref true in
+          for _ = 1 to pops do
+            match M.min_binding_opt !model with
+            | None -> ok := !ok && Heap.is_empty h
+            | Some (((key, _) as k), id) ->
+                model := M.remove k !model;
+                ok := !ok && Heap.min_key h = float_of_int key && !(Heap.take_min h) = id
+          done;
+          !ok && Heap.size h = M.cardinal !model)
+        bursts
+      &&
+      let rest = List.map snd (M.bindings !model) in
+      List.for_all (fun id -> !(Heap.take_min h) = id) rest && Heap.is_empty h)
+
 let prop_permutation_bijective =
   QCheck.Test.make ~name:"permutation is bijective" ~count:100
     QCheck.(pair small_int (int_bound 1000))
@@ -719,6 +794,7 @@ let qsuite =
       prop_heap_pop_sorted;
       prop_heap_ties_fifo;
       prop_heap_interleaved_matches_stable_sort;
+      prop_heap_pool_matches_stable_sort;
       prop_permutation_bijective;
       prop_stats_mean_bounded;
       prop_zipf_sample_in_range;
@@ -758,6 +834,7 @@ let () =
           Alcotest.test_case "random vs sort" `Quick test_heap_random_against_sort;
           Alcotest.test_case "take_min / min_key" `Quick test_heap_take_min;
           Alcotest.test_case "popped values released" `Quick test_heap_releases_popped;
+          Alcotest.test_case "pool slots released" `Quick test_heap_pool_releases_popped;
         ] );
       ( "pool",
         [

@@ -108,6 +108,18 @@ let micro_tests () =
   Repro_ledger.Executor.set_balance ledger "chk_acc1" 1_000;
   Repro_ledger.Executor.set_balance ledger "chk_acc2" 1_000;
   let forward = ref true in
+  (* About one shard of [cross_shard_ref36] (96,000 accounts over 12
+     shards): 8,192 accounts with a checking and a savings balance.  Each op is the state side of a one-key leg on a
+     different account: lock it, read and rewrite its balance, release. *)
+  let accounts = Array.init 8_192 (fun i -> "chk_acc" ^ string_of_int i) in
+  let shard_state = Repro_ledger.State.create () in
+  Array.iteri
+    (fun i key ->
+      Repro_ledger.Executor.set_balance shard_state key 1_000;
+      Repro_ledger.Executor.set_balance shard_state ("sav_acc" ^ string_of_int i) 1_000)
+    accounts;
+  let shard_locks = Repro_ledger.Locks.create shard_state in
+  let cursor = ref 0 in
   [
     Test.make ~name:"sha256/256B" (Staged.stage (fun () -> Sha256.digest_string payload));
     Test.make ~name:"hmac-sha256/256B"
@@ -170,6 +182,16 @@ let micro_tests () =
            match Repro_ledger.Executor.try_prepare ledger ~txid:1 ops with
            | Ok () -> Repro_ledger.Executor.commit ledger ~txid:1 ops
            | Error _ -> failwith "executor/prepare+commit: prepare refused"));
+    Test.make ~name:"state/lock-cycle"
+      (Staged.stage (fun () ->
+           (* A stride coprime to 8,192 visits every account in turn. *)
+           cursor := (!cursor + 4_099) land 8_191;
+           let key = accounts.(!cursor) in
+           if not (Repro_ledger.Locks.acquire shard_locks ~txid:1 key) then
+             failwith "state/lock-cycle: lock refused";
+           Repro_ledger.Executor.set_balance shard_state key
+             (Repro_ledger.Executor.balance shard_state key + 1);
+           Repro_ledger.Locks.release shard_locks ~txid:1 key));
   ]
 
 (* The probes live permanently in the consensus/2PC hot paths, so the

@@ -60,10 +60,10 @@ type committee_ctx = {
          by every shard committee in [Flattened] mode (the coordinator
          shard of a transaction runs its machine), by nobody when the
          client coordinates *)
-  applied : unit Int_table.t;
+  applied : Idset.t;
       (* [applied_key txid phase] of every step already executed — client
          retries after request loss make re-delivery possible, execution
-         must be idempotent *)
+         must be idempotent.  Txids are dense from 0, so a bitmap. *)
   parked : (Tx.op list * Types.request * float) Int_table.t;
       (* wait-die: prepares waiting for a lock (with park time),
          retried on releases *)
@@ -530,9 +530,9 @@ let retry_parked t ctx =
    transaction, 1 a commit, 2 an abort, 3 a delta leg. *)
 let applied_key txid phase = (4 * txid) + phase
 
-let is_applied ctx txid phase = Int_table.mem ctx.applied (applied_key txid phase)
+let is_applied ctx txid phase = Idset.mem ctx.applied (applied_key txid phase)
 
-let mark_applied ctx txid phase = Int_table.replace ctx.applied (applied_key txid phase) ()
+let mark_applied ctx txid phase = Idset.add ctx.applied (applied_key txid phase)
 
 let execute_on_shard t ctx (req : Types.request) =
   match Coordination.lookup t.registry req.Types.op_tag with
@@ -845,7 +845,7 @@ let create cfg =
         state;
         chain;
         coordsm;
-        applied = Int_table.create 1024;
+        applied = Idset.create ();
         parked = Int_table.create 64;
         prepared = Int_table.create 64;
         mlane = Merge.lane ();

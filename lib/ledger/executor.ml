@@ -4,12 +4,12 @@ type prepare_error =
   | Lock_conflict of { key : string; holder : int }
   | Insufficient of string
 
-let balance state account =
-  match State.get_data state account with
-  | None -> 0
-  | Some data -> Option.value (int_of_string_opt data) ~default:0
+let balance state account = State.get_int state account ~default:0
 
-let set_balance state account v = State.put state account (string_of_int v)
+let set_balance state account v = State.set_int state account v
+
+(* The keys a leg locks: each op's key once, ascending. *)
+let lock_keys ops = List.sort_uniq String.compare (List.map Tx.key_of_op ops)
 
 (* Net effect of this transaction's local ops per account, ascending by
    account, so a prepare can validate a debit that is funded by a credit in
@@ -41,7 +41,7 @@ let validate state ops =
 
 let try_prepare state ~txid ops =
   let locks = Locks.create state in
-  let keys = List.sort_uniq String.compare (List.map Tx.key_of_op ops) in
+  let keys = lock_keys ops in
   if not (Locks.acquire_all locks ~txid keys) then begin
     (* Report the first conflicting key and its holder. *)
     let conflict =
@@ -78,22 +78,20 @@ let apply state ops =
       | Tx.Merge { key; delta } -> Merge.apply_delta state key delta)
     ops
 
-let locked_by_us state ~txid ops =
-  let locks = Locks.create state in
+let locked_by_us locks ~txid keys =
   List.for_all
     (fun key -> match Locks.holder locks key with Some h -> h = txid | None -> false)
-    (List.sort_uniq String.compare (List.map Tx.key_of_op ops))
+    keys
 
 let commit state ~txid ops =
-  if locked_by_us state ~txid ops then begin
+  let locks = Locks.create state in
+  let keys = lock_keys ops in
+  if locked_by_us locks ~txid keys then begin
     apply state ops;
-    let locks = Locks.create state in
-    Locks.release_all locks ~txid (List.sort_uniq String.compare (List.map Tx.key_of_op ops))
+    Locks.release_all locks ~txid keys
   end
 
-let abort state ~txid ops =
-  let locks = Locks.create state in
-  Locks.release_all locks ~txid (List.sort_uniq String.compare (List.map Tx.key_of_op ops))
+let abort state ~txid ops = Locks.release_all (Locks.create state) ~txid (lock_keys ops)
 
 let execute_single state ~txid ops =
   match prepare state ~txid ops with

@@ -9,7 +9,11 @@
       preconditions (sufficient funds for debits).  Any failure votes
       PrepareNotOK and takes no locks.
     - {b commit}: apply the writes and release the locks.
-    - {b abort}: release the locks without applying anything. *)
+    - {b abort}: release the locks without applying anything.
+
+    Lock tuples and balances go through {!State}'s typed paths, but each
+    lock is still the tuple ["L_" ^ key] in every snapshot and state root,
+    and each balance its decimal string. *)
 
 type vote = Prepare_ok | Prepare_not_ok of string
 

@@ -5,7 +5,11 @@
     {!State}: acquiring writes the tuple, releasing deletes it, and lock
     ownership is the transaction id, so commit/abort can release exactly
     the locks their transaction wrote.  Locks are exclusive — blockchain
-    transactions serialize within a shard, so shared locks buy nothing. *)
+    transactions serialize within a shard, so shared locks buy nothing.
+
+    {!State} keeps each tuple typed (the holder as an [int], under [key]),
+    but every snapshot, state root and transfer package still shows it as
+    the string key ["L_" ^ key] with the decimal holder as its data. *)
 
 type t
 

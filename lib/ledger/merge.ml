@@ -25,20 +25,17 @@ let combine a b =
   | Union x, Union y -> Some (Union (List.sort_uniq String.compare (x @ y)))
   | (Add _ | Maxi _ | Union _), _ -> None
 
-let int_of_data data = Option.value (int_of_string_opt data) ~default:0
-
 let set_of_data = function "" -> [] | data -> String.split_on_char ',' data
 
+(* A number that is absent or unreadable counts as 0. *)
 let apply_delta state key delta =
-  let current = Option.value (State.get_data state key) ~default:"" in
-  let merged =
-    match canon delta with
-    | Add n -> string_of_int (int_of_data current + n)
-    | Maxi n -> string_of_int (Int.max (int_of_data current) n)
-    | Union elts ->
-        String.concat "," (List.sort_uniq String.compare (set_of_data current @ elts))
-  in
-  State.put state key merged
+  match canon delta with
+  | Add n -> State.set_int state key (State.get_int state key ~default:0 + n)
+  | Maxi n -> State.set_int state key (Int.max (State.get_int state key ~default:0) n)
+  | Union elts ->
+      let current = Option.value (State.get_data state key) ~default:"" in
+      State.put state key
+        (String.concat "," (List.sort_uniq String.compare (set_of_data current @ elts)))
 
 (* ---- registry: chaincode-declared commutative operations ---- *)
 

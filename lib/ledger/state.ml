@@ -1,29 +1,95 @@
 open Repro_crypto
+module Str_table = Repro_util.Str_table
 
 type value = { data : string; version : int }
 
-type t = { table : (string, value) Hashtbl.t }
+(* One tuple.  [Num] is a tuple whose data is [string_of_int n]: balances
+   and lock holders are kept as ints and rendered only when read as
+   strings. *)
+type cell = Num of { n : int; version : int } | Text of value
 
-let create () = { table = Hashtbl.create 256 }
+(* Every string key lives in exactly one table: a key with the "L_" prefix
+   in [locks], filed under its suffix, any other key in [values]. *)
+type t = { values : cell Str_table.t; locks : cell Str_table.t }
 
-let get t key = Hashtbl.find_opt t.table key
+let create () = { values = Str_table.create 256; locks = Str_table.create 64 }
 
-let get_data t key = Option.map (fun v -> v.data) (get t key)
+let is_lock_key key = String.length key >= 2 && key.[0] = 'L' && key.[1] = '_'
 
-let put t key data =
-  let version = match get t key with Some v -> v.version + 1 | None -> 0 in
-  Hashtbl.replace t.table key { data; version }
+let base_of_lock key = String.sub key 2 (String.length key - 2)
 
-let delete t key = Hashtbl.remove t.table key
+let find t key =
+  if is_lock_key key then Str_table.find_opt t.locks (base_of_lock key)
+  else Str_table.find_opt t.values key
 
-let mem t key = Hashtbl.mem t.table key
+let store t key cell =
+  if is_lock_key key then Str_table.replace t.locks (base_of_lock key) cell
+  else Str_table.replace t.values key cell
 
-let size t = Hashtbl.length t.table
+let version_after = function
+  | None -> 0
+  | Some (Num { version; _ } | Text { version; _ }) -> version + 1
 
-let keys t = Repro_util.Det.keys ~compare:String.compare t.table
+let render = function
+  | Num { n; version } -> { data = string_of_int n; version }
+  | Text v -> v
+
+let get t key = Option.map render (find t key)
+
+let get_data t key =
+  match find t key with
+  | None -> None
+  | Some (Num { n; _ }) -> Some (string_of_int n)
+  | Some (Text v) -> Some v.data
+
+let put t key data = store t key (Text { data; version = version_after (find t key) })
+
+let delete t key =
+  if is_lock_key key then Str_table.remove t.locks (base_of_lock key)
+  else Str_table.remove t.values key
+
+let mem t key = Option.is_some (find t key)
+
+let int_of_cell = function Num { n; _ } -> Some n | Text v -> int_of_string_opt v.data
+
+let get_int t key ~default =
+  match find t key with
+  | None -> default
+  | Some (Num { n; _ }) -> n
+  | Some (Text v) -> Option.value (int_of_string_opt v.data) ~default
+
+let set_int t key n = store t key (Num { n; version = version_after (find t key) })
+
+let lock_holder t key = Option.bind (Str_table.find_opt t.locks key) int_of_cell
+
+let set_lock t key holder =
+  let version = version_after (Str_table.find_opt t.locks key) in
+  Str_table.replace t.locks key (Num { n = holder; version })
+
+let clear_lock t key = Str_table.remove t.locks key
+
+(* The tuple "L_" (the lock of the empty key) is too short to count. *)
+let lock_count t =
+  Str_table.length t.locks - Bool.to_int (Option.is_some (Str_table.find_opt t.locks ""))
+
+let locked_by t holder =
+  let acc = ref [] in
+  Str_table.iter_sorted
+    (fun base cell ->
+      match int_of_cell cell with
+      | Some n when n = holder && base <> "" -> acc := base :: !acc
+      | Some _ | None -> ())
+    t.locks;
+  List.rev !acc
 
 let snapshot t =
-  List.map (fun k -> (k, Hashtbl.find t.table k)) (keys t)
+  let acc = ref [] in
+  Str_table.iter_sorted (fun key cell -> acc := (key, render cell) :: !acc) t.values;
+  Str_table.iter_sorted (fun base cell -> acc := ("L_" ^ base, render cell) :: !acc) t.locks;
+  (* "L_" keys interleave with the others. *)
+  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
+
+let keys t = List.map fst (snapshot t)
 
 let root t =
   let leaves =
@@ -31,13 +97,19 @@ let root t =
   in
   Merkle.root leaves
 
+let cell_of_value v =
+  match int_of_string_opt v.data with
+  | Some n when String.equal (string_of_int n) v.data -> Num { n; version = v.version }
+  | Some _ | None -> Text v
+
 let restore entries =
   let t = create () in
-  List.iter (fun (k, v) -> Hashtbl.replace t.table k v) entries;
+  List.iter (fun (k, v) -> store t k (cell_of_value v)) entries;
   t
 
 let equal a b =
-  size a = size b
+  let sa = snapshot a and sb = snapshot b in
+  List.compare_lengths sa sb = 0
   && List.for_all2
        (fun (ka, va) (kb, vb) -> ka = kb && va.data = vb.data && va.version = vb.version)
-       (snapshot a) (snapshot b)
+       sa sb

@@ -3,7 +3,8 @@
     The set of request ids a replica has executed only ever grows between
     resets, and request ids are dense counters from 0, so one bit per id
     answers [mem] with a shift and a mask instead of a polymorphic hash
-    and compare. *)
+    and compare.  A committee's applied 2PC steps ([4 * txid + phase],
+    txids dense from 0) are such a set too. *)
 
 type t
 

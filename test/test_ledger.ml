@@ -53,6 +53,28 @@ let test_state_snapshot_restore () =
   Alcotest.(check bool) "roots match" true
     (Repro_crypto.Sha256.equal (State.root s) (State.root s'))
 
+(* Funded accounts, one rewritten balance, a plain string value and a
+   held lock: the root and transfer size were recorded on the string-only
+   state, so typed balances and lock tuples must hash and serialise to the
+   same bytes. *)
+let test_state_root_known_answer () =
+  let s = State.create () in
+  Executor.set_balance s "chk_acc0" 1000;
+  Executor.set_balance s "chk_acc1" 250;
+  Executor.set_balance s "sav_acc0" 1000;
+  Executor.set_balance s "chk_acc1" 240;
+  State.put s "item_7" "held-by:acme";
+  ignore (Locks.acquire (Locks.create s) ~txid:42 "chk_acc1");
+  let expected = "daa728c9a7d247e95f99de40fde52adc0019d8c02a097438dbf80275b4feaf49" in
+  Alcotest.(check string) "root" expected (Repro_crypto.Sha256.to_hex (State.root s));
+  Alcotest.(check (list string))
+    "keys" [ "L_chk_acc1"; "chk_acc0"; "chk_acc1"; "item_7"; "sav_acc0" ] (State.keys s);
+  Alcotest.(check (option string)) "lock tuple" (Some "42") (State.get_data s "L_chk_acc1");
+  Alcotest.(check int) "transfer bytes" 189
+    (Repro_shard.State_transfer.size_bytes (Repro_shard.State_transfer.pack s));
+  Alcotest.(check string) "restored root" expected
+    (Repro_crypto.Sha256.to_hex (State.root (State.restore (State.snapshot s))))
+
 (* ------------------------------------------------------------------ *)
 (* Locks                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -813,6 +835,238 @@ let prop_prepare_abort_is_identity =
         snapshot)
 
 (* ------------------------------------------------------------------ *)
+(* Typed State against the string-only model                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The world state as a plain string table, every balance and lock holder
+   a decimal string and every lock the tuple ["L_" ^ key], with the
+   ledger's readers written over it.  The typed [State] must be
+   indistinguishable from it through every reader. *)
+module Model = struct
+  type t = { table : (string, State.value) Hashtbl.t }
+
+  let create () = { table = Hashtbl.create 16 }
+
+  let get t key = Hashtbl.find_opt t.table key
+
+  let get_data t key = Option.map (fun v -> v.State.data) (get t key)
+
+  let put t key data =
+    let version = match get t key with Some v -> v.State.version + 1 | None -> 0 in
+    Hashtbl.replace t.table key { State.data; version }
+
+  let delete t key = Hashtbl.remove t.table key
+
+  let keys t = Repro_util.Det.keys ~compare:String.compare t.table
+
+  let snapshot t = List.map (fun k -> (k, Hashtbl.find t.table k)) (keys t)
+
+  let root t =
+    Repro_crypto.Merkle.root
+      (List.map (fun (k, v) -> Printf.sprintf "%s=%s@%d" k v.State.data v.State.version) (snapshot t))
+
+  let restore entries =
+    let t = create () in
+    List.iter (fun (k, v) -> Hashtbl.replace t.table k v) entries;
+    t
+
+  let size_bytes t =
+    List.fold_left
+      (fun acc (k, v) -> acc + String.length k + String.length v.State.data + 12)
+      64 (snapshot t)
+
+  let balance t account =
+    match get_data t account with
+    | None -> 0
+    | Some data -> Option.value (int_of_string_opt data) ~default:0
+
+  let set_balance t account v = put t account (string_of_int v)
+
+  let lock_key key = "L_" ^ key
+
+  let is_lock_key k = String.length k > 2 && String.starts_with ~prefix:"L_" k
+
+  let holder t key =
+    match get_data t (lock_key key) with None -> None | Some data -> int_of_string_opt data
+
+  let acquire t ~txid key =
+    match holder t key with
+    | Some owner -> owner = txid
+    | None ->
+        put t (lock_key key) (string_of_int txid);
+        true
+
+  let acquire_all t ~txid keys =
+    let rec go newly = function
+      | [] -> true
+      | key :: rest -> (
+          match holder t key with
+          | Some owner when owner = txid -> go newly rest
+          | Some _ ->
+              List.iter (fun k -> delete t (lock_key k)) newly;
+              false
+          | None ->
+              put t (lock_key key) (string_of_int txid);
+              go (key :: newly) rest)
+    in
+    go [] keys
+
+  let release t ~txid key =
+    match holder t key with Some owner when owner = txid -> delete t (lock_key key) | _ -> ()
+
+  let held_by t ~txid =
+    List.filter_map
+      (fun k ->
+        if is_lock_key k then
+          let base = String.sub k 2 (String.length k - 2) in
+          match holder t base with Some owner when owner = txid -> Some base | _ -> None
+        else None)
+      (keys t)
+
+  let held_count t = List.length (List.filter is_lock_key (keys t))
+
+  let apply_delta t key delta =
+    let current = Option.value (get_data t key) ~default:"" in
+    let int_of_data d = Option.value (int_of_string_opt d) ~default:0 in
+    let merged =
+      match Merge.canon delta with
+      | Tx.Add n -> string_of_int (int_of_data current + n)
+      | Tx.Maxi n -> string_of_int (Int.max (int_of_data current) n)
+      | Tx.Union elts ->
+          let set = match current with "" -> [] | d -> String.split_on_char ',' d in
+          String.concat "," (List.sort_uniq String.compare (set @ elts))
+    in
+    put t key merged
+end
+
+type state_step =
+  | Put of string * string
+  | Set_balance of string * int
+  | Delete of string
+  | Acquire of int * string
+  | Acquire_all of int * string list
+  | Release of int * string
+  | Delta of string * Tx.delta
+  | Restore
+
+(* Lock bases include the empty key (whose tuple "L_" is no lock tuple)
+   and an "L_" key (whose lock tuple is "L_L_a"). *)
+let lock_bases = [ ""; "a"; "b"; "L_a"; "x" ]
+
+let state_keys = lock_bases @ List.map (fun k -> "L_" ^ k) lock_bases
+
+(* Canonical numbers and the spellings [int_of_string_opt] reads that
+   [string_of_int] never writes. *)
+let state_data = [ "5"; "42"; "0"; "-3"; "007"; "+5"; "0x10"; "-0"; "1_000"; "abc"; ""; "a,b" ]
+
+let state_txids = [ -3; 0; 1; 2; 5; 7; 16; 42; 1000 ]
+
+let pp_state_step = function
+  | Put (k, d) -> Printf.sprintf "put %S %S" k d
+  | Set_balance (k, n) -> Printf.sprintf "set_balance %S %d" k n
+  | Delete k -> Printf.sprintf "delete %S" k
+  | Acquire (txid, k) -> Printf.sprintf "acquire %d %S" txid k
+  | Acquire_all (txid, ks) -> Printf.sprintf "acquire_all %d [%s]" txid (String.concat "; " ks)
+  | Release (txid, k) -> Printf.sprintf "release %d %S" txid k
+  | Delta (k, d) -> Format.asprintf "delta %S %a" k Tx.pp_delta d
+  | Restore -> "restore"
+
+let state_step_gen =
+  let open QCheck.Gen in
+  let key = oneofl state_keys and base = oneofl lock_bases in
+  let txid = oneofl [ 1; 2; 3; 5; 7; 16; 42 ] in
+  let amount = oneofl [ -3; 0; 1; 5; 42; 1000 ] in
+  frequency
+    [
+      (3, map2 (fun k d -> Put (k, d)) key (oneofl state_data));
+      (3, map2 (fun k n -> Set_balance (k, n)) key amount);
+      (2, map (fun k -> Delete k) key);
+      (3, map2 (fun t k -> Acquire (t, k)) txid base);
+      (2, map2 (fun t ks -> Acquire_all (t, List.sort_uniq String.compare ks)) txid (list_size (1 -- 3) base));
+      (3, map2 (fun t k -> Release (t, k)) txid base);
+      ( 2,
+        map2
+          (fun k d -> Delta (k, d))
+          key
+          (oneof
+             [ map (fun n -> Tx.Add n) amount; map (fun n -> Tx.Maxi n) amount;
+               map (fun e -> Tx.Union e) (list_size (0 -- 2) (oneofl [ "a"; "b"; "c" ])) ]) );
+      (1, return Restore);
+    ]
+
+let same_entries a b =
+  List.equal
+    (fun (ka, va) (kb, vb) ->
+      String.equal ka kb && String.equal va.State.data vb.State.data
+      && va.State.version = vb.State.version)
+    a b
+
+let state_agrees s m =
+  let locks = Locks.create s in
+  same_entries (State.snapshot s) (Model.snapshot m)
+  && List.equal String.equal (State.keys s) (Model.keys m)
+  && Repro_crypto.Sha256.equal (State.root s) (Model.root m)
+  && List.length (State.keys s) = Hashtbl.length m.Model.table
+  && Repro_shard.State_transfer.size_bytes (Repro_shard.State_transfer.pack s) = Model.size_bytes m
+  && List.for_all
+       (fun k ->
+         State.get_data s k = Model.get_data m k
+         && State.get s k = Model.get m k
+         && State.mem s k = Hashtbl.mem m.Model.table k
+         && Executor.balance s k = Model.balance m k)
+       state_keys
+  && List.for_all (fun k -> Locks.holder locks k = Model.holder m k) lock_bases
+  && Locks.held_count locks = Model.held_count m
+  && List.for_all
+       (fun txid -> List.equal String.equal (Locks.held_by locks ~txid) (Model.held_by m ~txid))
+       state_txids
+
+let prop_typed_state_matches_model =
+  QCheck.Test.make ~name:"typed state reads as the string-only state" ~count:300
+    (QCheck.make
+       ~print:(fun steps -> String.concat "\n" (List.map pp_state_step steps))
+       QCheck.Gen.(list_size (0 -- 40) state_step_gen))
+    (fun steps ->
+      let rec go s m = function
+        | [] -> true
+        | step :: rest ->
+            let same_result =
+              match step with
+              | Put (k, d) ->
+                  State.put s k d;
+                  Model.put m k d;
+                  true
+              | Set_balance (k, n) ->
+                  Executor.set_balance s k n;
+                  Model.set_balance m k n;
+                  true
+              | Delete k ->
+                  State.delete s k;
+                  Model.delete m k;
+                  true
+              | Acquire (txid, k) -> Locks.acquire (Locks.create s) ~txid k = Model.acquire m ~txid k
+              | Acquire_all (txid, ks) ->
+                  Locks.acquire_all (Locks.create s) ~txid ks = Model.acquire_all m ~txid ks
+              | Release (txid, k) ->
+                  Locks.release (Locks.create s) ~txid k;
+                  Model.release m ~txid k;
+                  true
+              | Delta (k, d) ->
+                  Merge.apply_delta s k d;
+                  Model.apply_delta m k d;
+                  true
+              | Restore -> true
+            in
+            let s, m =
+              match step with
+              | Restore -> (State.restore (State.snapshot s), Model.restore (Model.snapshot m))
+              | _ -> (s, m)
+            in
+            same_result && state_agrees s m && go s m rest
+      in
+      go (State.create ()) (Model.create ()) steps)
+
+(* ------------------------------------------------------------------ *)
 (* Mergeable state (the fast lane's delta algebra, DESIGN §18)         *)
 (* ------------------------------------------------------------------ *)
 
@@ -937,6 +1191,7 @@ let qsuite =
       prop_money_conserved_under_random_transfers;
       prop_utxo_value_never_increases;
       prop_prepare_abort_is_identity;
+      prop_typed_state_matches_model;
       prop_tx_serialize_roundtrip;
       prop_tx_placement_matches_filter;
       prop_merge_combine_commutative;
@@ -955,6 +1210,7 @@ let () =
           Alcotest.test_case "root changes" `Quick test_state_root_changes_with_content;
           Alcotest.test_case "root order-free" `Quick test_state_root_insertion_order_free;
           Alcotest.test_case "snapshot/restore" `Quick test_state_snapshot_restore;
+          Alcotest.test_case "root known answer" `Quick test_state_root_known_answer;
         ] );
       ( "locks",
         [

@@ -40,8 +40,9 @@ let () =
   System.run sys ~until:10.0;
 
   (* 5. The same transfer, written once as a typed contract (the §6.4
-        extension): the library derives the coordinator ops and the
-        sharded prepare/commit/abort chaincode from one definition. *)
+        extension): [Contract.compile] derives the coordinator ops, and
+        the system runs them through the same prepare/commit/abort
+        phases as any other transaction. *)
   let send_payment =
     Contract.define ~name:"sendPayment" ~arity:3
       [

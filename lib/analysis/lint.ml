@@ -203,7 +203,6 @@ let paper_only =
   [
     "Rapidchain" (* §6.1, Fig. 3a: RapidChain's cross-shard commit, the baseline *);
     "Utxo" (* §6.1, Fig. 3a: the UTXO ledger RapidChain's commit runs over *);
-    "Attestation" (* §5.3: per-epoch remote attestation; ROADMAP item 6 decides it *);
   ]
 
 let executable_roots = [ "bin/"; "bench/"; "examples/" ]

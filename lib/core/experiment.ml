@@ -218,8 +218,6 @@ let raft engine ~n ~commits ~send ~charge =
 type shard_run = {
   tps : float;
   s_abort_rate : float;
-  ref_busy : float;
-  s_latency : float;
   series : (float * float) list;
 }
 
@@ -303,8 +301,6 @@ let run_shards ~quick ?(site = Cluster) ?(mode = System.With_reference)
   {
     tps = System.throughput sys ~warmup;
     s_abort_rate = System.abort_rate sys;
-    ref_busy = System.reference_busy_fraction sys;
-    s_latency = Stats.mean (System.latency_stats sys);
     series = System.throughput_series sys;
   }
 

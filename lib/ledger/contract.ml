@@ -88,31 +88,3 @@ let analyze t ~shards ~args =
       match Tx.shards_touched ~shards tx with
       | [ s ] -> `Single s
       | many -> `Cross many)
-
-let to_chaincode t =
-  Chaincode.define (fun state ~txid { Chaincode.fn; args } ->
-      if fn = t.name then
-        (* Original single-shard entry point: prepare + commit fused. *)
-        match compile t ~args with
-        | Error e -> Chaincode.Failure e
-        | Ok ops -> (
-            match Executor.execute_single state ~txid ops with
-            | Ok () -> Chaincode.Success ""
-            | Error e -> Chaincode.Failure e)
-      else
-        (* Auto-generated sharded entry points. *)
-        match fn with
-        | "prepare" ->
-            Kvstore_cc.with_tx args (fun txid ops ->
-                match Executor.prepare state ~txid ops with
-                | Executor.Prepare_ok -> Chaincode.Success "PrepareOK"
-                | Executor.Prepare_not_ok reason -> Chaincode.Failure reason)
-        | "commit" ->
-            Kvstore_cc.with_tx args (fun txid ops ->
-                Executor.commit state ~txid ops;
-                Chaincode.Success "")
-        | "abort" ->
-            Kvstore_cc.with_tx args (fun txid ops ->
-                Executor.abort state ~txid ops;
-                Chaincode.Success "")
-        | other -> Chaincode.Failure ("unknown function " ^ other))

@@ -8,10 +8,10 @@
 
     - {!compile}: the operation list a coordinator needs (usable directly
       with [System.submit], which plays the role of the §6.4 client
-      library hiding the coordination protocol);
-    - {!to_chaincode}: a Hyperledger-style chaincode exposing both the
-      original single-shard entry point and the auto-generated
-      [prepare]/[commit]/[abort] functions, with no manual refactoring;
+      library hiding the coordination protocol).  The same list runs
+      single-shard through {!Executor.execute_single} or split into
+      {!Executor.try_prepare} / [commit] / [abort], with no manual
+      refactoring;
     - {!analyze}: which shards an invocation touches, so callers know
       whether it is a distributed transaction before submitting. *)
 
@@ -42,9 +42,3 @@ val compile : t -> args:string list -> (Tx.op list, string) result
 
 val analyze : t -> shards:int -> args:string list -> [ `Single of int | `Cross of int list ]
 (** Static shard footprint of an invocation (raises on compile failure). *)
-
-val to_chaincode : t -> Chaincode.t
-(** The derived chaincode: invoking [name t] with the contract's arguments
-    executes single-shard (prepare+commit fused); the [prepare] / [commit]
-    / [abort] entry points accept the coordinator's encoded op lists, as
-    the sharded system dispatches them. *)

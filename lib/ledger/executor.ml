@@ -1,5 +1,3 @@
-type vote = Prepare_ok | Prepare_not_ok of string
-
 type prepare_error =
   | Lock_conflict of { key : string; holder : int }
   | Insufficient of string
@@ -61,12 +59,6 @@ let try_prepare state ~txid ops =
         Error (Insufficient account)
     | None -> Ok ()
 
-let prepare state ~txid ops =
-  match try_prepare state ~txid ops with
-  | Ok () -> Prepare_ok
-  | Error (Lock_conflict _) -> Prepare_not_ok "lock conflict"
-  | Error (Insufficient account) -> Prepare_not_ok ("insufficient funds: " ^ account)
-
 let apply state ops =
   List.iter
     (fun op ->
@@ -94,10 +86,10 @@ let commit state ~txid ops =
 let abort state ~txid ops = Locks.release_all (Locks.create state) ~txid (lock_keys ops)
 
 let execute_single state ~txid ops =
-  match prepare state ~txid ops with
-  | Prepare_not_ok reason ->
+  match try_prepare state ~txid ops with
+  | Error _ as refused ->
       abort state ~txid ops;
-      Error reason
-  | Prepare_ok ->
+      refused
+  | Ok () ->
       commit state ~txid ops;
       Ok ()

@@ -15,17 +15,13 @@
     lock is still the tuple ["L_" ^ key] in every snapshot and state root,
     and each balance its decimal string. *)
 
-type vote = Prepare_ok | Prepare_not_ok of string
-
 type prepare_error =
   | Lock_conflict of { key : string; holder : int }
       (** first conflicting key and the transaction holding it *)
   | Insufficient of string  (** account failing validation *)
 
-val prepare : State.t -> txid:int -> Tx.op list -> vote
-
 val try_prepare : State.t -> txid:int -> Tx.op list -> (unit, prepare_error) result
-(** Like {!prepare} but reports what blocked it, so alternative
+(** The prepare phase.  A refusal reports what blocked it, so alternative
     concurrency-control policies (Section 6.4's future work) can decide to
     wait instead of aborting. *)
 
@@ -35,9 +31,9 @@ val commit : State.t -> txid:int -> Tx.op list -> unit
 
 val abort : State.t -> txid:int -> Tx.op list -> unit
 
-val execute_single : State.t -> txid:int -> Tx.op list -> (unit, string) Stdlib.result
-(** Single-shard fast path: prepare+commit in one step, no lock tuples
-    left behind. *)
+val execute_single : State.t -> txid:int -> Tx.op list -> (unit, prepare_error) result
+(** Single-shard fast path: {!try_prepare}, then {!abort} on refusal or
+    {!commit} on success, in one step, no lock tuples left behind. *)
 
 val balance : State.t -> string -> int
 (** Account balance helper (0 when absent). *)

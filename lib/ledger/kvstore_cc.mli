@@ -1,19 +1,8 @@
-(** The BLOCKBENCH KVStore chaincode, sharded per Section 6.3.
+(** The BLOCKBENCH KVStore chaincode's operations, sharded per Section 6.3.
 
-    Functions:
-    - ["write" ; key; value] — single-shard write
-    - ["read" ; key]
-    - ["prepare"; txid; (op triples)...] — acquire lock tuples, validate
-    - ["commit" ; txid; ...] — apply writes, drop locks
-    - ["abort"  ; txid; ...] — drop locks *)
-
-val chaincode : Chaincode.t
-
-val with_tx :
-  string list -> (int -> Tx.op list -> Chaincode.response) -> Chaincode.response
-(** Decode [txid :: flat-op-args] produced by
-    {!Chaincode.functions_of_ops}; shared by chaincodes implementing the
-    prepare/commit/abort split. *)
+    A KVStore transaction is a typed {!Tx.op} list (blind [Put]s, or
+    counter increments); the coordination protocol runs its prepare /
+    commit / abort phases through {!Executor}. *)
 
 val counter_key : string -> string
 (** The mergeable counter namespace (["ctr_" ^ k]). *)

@@ -350,7 +350,9 @@ let test_client_driven_mode_commits () =
     (transfer_tx ~txid:1 sys ~from_:a ~to_:b ~amount:30);
   run_to_done sys;
   Alcotest.(check bool) "committed" true (!outcome = Some System.Committed);
-  Alcotest.(check int) "applied" 70 (Executor.balance (System.shard_state sys 0) a)
+  Alcotest.(check int) "payer debited" 70 (Executor.balance (System.shard_state sys 0) a);
+  Alcotest.(check int) "payee credited" 30 (Executor.balance (System.shard_state sys 1) b);
+  Alcotest.(check int) "no dangling locks" 0 (System.stuck_locks sys)
 
 let test_malicious_client_with_reference_still_completes () =
   (* The paper's liveness claim: R's nodes take over when the coordinator

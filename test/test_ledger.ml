@@ -207,11 +207,15 @@ let funded () =
 
 let transfer ~amount = [ Tx.Debit { account = "alice"; amount }; Tx.Credit { account = "bob"; amount } ]
 
+let fail_refused = function
+  | Executor.Lock_conflict { key; holder } -> Alcotest.failf "lock conflict on %s (tx %d)" key holder
+  | Executor.Insufficient account -> Alcotest.failf "insufficient funds: %s" account
+
+let expect_prepared = function Ok () -> () | Error e -> fail_refused e
+
 let test_executor_prepare_commit () =
   let s = funded () in
-  (match Executor.prepare s ~txid:1 (transfer ~amount:30) with
-  | Executor.Prepare_ok -> ()
-  | Executor.Prepare_not_ok r -> Alcotest.fail r);
+  expect_prepared (Executor.try_prepare s ~txid:1 (transfer ~amount:30));
   (* Locks are held between prepare and commit. *)
   let l = Locks.create s in
   Alcotest.(check (option int)) "alice locked" (Some 1) (Locks.holder l "alice");
@@ -222,9 +226,10 @@ let test_executor_prepare_commit () =
 
 let test_executor_prepare_insufficient () =
   let s = funded () in
-  (match Executor.prepare s ~txid:1 (transfer ~amount:1000) with
-  | Executor.Prepare_not_ok _ -> ()
-  | Executor.Prepare_ok -> Alcotest.fail "should refuse overdraft");
+  (match Executor.try_prepare s ~txid:1 (transfer ~amount:1000) with
+  | Error (Executor.Insufficient account) -> Alcotest.(check string) "overdrawn" "alice" account
+  | Error (Executor.Lock_conflict _) -> Alcotest.fail "lock conflict"
+  | Ok () -> Alcotest.fail "should refuse overdraft");
   let l = Locks.create s in
   Alcotest.(check (option int)) "no dangling lock" None (Locks.holder l "alice")
 
@@ -233,9 +238,7 @@ let test_executor_credit_funds_debit () =
   let s = State.create () in
   Executor.set_balance s "x" 0;
   let ops = [ Tx.Credit { account = "x"; amount = 10 }; Tx.Debit { account = "x"; amount = 5 } ] in
-  match Executor.prepare s ~txid:1 ops with
-  | Executor.Prepare_ok -> ()
-  | Executor.Prepare_not_ok r -> Alcotest.fail r
+  expect_prepared (Executor.try_prepare s ~txid:1 ops)
 
 let test_executor_reports_first_overdrawn () =
   (* Validation nets each account's ops and names the first overdrawn
@@ -258,7 +261,7 @@ let test_executor_reports_first_overdrawn () =
 
 let test_executor_abort_releases_without_applying () =
   let s = funded () in
-  ignore (Executor.prepare s ~txid:1 (transfer ~amount:30));
+  ignore (Executor.try_prepare s ~txid:1 (transfer ~amount:30));
   Executor.abort s ~txid:1 (transfer ~amount:30);
   Alcotest.(check int) "alice unchanged" 100 (Executor.balance s "alice");
   Alcotest.(check (option int)) "released" None (Locks.holder (Locks.create s) "alice")
@@ -271,16 +274,15 @@ let test_executor_commit_requires_own_locks () =
 
 let test_executor_lock_conflict_votes_nok () =
   let s = funded () in
-  ignore (Executor.prepare s ~txid:1 (transfer ~amount:10));
-  match Executor.prepare s ~txid:2 (transfer ~amount:10) with
-  | Executor.Prepare_not_ok _ -> ()
-  | Executor.Prepare_ok -> Alcotest.fail "conflicting prepare must fail"
+  ignore (Executor.try_prepare s ~txid:1 (transfer ~amount:10));
+  match Executor.try_prepare s ~txid:2 (transfer ~amount:10) with
+  | Error (Executor.Lock_conflict { holder; _ }) -> Alcotest.(check int) "holder" 1 holder
+  | Error (Executor.Insufficient _) -> Alcotest.fail "insufficient funds"
+  | Ok () -> Alcotest.fail "conflicting prepare must fail"
 
 let test_executor_single_path () =
   let s = funded () in
-  (match Executor.execute_single s ~txid:1 (transfer ~amount:30) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
+  expect_prepared (Executor.execute_single s ~txid:1 (transfer ~amount:30));
   Alcotest.(check int) "alice" 70 (Executor.balance s "alice");
   match Executor.execute_single s ~txid:2 (transfer ~amount:1000) with
   | Error _ -> Alcotest.(check int) "alice unchanged" 70 (Executor.balance s "alice")
@@ -383,105 +385,67 @@ let test_chain_tx_inclusion_proof () =
   Alcotest.(check bool) "t9 not included" false (Block.verify_tx b ~tx:"t9" proof)
 
 (* ------------------------------------------------------------------ *)
-(* Chaincodes                                                          *)
+(* Chaincodes: the Section 6.3 split on typed op lists                 *)
 (* ------------------------------------------------------------------ *)
 
-let invoke cc s ~txid fn args = Chaincode.invoke cc s ~txid { Chaincode.fn; args }
+(* Checking and savings balances of [initial] for "acc0".."accN-1". *)
+let fund_smallbank s ~accounts ~initial =
+  for i = 0 to accounts - 1 do
+    let acc = "acc" ^ string_of_int i in
+    Executor.set_balance s (Smallbank_cc.checking_key acc) initial;
+    Executor.set_balance s (Smallbank_cc.savings_key acc) initial
+  done
 
-let test_kvstore_write_read () =
-  let s = State.create () in
-  (match invoke Kvstore_cc.chaincode s ~txid:1 "write" [ "k"; "v" ] with
-  | Chaincode.Success _ -> ()
-  | Chaincode.Failure e -> Alcotest.fail e);
-  match invoke Kvstore_cc.chaincode s ~txid:2 "read" [ "k" ] with
-  | Chaincode.Success v -> Alcotest.(check string) "read back" "v" v
-  | Chaincode.Failure e -> Alcotest.fail e
+let smallbank_total s ~accounts =
+  List.fold_left
+    (fun sum i ->
+      let acc = "acc" ^ string_of_int i in
+      sum + Executor.balance s (Smallbank_cc.checking_key acc)
+      + Executor.balance s (Smallbank_cc.savings_key acc))
+    0 (List.init accounts Fun.id)
+
+let checking s acc = Executor.balance s (Smallbank_cc.checking_key acc)
 
 let test_kvstore_prepare_commit_cycle () =
   let s = State.create () in
   let ops = [ Tx.Put { key = "k"; value = "v" } ] in
-  let inv phase = Chaincode.functions_of_ops ~txid:5 ~phase ops in
-  (match Chaincode.invoke Kvstore_cc.chaincode s ~txid:5 (inv `Prepare) with
-  | Chaincode.Success r -> Alcotest.(check string) "vote" "PrepareOK" r
-  | Chaincode.Failure e -> Alcotest.fail e);
+  expect_prepared (Executor.try_prepare s ~txid:5 ops);
   Alcotest.(check bool) "lock tuple exists" true (State.mem s "L_k");
-  (match Chaincode.invoke Kvstore_cc.chaincode s ~txid:5 (inv `Commit) with
-  | Chaincode.Success _ -> ()
-  | Chaincode.Failure e -> Alcotest.fail e);
+  Executor.commit s ~txid:5 ops;
   Alcotest.(check (option string)) "written" (Some "v") (State.get_data s "k");
   Alcotest.(check bool) "lock gone" false (State.mem s "L_k")
 
-let test_kvstore_unknown_function () =
-  let s = State.create () in
-  match invoke Kvstore_cc.chaincode s ~txid:1 "nuke" [] with
-  | Chaincode.Failure _ -> ()
-  | Chaincode.Success _ -> Alcotest.fail "unknown fn must fail"
-
-let test_smallbank_setup_and_balance () =
-  let s = State.create () in
-  Smallbank_cc.setup s ~accounts:3 ~initial:100;
-  Alcotest.(check int) "checking" 100 (Smallbank_cc.checking s "acc0");
-  Alcotest.(check int) "savings" 100 (Smallbank_cc.savings s "acc1");
-  Alcotest.(check int) "total" 600 (Smallbank_cc.total_money s);
-  match invoke Smallbank_cc.chaincode s ~txid:1 "getBalance" [ "acc0" ] with
-  | Chaincode.Success v -> Alcotest.(check string) "combined" "200" v
-  | Chaincode.Failure e -> Alcotest.fail e
-
 let test_smallbank_send_payment () =
   let s = State.create () in
-  Smallbank_cc.setup s ~accounts:2 ~initial:100;
-  (match invoke Smallbank_cc.chaincode s ~txid:1 "sendPayment" [ "acc0"; "acc1"; "40" ] with
-  | Chaincode.Success _ -> ()
-  | Chaincode.Failure e -> Alcotest.fail e);
-  Alcotest.(check int) "src" 60 (Smallbank_cc.checking s "acc0");
-  Alcotest.(check int) "dst" 140 (Smallbank_cc.checking s "acc1");
-  Alcotest.(check int) "money conserved" 400 (Smallbank_cc.total_money s)
+  fund_smallbank s ~accounts:2 ~initial:100;
+  expect_prepared
+    (Executor.execute_single s ~txid:1 (Smallbank_cc.send_payment_ops ~src:"acc0" ~dst:"acc1" ~amount:40));
+  Alcotest.(check int) "src" 60 (checking s "acc0");
+  Alcotest.(check int) "dst" 140 (checking s "acc1");
+  Alcotest.(check int) "money conserved" 400 (smallbank_total s ~accounts:2)
 
 let test_smallbank_overdraft_refused () =
   let s = State.create () in
-  Smallbank_cc.setup s ~accounts:2 ~initial:100;
-  (match invoke Smallbank_cc.chaincode s ~txid:1 "sendPayment" [ "acc0"; "acc1"; "500" ] with
-  | Chaincode.Failure _ -> ()
-  | Chaincode.Success _ -> Alcotest.fail "overdraft accepted");
-  Alcotest.(check int) "unchanged" 100 (Smallbank_cc.checking s "acc0")
-
-let test_smallbank_amalgamate () =
-  let s = State.create () in
-  Smallbank_cc.setup s ~accounts:2 ~initial:100;
-  (match invoke Smallbank_cc.chaincode s ~txid:1 "amalgamate" [ "acc0"; "acc1" ] with
-  | Chaincode.Success _ -> ()
-  | Chaincode.Failure e -> Alcotest.fail e);
-  Alcotest.(check int) "src emptied" 0 (Smallbank_cc.checking s "acc0" + Smallbank_cc.savings s "acc0");
-  Alcotest.(check int) "dst holds all" 300 (Smallbank_cc.checking s "acc1");
-  Alcotest.(check int) "conserved" 400 (Smallbank_cc.total_money s)
-
-let test_smallbank_write_check_and_savings () =
-  let s = State.create () in
-  Smallbank_cc.setup s ~accounts:1 ~initial:100;
-  (match invoke Smallbank_cc.chaincode s ~txid:1 "writeCheck" [ "acc0"; "30" ] with
-  | Chaincode.Success _ -> ()
-  | Chaincode.Failure e -> Alcotest.fail e);
-  Alcotest.(check int) "checking" 70 (Smallbank_cc.checking s "acc0");
-  (match invoke Smallbank_cc.chaincode s ~txid:2 "transactSavings" [ "acc0"; "200" ] with
-  | Chaincode.Failure _ -> ()
-  | Chaincode.Success _ -> Alcotest.fail "savings overdraft accepted");
-  Alcotest.(check int) "savings unchanged" 100 (Smallbank_cc.savings s "acc0")
+  fund_smallbank s ~accounts:2 ~initial:100;
+  (match
+     Executor.execute_single s ~txid:1 (Smallbank_cc.send_payment_ops ~src:"acc0" ~dst:"acc1" ~amount:500)
+   with
+  | Error (Executor.Insufficient account) -> Alcotest.(check string) "overdrawn" "chk_acc0" account
+  | Error (Executor.Lock_conflict _) -> Alcotest.fail "lock conflict"
+  | Ok () -> Alcotest.fail "overdraft accepted");
+  Alcotest.(check int) "unchanged" 100 (checking s "acc0");
+  Alcotest.(check bool) "no lock tuple" false (State.mem s "L_chk_acc0")
 
 let test_smallbank_prepare_payment_running_example () =
-  (* The Section 6.3 running example: preparePayment writes the lock
-     tuples, commitPayment applies and removes them. *)
+  (* The Section 6.3 running example: the prepare phase writes the lock
+     tuples, the commit phase applies and removes them. *)
   let s = State.create () in
-  Smallbank_cc.setup s ~accounts:2 ~initial:100;
+  fund_smallbank s ~accounts:2 ~initial:100;
   let ops = Smallbank_cc.send_payment_ops ~src:"acc0" ~dst:"acc1" ~amount:25 in
-  let inv phase = Chaincode.functions_of_ops ~txid:9 ~phase ops in
-  (match Chaincode.invoke Smallbank_cc.chaincode s ~txid:9 (inv `Prepare) with
-  | Chaincode.Success _ -> ()
-  | Chaincode.Failure e -> Alcotest.fail e);
+  expect_prepared (Executor.try_prepare s ~txid:9 ops);
   Alcotest.(check bool) "L_chk_acc0 exists" true (State.mem s "L_chk_acc0");
-  (match Chaincode.invoke Smallbank_cc.chaincode s ~txid:9 (inv `Commit) with
-  | Chaincode.Success _ -> ()
-  | Chaincode.Failure e -> Alcotest.fail e);
-  Alcotest.(check int) "applied" 75 (Smallbank_cc.checking s "acc0");
+  Executor.commit s ~txid:9 ops;
+  Alcotest.(check int) "applied" 75 (checking s "acc0");
   Alcotest.(check bool) "lock removed" false (State.mem s "L_chk_acc0")
 
 (* ------------------------------------------------------------------ *)
@@ -685,30 +649,26 @@ let test_contract_analyze () =
         (List.sort_uniq compare [ Tx.shard_of_key ~shards "alice"; Tx.shard_of_key ~shards "bob" ])
         l
 
+let compiled contract ~args =
+  match Contract.compile contract ~args with Ok ops -> ops | Error e -> Alcotest.fail e
+
 let test_contract_single_shard_entry () =
-  let cc = Contract.to_chaincode send_payment_contract in
+  (* The original single-shard entry point: prepare + commit fused. *)
   let s = State.create () in
   Executor.set_balance s "alice" 100;
-  (match Chaincode.invoke cc s ~txid:1 { Chaincode.fn = "sendPayment"; args = [ "alice"; "bob"; "30" ] } with
-  | Chaincode.Success _ -> ()
-  | Chaincode.Failure e -> Alcotest.fail e);
+  expect_prepared
+    (Executor.execute_single s ~txid:1 (compiled send_payment_contract ~args:[ "alice"; "bob"; "30" ]));
   Alcotest.(check int) "alice" 70 (Executor.balance s "alice");
   Alcotest.(check int) "bob" 30 (Executor.balance s "bob")
 
 let test_contract_auto_sharded_entries () =
   (* The same definition serves the coordinator's prepare/commit flow. *)
-  let cc = Contract.to_chaincode send_payment_contract in
   let s = State.create () in
   Executor.set_balance s "alice" 100;
-  let ops = Result.get_ok (Contract.compile send_payment_contract ~args:[ "alice"; "bob"; "30" ]) in
-  let inv phase = Chaincode.functions_of_ops ~txid:9 ~phase ops in
-  (match Chaincode.invoke cc s ~txid:9 (inv `Prepare) with
-  | Chaincode.Success v -> Alcotest.(check string) "vote" "PrepareOK" v
-  | Chaincode.Failure e -> Alcotest.fail e);
+  let ops = compiled send_payment_contract ~args:[ "alice"; "bob"; "30" ] in
+  expect_prepared (Executor.try_prepare s ~txid:9 ops);
   Alcotest.(check bool) "auto lock tuple" true (State.mem s "L_alice");
-  (match Chaincode.invoke cc s ~txid:9 (inv `Commit) with
-  | Chaincode.Success _ -> ()
-  | Chaincode.Failure e -> Alcotest.fail e);
+  Executor.commit s ~txid:9 ops;
   Alcotest.(check int) "applied" 70 (Executor.balance s "alice");
   Alcotest.(check bool) "lock gone" false (State.mem s "L_alice")
 
@@ -721,15 +681,14 @@ let test_contract_guarded_withdraw () =
         Contract.Set { key = Contract.Lit "escrow_status"; value = Contract.Lit "released" };
       ]
   in
-  let cc = Contract.to_chaincode escrow in
   let s = State.create () in
   Executor.set_balance s "escrow" 50;
-  (match Chaincode.invoke cc s ~txid:1 { Chaincode.fn = "release"; args = [ "carol"; "80" ] } with
-  | Chaincode.Failure _ -> ()
-  | Chaincode.Success _ -> Alcotest.fail "overdraft accepted");
-  (match Chaincode.invoke cc s ~txid:2 { Chaincode.fn = "release"; args = [ "carol"; "50" ] } with
-  | Chaincode.Success _ -> ()
-  | Chaincode.Failure e -> Alcotest.fail e);
+  (match Executor.execute_single s ~txid:1 (compiled escrow ~args:[ "carol"; "80" ]) with
+  | Error (Executor.Insufficient account) -> Alcotest.(check string) "overdrawn" "escrow" account
+  | Error (Executor.Lock_conflict _) -> Alcotest.fail "lock conflict"
+  | Ok () -> Alcotest.fail "overdraft accepted");
+  Alcotest.(check (option string)) "status untouched" None (State.get_data s "escrow_status");
+  expect_prepared (Executor.execute_single s ~txid:2 (compiled escrow ~args:[ "carol"; "50" ]));
   Alcotest.(check int) "carol paid" 50 (Executor.balance s "carol");
   Alcotest.(check (option string)) "status" (Some "released") (State.get_data s "escrow_status")
 
@@ -742,17 +701,15 @@ let prop_money_conserved_under_random_transfers =
     QCheck.(list (triple (int_bound 4) (int_bound 4) (int_range 1 50)))
     (fun transfers ->
       let s = State.create () in
-      Smallbank_cc.setup s ~accounts:5 ~initial:100;
+      fund_smallbank s ~accounts:5 ~initial:100;
       List.iteri
-        (fun i (a, b, amt) ->
+        (fun i (a, b, amount) ->
           ignore
-            (Chaincode.invoke Smallbank_cc.chaincode s ~txid:i
-               {
-                 Chaincode.fn = "sendPayment";
-                 args = [ "acc" ^ string_of_int a; "acc" ^ string_of_int b; string_of_int amt ];
-               }))
+            (Executor.execute_single s ~txid:i
+               (Smallbank_cc.send_payment_ops ~src:("acc" ^ string_of_int a)
+                  ~dst:("acc" ^ string_of_int b) ~amount)))
         transfers;
-      Smallbank_cc.total_money s = 1000)
+      smallbank_total s ~accounts:5 = 1000)
 
 let prop_utxo_value_never_increases =
   QCheck.Test.make ~name:"utxo total value never increases" ~count:100
@@ -827,7 +784,7 @@ let prop_prepare_abort_is_identity =
       Executor.set_balance s "b" 0;
       let snapshot = State.snapshot s in
       let ops = [ Tx.Debit { account = "a"; amount }; Tx.Credit { account = "b"; amount } ] in
-      ignore (Executor.prepare s ~txid:1 ops);
+      ignore (Executor.try_prepare s ~txid:1 ops);
       Executor.abort s ~txid:1 ops;
       (* Versions may have moved (lock write/delete) but data must match. *)
       List.for_all
@@ -1260,14 +1217,9 @@ let () =
         ] );
       ( "chaincode",
         [
-          Alcotest.test_case "kvstore write/read" `Quick test_kvstore_write_read;
           Alcotest.test_case "kvstore 2PC cycle" `Quick test_kvstore_prepare_commit_cycle;
-          Alcotest.test_case "unknown function" `Quick test_kvstore_unknown_function;
-          Alcotest.test_case "smallbank setup" `Quick test_smallbank_setup_and_balance;
           Alcotest.test_case "sendPayment" `Quick test_smallbank_send_payment;
           Alcotest.test_case "overdraft refused" `Quick test_smallbank_overdraft_refused;
-          Alcotest.test_case "amalgamate" `Quick test_smallbank_amalgamate;
-          Alcotest.test_case "writeCheck/savings" `Quick test_smallbank_write_check_and_savings;
           Alcotest.test_case "preparePayment example" `Quick
             test_smallbank_prepare_payment_running_example;
         ] );

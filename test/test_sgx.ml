@@ -55,34 +55,6 @@ let test_enclave_rand_host_independent () =
   Alcotest.(check int64) "same seed same stream" a b
 
 (* ------------------------------------------------------------------ *)
-(* Attestation                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_attestation_roundtrip () =
-  let w = make_world () in
-  let e = make_enclave w in
-  let q = Attestation.quote e in
-  Alcotest.(check bool) "verifies" true
-    (Attestation.verify w.keystore ~expected_measurement:(Enclave.measurement e) q)
-
-let test_attestation_rejects_wrong_measurement () =
-  let w = make_world () in
-  let e = make_enclave w in
-  let q = Attestation.quote e in
-  let other = Sha256.digest_string "different-binary" in
-  Alcotest.(check bool) "measurement mismatch" false
-    (Attestation.verify w.keystore ~expected_measurement:other q)
-
-let test_attestation_rejects_identity_swap () =
-  let w = make_world () in
-  let e0 = make_enclave ~id:0 w in
-  let _e1 = make_enclave ~id:1 ~measurement:"test-enclave" w in
-  let q = Attestation.quote e0 in
-  let forged = { q with Attestation.enclave_id = 1 } in
-  Alcotest.(check bool) "claimed wrong id" false
-    (Attestation.verify w.keystore ~expected_measurement:(Enclave.measurement e0) forged)
-
-(* ------------------------------------------------------------------ *)
 (* Sealing                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -413,13 +385,6 @@ let test_a2m_highest_attested () =
   ignore (A2m.append a2m ~log:1 ~slot:9 ~digest_tag:1);
   Alcotest.(check int) "max slot across logs" 9 (A2m.highest_attested a2m)
 
-let test_attestation_charges_cost () =
-  let w = make_world () in
-  let e = make_enclave w in
-  w.charged := 0.0;
-  ignore (Attestation.quote e);
-  Alcotest.(check bool) "~2ms charged" true (!(w.charged) >= 2e-3)
-
 let test_beacon_cert_binds_epoch () =
   let w = make_world () in
   let b = make_beacon w in
@@ -474,13 +439,6 @@ let () =
           Alcotest.test_case "cost charging" `Quick test_enclave_charges_costs;
           Alcotest.test_case "restart generation" `Quick test_enclave_restart_bumps_generation;
           Alcotest.test_case "rand host-independent" `Quick test_enclave_rand_host_independent;
-        ] );
-      ( "attestation",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_attestation_roundtrip;
-          Alcotest.test_case "wrong measurement" `Quick test_attestation_rejects_wrong_measurement;
-          Alcotest.test_case "identity swap" `Quick test_attestation_rejects_identity_swap;
-          Alcotest.test_case "cost charged" `Quick test_attestation_charges_cost;
         ] );
       ( "sealing",
         [

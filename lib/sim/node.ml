@@ -90,6 +90,7 @@ let recover t =
     t.crashed <- false;
     t.cpu.epoch_started <- Engine.now t.engine;
     t.cpu.busy_until <- Engine.now t.engine;
+    t.cpu.busy_accum <- 0.0;
     pump t
   end
 

@@ -41,9 +41,12 @@ val crash : 'msg t -> unit
 (** Stop processing and discard queued messages. *)
 
 val recover : 'msg t -> unit
+(** Resume processing a crashed node (no-op on a live one).  Starts a new
+    load epoch: {!busy_fraction} forgets the work charged before. *)
 
 val is_crashed : 'msg t -> bool
 
 val busy_fraction : 'msg t -> float
-(** Fraction of elapsed virtual time this node spent processing; a load
-    measure for identifying bottlenecks (e.g. the AHLR leader). *)
+(** Fraction of virtual time since the node's creation or last recovery
+    that it spent processing; a load measure for identifying bottlenecks
+    (e.g. the AHLR leader). *)

@@ -34,7 +34,8 @@ type t
 
 val define : name:string -> arity:int -> stmt list -> t
 (** Validates that every [Param i] satisfies [0 <= i < arity].
-    Raises [Invalid_argument] otherwise. *)
+    Raises [Repro_util.Invariant.Violation] otherwise (also for a
+    negative arity). *)
 
 val compile : t -> args:string list -> (Tx.op list, string) result
 (** Substitute arguments into the body.  Fails on arity mismatch or a

@@ -213,6 +213,11 @@ let fail_refused = function
 
 let expect_prepared = function Ok () -> () | Error e -> fail_refused e
 
+let expect_insufficient expected = function
+  | Error (Executor.Insufficient account) -> Alcotest.(check string) "overdrawn" expected account
+  | Error e -> fail_refused e
+  | Ok () -> Alcotest.fail "overdraft accepted"
+
 let test_executor_prepare_commit () =
   let s = funded () in
   expect_prepared (Executor.try_prepare s ~txid:1 (transfer ~amount:30));
@@ -226,10 +231,7 @@ let test_executor_prepare_commit () =
 
 let test_executor_prepare_insufficient () =
   let s = funded () in
-  (match Executor.try_prepare s ~txid:1 (transfer ~amount:1000) with
-  | Error (Executor.Insufficient account) -> Alcotest.(check string) "overdrawn" "alice" account
-  | Error (Executor.Lock_conflict _) -> Alcotest.fail "lock conflict"
-  | Ok () -> Alcotest.fail "should refuse overdraft");
+  expect_insufficient "alice" (Executor.try_prepare s ~txid:1 (transfer ~amount:1000));
   let l = Locks.create s in
   Alcotest.(check (option int)) "no dangling lock" None (Locks.holder l "alice")
 
@@ -254,10 +256,7 @@ let test_executor_reports_first_overdrawn () =
       Tx.Credit { account = "b"; amount = 10 };
     ]
   in
-  match Executor.try_prepare s ~txid:1 ops with
-  | Error (Executor.Insufficient account) -> Alcotest.(check string) "first overdrawn" "a" account
-  | Error (Executor.Lock_conflict _) -> Alcotest.fail "lock conflict"
-  | Ok () -> Alcotest.fail "overdraft accepted"
+  expect_insufficient "a" (Executor.try_prepare s ~txid:1 ops)
 
 let test_executor_abort_releases_without_applying () =
   let s = funded () in
@@ -388,23 +387,18 @@ let test_chain_tx_inclusion_proof () =
 (* Chaincodes: the Section 6.3 split on typed op lists                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Checking and savings balances of [initial] for "acc0".."accN-1". *)
-let fund_smallbank s ~accounts ~initial =
-  for i = 0 to accounts - 1 do
-    let acc = "acc" ^ string_of_int i in
-    Executor.set_balance s (Smallbank_cc.checking_key acc) initial;
-    Executor.set_balance s (Smallbank_cc.savings_key acc) initial
-  done
-
-let smallbank_total s ~accounts =
-  List.fold_left
-    (fun sum i ->
-      let acc = "acc" ^ string_of_int i in
-      sum + Executor.balance s (Smallbank_cc.checking_key acc)
-      + Executor.balance s (Smallbank_cc.savings_key acc))
-    0 (List.init accounts Fun.id)
+let smallbank_accounts n = List.init n (fun i -> "acc" ^ string_of_int i)
 
 let checking s acc = Executor.balance s (Smallbank_cc.checking_key acc)
+
+(* A checking balance of [initial] for each of "acc0".."accN-1". *)
+let fund_smallbank s ~accounts ~initial =
+  List.iter
+    (fun acc -> Executor.set_balance s (Smallbank_cc.checking_key acc) initial)
+    (smallbank_accounts accounts)
+
+let smallbank_total s ~accounts =
+  List.fold_left (fun sum acc -> sum + checking s acc) 0 (smallbank_accounts accounts)
 
 let test_kvstore_prepare_commit_cycle () =
   let s = State.create () in
@@ -422,17 +416,13 @@ let test_smallbank_send_payment () =
     (Executor.execute_single s ~txid:1 (Smallbank_cc.send_payment_ops ~src:"acc0" ~dst:"acc1" ~amount:40));
   Alcotest.(check int) "src" 60 (checking s "acc0");
   Alcotest.(check int) "dst" 140 (checking s "acc1");
-  Alcotest.(check int) "money conserved" 400 (smallbank_total s ~accounts:2)
+  Alcotest.(check int) "money conserved" 200 (smallbank_total s ~accounts:2)
 
 let test_smallbank_overdraft_refused () =
   let s = State.create () in
   fund_smallbank s ~accounts:2 ~initial:100;
-  (match
-     Executor.execute_single s ~txid:1 (Smallbank_cc.send_payment_ops ~src:"acc0" ~dst:"acc1" ~amount:500)
-   with
-  | Error (Executor.Insufficient account) -> Alcotest.(check string) "overdrawn" "chk_acc0" account
-  | Error (Executor.Lock_conflict _) -> Alcotest.fail "lock conflict"
-  | Ok () -> Alcotest.fail "overdraft accepted");
+  expect_insufficient "chk_acc0"
+    (Executor.execute_single s ~txid:1 (Smallbank_cc.send_payment_ops ~src:"acc0" ~dst:"acc1" ~amount:500));
   Alcotest.(check int) "unchanged" 100 (checking s "acc0");
   Alcotest.(check bool) "no lock tuple" false (State.mem s "L_chk_acc0")
 
@@ -683,10 +673,7 @@ let test_contract_guarded_withdraw () =
   in
   let s = State.create () in
   Executor.set_balance s "escrow" 50;
-  (match Executor.execute_single s ~txid:1 (compiled escrow ~args:[ "carol"; "80" ]) with
-  | Error (Executor.Insufficient account) -> Alcotest.(check string) "overdrawn" "escrow" account
-  | Error (Executor.Lock_conflict _) -> Alcotest.fail "lock conflict"
-  | Ok () -> Alcotest.fail "overdraft accepted");
+  expect_insufficient "escrow" (Executor.execute_single s ~txid:1 (compiled escrow ~args:[ "carol"; "80" ]));
   Alcotest.(check (option string)) "status untouched" None (State.get_data s "escrow_status");
   expect_prepared (Executor.execute_single s ~txid:2 (compiled escrow ~args:[ "carol"; "50" ]));
   Alcotest.(check int) "carol paid" 50 (Executor.balance s "carol");
@@ -709,7 +696,7 @@ let prop_money_conserved_under_random_transfers =
                (Smallbank_cc.send_payment_ops ~src:("acc" ^ string_of_int a)
                   ~dst:("acc" ^ string_of_int b) ~amount)))
         transfers;
-      smallbank_total s ~accounts:5 = 1000)
+      smallbank_total s ~accounts:5 = 500)
 
 let prop_utxo_value_never_increases =
   QCheck.Test.make ~name:"utxo total value never increases" ~count:100

@@ -312,6 +312,62 @@ let test_reference_early_votes_replayed_on_begin () =
   Alcotest.(check int) "buffer drained" 0 (Reference.early_votes r)
 
 (* ------------------------------------------------------------------ *)
+(* OmniLedger baseline                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* OmniLedger's client-driven atomic commit (Section 6.1, Figure 3b) is
+   [System]'s [Client_driven] mode: the client collects the votes and
+   decides, so a client that vanishes after the locks are taken leaves
+   them dangling. *)
+module System = Repro_core.System
+module Executor = Repro_ledger.Executor
+module Tx = Repro_ledger.Tx
+
+let omni_system () =
+  System.create
+    { (System.default_config ~shards:2 ~committee_size:3) with System.mode = System.Client_driven }
+
+(* One account on each shard, the payer funded with 100. *)
+let omni_accounts sys =
+  let shards = System.shards sys in
+  let key_in shard =
+    let rec find i =
+      let k = Printf.sprintf "acct%d" i in
+      if Tx.shard_of_key ~shards k = shard then k else find (i + 1)
+    in
+    find 0
+  in
+  let payer = key_in 0 and payee = key_in 1 in
+  Executor.set_balance (System.shard_state sys 0) payer 100;
+  (payer, payee)
+
+let omni_payment ~txid ~payer ~payee amount =
+  Tx.make ~txid [ Tx.Debit { account = payer; amount }; Tx.Credit { account = payee; amount } ]
+
+let test_omniledger_honest_commit () =
+  let sys = omni_system () in
+  let payer, payee = omni_accounts sys in
+  let outcome = ref None in
+  System.submit sys ~on_done:(fun o -> outcome := Some o) (omni_payment ~txid:1 ~payer ~payee 30);
+  System.run sys ~until:60.0;
+  Alcotest.(check bool) "committed" true (!outcome = Some System.Committed);
+  Alcotest.(check int) "no dangling locks" 0 (System.stuck_locks sys);
+  Alcotest.(check int) "payee credited" 30 (Executor.balance (System.shard_state sys 1) payee)
+
+let test_omniledger_malicious_client_blocks_forever () =
+  (* The Section 6.1 liveness failure. *)
+  let sys = omni_system () in
+  let payer, payee = omni_accounts sys in
+  System.submit sys ~malicious_client:true (omni_payment ~txid:1 ~payer ~payee 30);
+  System.run sys ~until:60.0;
+  Alcotest.(check bool) "inputs locked forever" true (System.stuck_locks sys > 0);
+  (* A later honest payment from the same account is blocked. *)
+  let outcome = ref None in
+  System.submit sys ~on_done:(fun o -> outcome := Some o) (omni_payment ~txid:2 ~payer ~payee 10);
+  System.run sys ~until:120.0;
+  Alcotest.(check bool) "stale lock blocks the payer" false (!outcome = Some System.Committed)
+
+(* ------------------------------------------------------------------ *)
 (* RapidChain baseline                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -557,6 +613,12 @@ let () =
           Alcotest.test_case "rejects tampered" `Quick test_state_transfer_rejects_tampered;
           Alcotest.test_case "rejects wrong root" `Quick test_state_transfer_rejects_wrong_root;
           Alcotest.test_case "transfer time scales" `Quick test_state_transfer_time_scales;
+        ] );
+      ( "omniledger",
+        [
+          Alcotest.test_case "honest commit" `Quick test_omniledger_honest_commit;
+          Alcotest.test_case "malicious client blocks" `Quick
+            test_omniledger_malicious_client_blocks_forever;
         ] );
       ( "rapidchain",
         [

@@ -58,7 +58,10 @@ val differential : f:int -> trials:int -> seed:int64 -> budget:int -> differenti
 val leader_schedule : n:int -> f:int -> int -> Schedule.t
 (** The scripted schedule leader-attack trial [i] uses: byzantine clique
     on ids [0..f-1], no network perturbations, alternating stall /
-    selective-serving leader strategies (exposed for replay tests). *)
+    selective-serving leader strategies (exposed for replay tests).  The
+    request count cycles through 6, 8, ..., 124, below
+    {!Config.watermark_window}: the testbed never advances its stable
+    checkpoint, so more requests would stall even a correct leader. *)
 
 val leader_stall_differential : f:int -> trials:int -> seed:int64 -> budget:int -> differential
 (** The Fig. 16 right-panel property as a differential.  Byzantine-leader

@@ -28,8 +28,10 @@ let run ~engine_seed ~variant ~n (sched : Schedule.t) =
   let cfg =
     (* Strictly sequential execution: with checkpoints out of the way a
        replica can never jump its ledger forward via state transfer, so
-       the total-order-prefix oracle sees every block.  Runs stay far
-       below the watermark window. *)
+       the total-order-prefix oracle sees every block.  The stable
+       checkpoint therefore never moves, so a run orders at most
+       [Config.watermark_window] slots: schedules keep their request
+       count below it. *)
     { (Config.default variant ~n) with Config.checkpoint_interval = 1_000_000 }
   in
   let keystore = Keys.create_keystore (Engine.rng engine) in
@@ -96,7 +98,7 @@ let run ~engine_seed ~variant ~n (sched : Schedule.t) =
           let m = Pbft.request req in
           let target = intake.(k mod Array.length intake) in
           Network.send_external network ~src_region:0 ~dst:target ~channel:Pbft.request_channel
-            ~bytes:(Pbft.bytes_of_msg cfg m) m))
+            ~bytes:(Pbft.bytes_of_msg m) m))
     submitted;
   let heal_time = Schedule.heal_time sched in
   let horizon = heal_time +. grace in

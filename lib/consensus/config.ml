@@ -30,25 +30,36 @@ let all_variants = [ hl; ahl; ahl_plus; ahlr ]
 type t = {
   variant : variant;
   n : int;
-  batch_max : int;
-  batch_delay : float;
-  pipeline_window : int;
   checkpoint_interval : int;
-  watermark_window : int;
   progress_timeout : float;
   vc_backoff_cap : int;
   relay_timeout : float;
   relay_tail_prob : float;
-  relay_tail_factor : float;
-  shared_queue_capacity : int;
-  request_queue_capacity : int;
-  consensus_queue_capacity : int;
-  consensus_msg_bytes : int;
-  request_overhead_bytes : int;
-  request_parse_cost : float;
-  client_sig_verify : float;
-  msg_parse_cost : float;
 }
+
+let batch_max = 200
+
+let batch_delay = 0.05
+
+let pipeline_window = 8
+
+let watermark_window = 128
+
+let relay_tail_factor = 35.0
+
+let shared_queue_capacity = 5000
+
+let request_queue_capacity = 4096
+
+let consensus_queue_capacity = 8192
+
+let consensus_msg_bytes = 160
+
+let request_parse_cost = 15e-6
+
+let client_sig_verify = 500e-6
+
+let msg_parse_cost = 10e-6
 
 let f_of t =
   match t.variant.quorum_rule with `Third -> (t.n - 1) / 3 | `Half -> (t.n - 1) / 2
@@ -64,28 +75,15 @@ let default variant ~n =
   {
     variant;
     n;
-    batch_max = 200;
-    batch_delay = 0.05;
-    pipeline_window = 8;
     checkpoint_interval = 16;
-    watermark_window = 128;
     progress_timeout = 2.0;
     vc_backoff_cap = 3;
     relay_timeout = 1.0;
     relay_tail_prob = 0.01;
-    relay_tail_factor = 35.0;
-    shared_queue_capacity = 5000;
-    request_queue_capacity = 4096;
-    consensus_queue_capacity = 8192;
-    consensus_msg_bytes = 160;
-    request_overhead_bytes = 40;
-    request_parse_cost = 15e-6;
-    client_sig_verify = 500e-6;
-    msg_parse_cost = 10e-6;
   }
 
 let inbox_mode t =
   if t.variant.split_queues then
     Repro_sim.Inbox.Split
-      { request_cap = t.request_queue_capacity; consensus_cap = t.consensus_queue_capacity }
-  else Repro_sim.Inbox.Shared t.shared_queue_capacity
+      { request_cap = request_queue_capacity; consensus_cap = consensus_queue_capacity }
+  else Repro_sim.Inbox.Shared shared_queue_capacity

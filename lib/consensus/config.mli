@@ -1,8 +1,9 @@
-(** Protocol variants and tuning knobs for the PBFT family.
+(** Protocol variants and parameters for the PBFT family.
 
     One replica implementation ({!Pbft}) covers the paper's four protocols;
     a {!variant} selects the quorum rule, the use of attested logs, and the
-    three optimizations of Section 4.1. *)
+    three optimizations of Section 4.1.  A {!t} holds the few settings that
+    some experiment or checker varies; the rest are module constants. *)
 
 type variant = {
   name : string;
@@ -37,12 +38,7 @@ val all_variants : variant list
 type t = {
   variant : variant;
   n : int;                    (** committee size *)
-  batch_max : int;            (** max requests per block *)
-  batch_delay : float;        (** propose a partial batch after this long *)
-  pipeline_window : int;      (** outstanding pre-prepares (HL pipelining) *)
   checkpoint_interval : int;  (** blocks between checkpoints *)
-  watermark_window : int;     (** L: max seq distance beyond a stable
-                                  checkpoint *)
   progress_timeout : float;   (** no-execution watchdog before view change *)
   vc_backoff_cap : int;       (** cap on the view-change retry exponent:
                                   the vc deadline grows as
@@ -55,19 +51,45 @@ type t = {
   relay_tail_prob : float;    (** AHLR: probability that one aggregation
                                   hits the heavy tail (EPC paging /
                                   enclave-transition storms on real SGX) *)
-  relay_tail_factor : float;  (** AHLR: cost multiplier of a tail event *)
-  shared_queue_capacity : int;
-  request_queue_capacity : int;
-  consensus_queue_capacity : int;
-  consensus_msg_bytes : int;  (** wire size of a vote-like message *)
-  request_overhead_bytes : int;
-  request_parse_cost : float; (** CPU per request intake *)
-  client_sig_verify : float;
-      (** per-transaction client-signature verification, charged when a
-          replica validates a pre-prepare's batch (amortized batch ECDSA) *)
-  msg_parse_cost : float;     (** CPU per consensus message intake, before
-                                  signature verification *)
 }
+(** The settings some run varies; everything else is one of the constants
+    below. *)
+
+(** {1 Fixed parameters}
+
+    Hyperledger v0.6's batching and pipelining and the per-message costs
+    every committee shares.  No run varies them. *)
+
+val batch_max : int
+(** Max requests per block (200). *)
+
+val batch_delay : float
+(** Propose a partial batch after this long (50 ms). *)
+
+val pipeline_window : int
+(** Outstanding pre-prepares (HL pipelining, 8). *)
+
+val watermark_window : int
+(** L: max seq distance beyond a stable checkpoint (128).  A run that
+    never advances its stable checkpoint can order at most this many
+    slots. *)
+
+val relay_tail_factor : float
+(** AHLR: cost multiplier of a tail aggregation (35). *)
+
+val consensus_msg_bytes : int
+(** Wire size of a vote-like message (160 bytes). *)
+
+val request_parse_cost : float
+(** CPU per request intake (15 µs). *)
+
+val client_sig_verify : float
+(** Per-transaction client-signature verification (500 µs), charged when a
+    replica validates a pre-prepare's batch (amortized batch ECDSA). *)
+
+val msg_parse_cost : float
+(** CPU per consensus message intake, before signature verification
+    (10 µs). *)
 
 val f_of : t -> int
 (** Tolerated failures for the committee size under the variant's rule. *)
@@ -79,7 +101,10 @@ val n_for_f : variant -> f:int -> int
 (** Committee size achieving tolerance [f] ([3f+1] or [2f+1]). *)
 
 val default : variant -> n:int -> t
-(** Paper-calibrated defaults (Hyperledger v0.6-like batching, 2 s
-    watchdog). *)
+(** Paper-calibrated defaults: checkpoints every 16 blocks, a 2 s
+    watchdog with its retry exponent capped at 3, and AHLR's 1 s relay
+    deadline with a 1% tail. *)
 
 val inbox_mode : t -> Repro_sim.Inbox.mode
+(** One shared queue of 5000 messages, or, with [split_queues], a
+    4096-message request queue beside an 8192-message consensus queue. *)

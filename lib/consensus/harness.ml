@@ -5,7 +5,7 @@ open Types
 
 type workload =
   | Open_loop of { rate : float; clients : int }
-  | Closed_loop of { clients : int; outstanding : int; think : float }
+  | Closed_loop of { clients : int; outstanding : int }
 
 type result = {
   throughput : float;
@@ -124,7 +124,7 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?advers
     let target = client mod n in
     let region = Topology.region_of_node topology target in
     Network.send_external network ~src_region:region ~dst:target ~channel:Pbft.request_channel
-      ~bytes:(Pbft.bytes_of_msg cfg msg) msg;
+      ~bytes:(Pbft.bytes_of_msg msg) msg;
     req_id
   in
   (match workload with
@@ -143,7 +143,7 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?advers
            with one giant synchronized burst. *)
         Engine.schedule engine ~delay:(Rng.float rng 1.0) arrival
       done
-  | Closed_loop { clients; outstanding; think } ->
+  | Closed_loop { clients; outstanding } ->
       let in_flight : (int, int) Hashtbl.t = Hashtbl.create 1024 in
       (* req_id -> client *)
       let rec resubmit client =
@@ -163,8 +163,7 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?advers
           | None -> ()
           | Some client ->
               Hashtbl.remove in_flight req_id;
-              if think > 0.0 then Engine.schedule engine ~delay:think (fun () -> resubmit client)
-              else resubmit client);
+              resubmit client);
       for client = 0 to clients - 1 do
         for _ = 1 to outstanding do
           Engine.schedule engine

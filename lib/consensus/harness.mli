@@ -10,9 +10,9 @@ type workload =
   | Open_loop of { rate : float; clients : int }
       (** Poisson arrivals totalling [rate] requests/s, split across
           clients, each bound to one replica (the BLOCKBENCH driver). *)
-  | Closed_loop of { clients : int; outstanding : int; think : float }
-      (** Each client keeps [outstanding] requests in flight and waits
-          [think] seconds after a commit before resubmitting. *)
+  | Closed_loop of { clients : int; outstanding : int }
+      (** Each client keeps [outstanding] requests in flight, resubmitting
+          as soon as one commits. *)
 
 type result = {
   throughput : float;        (** committed tx/s after warmup *)
@@ -63,7 +63,7 @@ val run :
     alive.  [cpu_scale] multiplies every
     CPU charge — 1.0 models the paper's 3.5 GHz Xeon cluster servers, 3.5
     the 2-vCPU GCP instances.  [tune] post-processes the default
-    {!Config.t} (batch sizes, timeouts) for ablations.  [probe] (default
+    {!Config.t} (checkpoint interval, timeouts) for ablations.  [probe] (default
     disabled) threads observability through the committee and transport:
     PBFT phase/view-change events, network delivery latency and drop
     counters, crash instants, and a per-replica inbox-depth counter series

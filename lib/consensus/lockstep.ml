@@ -55,7 +55,7 @@ let commit_overhead = 0.15
 let round_timeout = 1.0
 
 let bytes_of_msg = function
-  | Req { req; _ } -> 40 + req.size
+  | Req _ -> request_bytes
   | Proposal { batch; _ } -> 160 + batch_bytes batch
   | Prevote _ | Precommit _ -> 160
 

@@ -177,25 +177,25 @@ let vote_tag ~phase ~view ~seq ~digest =
   Repro_util.Det.stable_hash
     (Printf.sprintf "rvote:%d:%d:%d:%d" (phase_log phase) view seq digest)
 
-let bytes_of_msg (cfg : Config.t) = function
-  | Request { req; _ } | Forward req -> cfg.request_overhead_bytes + req.size
-  | Pre_prepare { batch; _ } -> cfg.consensus_msg_bytes + batch_bytes batch
+let bytes_of_msg = function
+  | Request _ | Forward _ -> request_bytes
+  | Pre_prepare { batch; _ } -> Config.consensus_msg_bytes + batch_bytes batch
   | View_change { prepared; _ } ->
       List.fold_left
         (fun acc (_, _, _, batch) -> acc + batch_bytes batch)
-        cfg.consensus_msg_bytes prepared
+        Config.consensus_msg_bytes prepared
   | New_view { reproposals; _ } ->
       List.fold_left
         (fun acc (_, _, batch) -> acc + batch_bytes batch)
-        cfg.consensus_msg_bytes reproposals
+        Config.consensus_msg_bytes reproposals
   | Fetch_resp { ckpt; blocks; _ } ->
       let cert_bytes = match ckpt with None -> 0 | Some (_, _, voters) -> 64 * List.length voters in
       List.fold_left
         (fun acc (_, _, _, batch) -> acc + batch_bytes batch)
-        (cfg.consensus_msg_bytes + cert_bytes)
+        (Config.consensus_msg_bytes + cert_bytes)
         blocks
   | Prepare _ | Commit _ | Checkpoint _ | Fetch _ | Relay_vote _ | Quorum_cert _ ->
-      cfg.consensus_msg_bytes
+      Config.consensus_msg_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Small helpers                                                       *)
@@ -235,8 +235,8 @@ let charge_exec c r cost =
 let send c r ~dst ~channel m =
   (* Tiny per-copy serialization cost so O(N) broadcast fan-out is not
      free at the sender. *)
-  charge_consensus c r c.cfg.Config.msg_parse_cost;
-  c.send_cb ~src:r.index ~dst ~channel ~bytes:(bytes_of_msg c.cfg m) m
+  charge_consensus c r Config.msg_parse_cost;
+  c.send_cb ~src:r.index ~dst ~channel ~bytes:(bytes_of_msg m) m
 
 let broadcast c r ~channel m =
   for dst = 0 to n_of c - 1 do
@@ -266,7 +266,7 @@ let authenticate c r ~phase_idx ~view ~slot ~digest =
       charge_consensus c r c.costs.Cost_model.ecdsa_sign;
       true
 
-let verify_in c r = charge_consensus c r (c.cfg.Config.msg_parse_cost +. c.costs.Cost_model.ecdsa_verify)
+let verify_in c r = charge_consensus c r (Config.msg_parse_cost +. c.costs.Cost_model.ecdsa_verify)
 
 let parse_in c r cost = charge_consensus c r cost
 
@@ -287,7 +287,7 @@ let make_replica c ~enclave_base_id index =
   in
   let a2m =
     if c.cfg.Config.variant.Config.attested then
-      Some (A2m.create (Option.get enclave) ~watermark_window:c.cfg.Config.watermark_window)
+      Some (A2m.create (Option.get enclave) ~watermark_window:Config.watermark_window)
     else None
   in
   {
@@ -389,20 +389,19 @@ let relay_pool_key ~phase ~view ~seq ~digest = (phase_log phase, view, seq, dige
 
 let rec try_propose c r =
   if is_leader c r && not (is_byz c r) then begin
-    let cfg = c.cfg in
     let outstanding = r.next_seq - 1 - r.last_exec in
     let window_open =
-      outstanding < cfg.Config.pipeline_window
-      && r.next_seq < r.last_stable + cfg.Config.watermark_window
+      outstanding < Config.pipeline_window
+      && r.next_seq < r.last_stable + Config.watermark_window
     in
     let batch_ready =
-      Queue.length r.pending >= cfg.Config.batch_max
+      Queue.length r.pending >= Config.batch_max
       || ((not (Queue.is_empty r.pending))
-         && now c -. r.oldest_pending_since >= cfg.Config.batch_delay)
+         && now c -. r.oldest_pending_since >= Config.batch_delay)
     in
     if window_open && batch_ready then begin
       let batch = ref [] in
-      let count = Int.min cfg.Config.batch_max (Queue.length r.pending) in
+      let count = Int.min Config.batch_max (Queue.length r.pending) in
       for _ = 1 to count do
         batch := Queue.take r.pending :: !batch
       done;
@@ -412,7 +411,7 @@ let rec try_propose c r =
       let seq = r.next_seq in
       (* The leader validates client signatures before proposing. *)
       charge_consensus c r
-        (float_of_int (List.length batch) *. c.cfg.Config.client_sig_verify);
+        (float_of_int (List.length batch) *. Config.client_sig_verify);
       if authenticate c r ~phase_idx:0 ~view:r.view ~slot:seq ~digest then begin
         r.next_seq <- seq + 1;
         Hashtbl.replace r.preprep seq (r.view, digest, batch);
@@ -427,7 +426,7 @@ let rec try_propose c r =
         (* The pre-prepare stands for the leader's prepare vote, which is
            a quorum on its own when the quorum is one. *)
         let n_votes = Quorum.vote r.prepares ~view:r.view ~seq ~digest ~member:r.index in
-        if cfg.Config.variant.Config.relay then leader_self_vote c r ~phase:Prepare_phase ~seq ~digest
+        if c.cfg.Config.variant.Config.relay then leader_self_vote c r ~phase:Prepare_phase ~seq ~digest
         else if n_votes >= quorum c then mark_prepared c r ~view:r.view ~seq ~digest
       end;
       try_propose c r
@@ -442,7 +441,7 @@ and arm_batch_timer c r =
   if not r.batch_timer_armed then begin
     r.batch_timer_armed <- true;
     let fire_in =
-      Float.max 1e-4 (r.oldest_pending_since +. c.cfg.Config.batch_delay -. now c)
+      Float.max 1e-4 (r.oldest_pending_since +. Config.batch_delay -. now c)
     in
     Engine.schedule c.engine ~delay:fire_in (fun () ->
         r.batch_timer_armed <- false;
@@ -479,7 +478,7 @@ and relay_collect c r ~phase ~view ~seq ~digest ~vote =
       if Repro_util.Rng.float c.rng 1.0 < c.cfg.Config.relay_tail_prob then
         charge_consensus c r
           (Cost_model.ahlr_aggregate c.costs ~f:(f_of c)
-          *. (c.cfg.Config.relay_tail_factor -. 1.0));
+          *. (Config.relay_tail_factor -. 1.0));
       match
         Aggregator.aggregate enclave ~f:(f_of c) ~stmt_tag:(vote_tag ~phase ~view ~seq ~digest)
           ~votes:!pool
@@ -597,7 +596,7 @@ and try_execute c r =
       r.exec_root <-
         Repro_util.Det.stable_hash (Printf.sprintf "ckpt:%d:%d:%d" r.exec_root seq digest);
       Hashtbl.replace r.history seq (view, digest, batch);
-      Hashtbl.remove r.history (seq - c.cfg.Config.watermark_window);
+      Hashtbl.remove r.history (seq - Config.watermark_window);
       if seq mod c.cfg.Config.checkpoint_interval = 0 then begin
         Hashtbl.replace r.roots seq r.exec_root;
         (match Hashtbl.find_opt r.ckpt_certs seq with
@@ -1017,7 +1016,7 @@ let byz_holds_slot c r = r.active && leader_of_view_int c r.view = r.index
 let byz_leader_emit c r ~only =
   if not (Queue.is_empty r.pending) then begin
     let batch = ref [] in
-    let count = Int.min c.cfg.Config.batch_max (Queue.length r.pending) in
+    let count = Int.min Config.batch_max (Queue.length r.pending) in
     for _ = 1 to count do
       batch := Queue.take r.pending :: !batch
     done;
@@ -1077,7 +1076,7 @@ let byz_handle c r m =
         byz_naive_equivocate c r ~view ~seq ~digest
       end
   | Request { req; _ } | Forward req ->
-      parse_in c r c.cfg.Config.request_parse_cost;
+      parse_in c r Config.request_parse_cost;
       if c.adversary.split_brain then begin
         add_pending c r req;
         byz_try_split_propose c r
@@ -1093,19 +1092,19 @@ let byz_handle c r m =
       record_view_change_vote c r ~target ~sender ~prepared;
       byz_leader_try_propose c r
   | New_view { view; sender; reproposals } ->
-      parse_in c r c.cfg.Config.msg_parse_cost;
+      parse_in c r Config.msg_parse_cost;
       if leader_attack && sender = leader_of_view_int c view then
         adopt_new_view c r ~view ~reproposals;
       if c.adversary.stale_view_replay then
         List.iter (fun stale -> broadcast c r ~channel:consensus_channel stale) c.stale_log
-  | _ -> parse_in c r c.cfg.Config.msg_parse_cost
+  | _ -> parse_in c r Config.msg_parse_cost
 
 (* ------------------------------------------------------------------ *)
 (* Message handling                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let handle_request c r req ~relayed =
-  parse_in c r c.cfg.Config.request_parse_cost;
+  parse_in c r Config.request_parse_cost;
   if not (Idset.mem r.executed req.req_id) then begin
     add_known c r req;
     let variant = c.cfg.Config.variant in
@@ -1134,11 +1133,11 @@ let handle_pre_prepare c r ~view ~seq ~batch ~digest ~charge_batch =
   if charge_batch then
     charge_consensus c r
       (float_of_int (List.length batch)
-      *. (c.cfg.Config.client_sig_verify +. c.costs.Cost_model.sha256));
+      *. (Config.client_sig_verify +. c.costs.Cost_model.sha256));
   if
     r.active && view = r.view
     && seq > r.last_stable
-    && seq < r.last_stable + c.cfg.Config.watermark_window
+    && seq < r.last_stable + Config.watermark_window
     && (not (Hashtbl.mem r.preprep seq))
     && digest = digest_of_batch batch
   then begin
@@ -1323,7 +1322,7 @@ let handle_fetch_resp c r ~view ~ckpt ~blocks =
     | _ -> r.fetching <- false
 
 let handle_relay_vote c r ~phase ~view ~seq ~digest ~vote =
-  parse_in c r c.cfg.Config.msg_parse_cost;
+  parse_in c r Config.msg_parse_cost;
   if r.active && view = r.view && is_leader c r then
     relay_collect c r ~phase ~view ~seq ~digest ~vote
 
@@ -1342,7 +1341,7 @@ let handle c ~member m =
     match m with
     | Request { req; relayed } -> handle_request c r req ~relayed
     | Forward req ->
-        parse_in c r c.cfg.Config.request_parse_cost;
+        parse_in c r Config.request_parse_cost;
         add_known c r req;
         if is_leader c r then begin
           add_pending c r req;

@@ -176,7 +176,7 @@ val request_channel : Repro_sim.Inbox.channel
 
 val consensus_channel : Repro_sim.Inbox.channel
 
-val bytes_of_msg : Config.t -> msg -> int
+val bytes_of_msg : msg -> int
 (** Wire size estimate used by embeddings when sending. *)
 
 val leader_of_view : committee -> int -> int

@@ -61,7 +61,7 @@ let heartbeat_period = 0.15
 let election_timeout_base = 0.6
 
 let bytes_of_msg = function
-  | Req { req; _ } -> 40 + req.size
+  | Req _ -> request_bytes
   | Append { batch; _ } -> 120 + batch_bytes batch
   | Ack _ | Committed _ | Heartbeat _ | Request_vote _ | Vote _ -> 120
 

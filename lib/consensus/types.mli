@@ -5,13 +5,15 @@ type request = {
                           replicas keep executed ids in a bitmap *)
   client : int;       (** submitting client id *)
   submitted : float;  (** virtual submission time, for latency accounting *)
-  size : int;         (** serialized bytes *)
   op_tag : int;       (** opaque handle the application layer resolves to an
                           operation (chaincode call, coordination step...) *)
 }
 
-val request :
-  req_id:int -> client:int -> submitted:float -> ?size:int -> ?op_tag:int -> unit -> request
+val request : req_id:int -> client:int -> submitted:float -> ?op_tag:int -> unit -> request
+
+val request_bytes : int
+(** Wire size of one client request, 240 bytes: a 200-byte payload in a
+    40-byte envelope.  Every request has this size. *)
 
 type phase = Prepare_phase | Commit_phase
 
@@ -24,3 +26,5 @@ val digest_of_batch : request list -> int
     hash cost to the simulated clock instead — see DESIGN.md.) *)
 
 val batch_bytes : request list -> int
+(** Payload bytes of a batch: 200 per request (envelopes are not
+    re-sent inside a block). *)

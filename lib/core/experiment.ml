@@ -180,7 +180,7 @@ let run_baseline ~protocol ~n ~clients ~rate ~duration:dur =
       incr next;
       let req = Types.request ~req_id ~client ~submitted:(Engine.now engine) () in
       Network.send_external network ~src_region:0 ~dst:(client mod n)
-        ~channel:c.request_channel ~bytes:240 (c.request req);
+        ~channel:c.request_channel ~bytes:Types.request_bytes (c.request req);
       Engine.schedule engine
         ~delay:(Rng.exponential rng ~mean:(float_of_int clients /. rate))
         arrival
@@ -358,7 +358,7 @@ let appendix_a () =
       ~charge:(fun _ -> ())
       ~now:(fun () -> Engine.now engine)
   in
-  let a2m = Repro_sgx.A2m.create enclave ~watermark_window:128 in
+  let a2m = Repro_sgx.A2m.create enclave ~watermark_window:Config.watermark_window in
   let ok1 = Repro_sgx.A2m.append a2m ~log:1 ~slot:5 ~digest_tag:111 <> None in
   let stale = Repro_sgx.A2m.seal_state a2m in
   let ok2 = Repro_sgx.A2m.append a2m ~log:1 ~slot:6 ~digest_tag:222 <> None in
@@ -489,7 +489,7 @@ let figures : (string * (quick:bool -> Results.figure)) list =
         let hl_closed ~n ~clients =
           throughput
             (Harness.run ~duration:dur ~warmup ~variant:Config.hl ~n ~topology:(Topology.lan ())
-               ~workload:(Harness.Closed_loop { clients; outstanding = 8; think = 0.0 })
+               ~workload:(Harness.Closed_loop { clients; outstanding = 8 })
                ())
         in
         let columns = [ "HL(PBFT)"; "Tendermint"; "Quorum(Raft)"; "Quorum(IBFT)" ] in
@@ -779,7 +779,7 @@ let figures : (string * (quick:bool -> Results.figure)) list =
                    throughput
                      (Harness.run ~duration:(duration ~quick) ~warmup ~costs ~variant ~n:19
                         ~topology:(Topology.lan ())
-                        ~workload:(Harness.Closed_loop { clients; outstanding = 8; think = 0.0 })
+                        ~workload:(Harness.Closed_loop { clients; outstanding = 8 })
                         ())))
         in
         let c = Cost_model.default in

@@ -47,11 +47,19 @@ let default_config ~shards ~committee_size =
 
 type tx_outcome = Committed | Aborted
 
+(* Per-destination accumulator of coordinator-bound steps: one consensus
+   slot then carries the whole batch instead of one request per leg. *)
+type batcher = {
+  mutable steps : Coordination.op list; (* newest first *)
+  mutable count : int;
+  mutable bclient : int; (* client of the carrier request *)
+  mutable armed : bool; (* a window-flush timer is pending *)
+}
+
 type committee_ctx = {
   index : int; (* 0..shards-1, or [shards] for R *)
   base : int; (* global node id of member 0 *)
   pbft : Pbft.committee;
-  pcfg : Config.t;
   nodes : Pbft.msg Node.t array;
   state : State.t;
   chain : Block.Chain.chain;
@@ -77,6 +85,11 @@ type committee_ctx = {
   mutable state_commit : Sha256.digest;
       (* rolling state commitment chained per block; recomputing the full
          Merkle root over the whole state each block would be O(state) *)
+  batcher : batcher; (* coordinator-bound steps waiting to ride to this committee *)
+  mutable corrupt_next : bool;
+      (* one-shot: the next snapshot served for catch-up is tampered
+         (models a Byzantine serving member; the joiner's verification
+         must reject it) *)
 }
 
 (* What a transaction sends each participant shard, keyed by shard in
@@ -108,21 +121,11 @@ type tx_record = {
 
 type decision_event = { at : float; txid : int; shard : int; commit : bool }
 
-(* Per-destination accumulator of coordinator-bound steps: one consensus
-   slot then carries the whole batch instead of one request per leg. *)
-type batcher = {
-  mutable steps : Coordination.op list; (* newest first *)
-  mutable count : int;
-  mutable bclient : int; (* client of the carrier request *)
-  mutable armed : bool; (* a window-flush timer is pending *)
-}
-
 type t = {
   cfg : config;
   engine : Engine.t;
   network : Pbft.msg Network.t;
   registry : Coordination.registry;
-  merge_reg : Merge.registry; (* chaincode-declared commutative ops *)
   mutable committees : committee_ctx array; (* shards, then optionally R last *)
   commits : Commits.t; (* transaction-level *)
   inflight : tx_record Int_table.t;
@@ -132,14 +135,9 @@ type t = {
       (* adversarial hook over coordination legs (see set_leg_filter) *)
   mutable decisions : decision_event list; (* reverse chronological *)
   mutable probe : Probe.t;
-  batchers : (int, batcher) Hashtbl.t; (* destination committee -> pending *)
   mutable next_batch : int;
   mutable batches_inflight : int; (* sent, not yet executed *)
   live_batches : (int, unit) Hashtbl.t;
-  corrupt_snapshot : (int, unit) Hashtbl.t;
-      (* one-shot per-committee flag: the next snapshot served for catch-up
-         is tampered (models a Byzantine serving member; the joiner's
-         verification must reject it) *)
 }
 
 let ref_index t = t.cfg.shards
@@ -199,13 +197,13 @@ let deliver_op t ~committee ~client op =
          [client_sig_verify]). *)
       Node.charge ctx.nodes.(member)
         (float_of_int (List.length steps)
-        *. ctx.pcfg.Config.client_sig_verify *. t.cfg.cpu_scale)
+        *. Config.client_sig_verify *. t.cfg.cpu_scale)
   | _ -> ());
   let dst = ctx.base + member in
   let msg = Pbft.request req in
   let region = Topology.region_of_node t.cfg.topology dst in
   Network.send_external t.network ~src_region:region ~dst ~channel:Pbft.request_channel
-    ~bytes:(240 + Coordination.op_bytes op)
+    ~bytes:(Types.request_bytes + Coordination.op_bytes op)
     msg
 
 (* Submit a coordination step as a consensus request to a committee, via a
@@ -317,14 +315,7 @@ let flush_batcher t ~committee b =
 (* Coordinator-bound steps (Begin/Vote) always ride batches; every other
    step keeps the one-request-per-step path. *)
 let enqueue_step t ~committee ~client op =
-  let b =
-    match Hashtbl.find_opt t.batchers committee with
-    | Some b -> b
-    | None ->
-        let b = { steps = []; count = 0; bclient = client; armed = false } in
-        Hashtbl.replace t.batchers committee b;
-        b
-  in
+  let b = t.committees.(committee).batcher in
   if b.count = 0 then b.bclient <- client;
   b.steps <- op :: b.steps;
   b.count <- b.count + 1;
@@ -776,9 +767,6 @@ let create cfg =
   let keystore = Keys.create_keystore (Engine.rng engine) in
   let network = Network.create engine ~topology:cfg.topology in
   let registry = Coordination.create_registry () in
-  let merge_reg = Merge.create_registry () in
-  Smallbank_cc.declare_mergeable merge_reg;
-  Kvstore_cc.declare_mergeable merge_reg;
   let commits = Commits.create engine in
   let committee_count = cfg.shards + (if cfg.mode = With_reference then 1 else 0) in
   let t =
@@ -787,7 +775,6 @@ let create cfg =
       engine;
       network;
       registry;
-      merge_reg;
       committees = [||];
       commits;
       inflight = Int_table.create 1024;
@@ -796,11 +783,9 @@ let create cfg =
       leg_filter = None;
       decisions = [];
       probe = Probe.none;
-      batchers = Hashtbl.create 8;
       next_batch = 0;
       batches_inflight = 0;
       live_batches = Hashtbl.create 64;
-      corrupt_snapshot = Hashtbl.create 4;
     }
   in
   let make_committee index =
@@ -840,7 +825,6 @@ let create cfg =
         index;
         base;
         pbft;
-        pcfg = pbft_cfg;
         nodes;
         state;
         chain;
@@ -850,6 +834,8 @@ let create cfg =
         prepared = Int_table.create 64;
         mlane = Merge.lane ();
         state_commit = State.root state;
+        batcher = { steps = []; count = 0; bclient = 0; armed = false };
+        corrupt_next = false;
       }
     in
     Pbft.set_alive pbft (fun member -> not (Node.is_crashed nodes.(member)));
@@ -865,8 +851,8 @@ let create cfg =
           let pkg = State_transfer.pack ctx.state in
           let expected = State_transfer.claimed_root pkg in
           let pkg =
-            if Hashtbl.mem t.corrupt_snapshot index then begin
-              Hashtbl.remove t.corrupt_snapshot index;
+            if ctx.corrupt_next then begin
+              ctx.corrupt_next <- false;
               State_transfer.tamper pkg ~key:"acct_0" ~value:"doctored"
             end
             else pkg
@@ -977,7 +963,7 @@ let submit_locked t ~on_done ~malicious_client tx =
 let submit t ?(on_done = fun _ -> ()) ?(malicious_client = false) tx =
   if not t.cfg.fast_lane then submit_locked t ~on_done ~malicious_client tx
   else
-    match Merge.classify_placement t.merge_reg (Tx.placement ~shards:t.cfg.shards tx) with
+    match Merge.classify_placement (Tx.placement ~shards:t.cfg.shards tx) with
     | None -> submit_locked t ~on_done ~malicious_client tx
     | Some lane ->
         if merge_lock_conflict t lane then begin
@@ -1041,7 +1027,7 @@ let recover_member t ~committee ~member =
 
 let reset_member t ~committee ~member = Pbft.reset_member t.committees.(committee).pbft ~member
 
-let corrupt_next_snapshot t ~shard = Hashtbl.replace t.corrupt_snapshot shard ()
+let corrupt_next_snapshot t ~shard = t.committees.(shard).corrupt_next <- true
 
 let committee_checkpoints t =
   Array.to_list t.committees

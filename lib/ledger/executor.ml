@@ -85,11 +85,11 @@ let commit state ~txid ops =
 
 let abort state ~txid ops = Locks.release_all (Locks.create state) ~txid (lock_keys ops)
 
+(* A refused [try_prepare] has already released (or rolled back) its
+   locks, so a refusal leaves nothing to undo. *)
 let execute_single state ~txid ops =
   match try_prepare state ~txid ops with
-  | Error _ as refused ->
-      abort state ~txid ops;
-      refused
+  | Error _ as refused -> refused
   | Ok () ->
       commit state ~txid ops;
       Ok ()

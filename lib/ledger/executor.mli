@@ -23,7 +23,9 @@ type prepare_error =
 val try_prepare : State.t -> txid:int -> Tx.op list -> (unit, prepare_error) result
 (** The prepare phase.  A refusal reports what blocked it, so alternative
     concurrency-control policies (Section 6.4's future work) can decide to
-    wait instead of aborting. *)
+    wait instead of aborting.  A refused prepare leaves no lock it took
+    behind: a lock conflict rolls back the locks acquired so far, and a
+    failed validation releases them all. *)
 
 val commit : State.t -> txid:int -> Tx.op list -> unit
 (** No-op for a transaction whose prepare this shard never executed
@@ -32,8 +34,8 @@ val commit : State.t -> txid:int -> Tx.op list -> unit
 val abort : State.t -> txid:int -> Tx.op list -> unit
 
 val execute_single : State.t -> txid:int -> Tx.op list -> (unit, prepare_error) result
-(** Single-shard fast path: {!try_prepare}, then {!abort} on refusal or
-    {!commit} on success, in one step, no lock tuples left behind. *)
+(** Single-shard fast path: {!try_prepare}, then {!commit} on success, in
+    one step, no lock tuples left behind.  A refusal changes no state. *)
 
 val balance : State.t -> string -> int
 (** Account balance helper (0 when absent). *)

@@ -9,6 +9,3 @@ val counter_key : string -> string
 
 val ops_of_increment : keys:string list -> amount:int -> Tx.op list
 (** Commutative counter bumps — fast-lane eligible (DESIGN §18). *)
-
-val declare_mergeable : Merge.registry -> unit
-(** Declare the counter namespace ([ctr_*] credits) mergeable. *)

@@ -4,9 +4,8 @@
 
    The algebra is the CRDT core of CRDV's conflict-free replicated views
    (SIGMOD 2025): each delta class forms a commutative monoid, so any
-   arrival order folds to the same value.  Chaincodes opt their hot,
-   unconditional operations into the lane via [register]; everything
-   else keeps the 2PC+2PL path. *)
+   arrival order folds to the same value.  [classify_op] names the
+   operations that commute; everything else keeps the 2PC+2PL path. *)
 
 open Repro_crypto
 
@@ -37,35 +36,25 @@ let apply_delta state key delta =
       State.put state key
         (String.concat "," (List.sort_uniq String.compare (set_of_data current @ elts)))
 
-(* ---- registry: chaincode-declared commutative operations ---- *)
+(* ---- the classifier: which ops commute ---- *)
 
-type rule = { rname : string; rclassify : Tx.op -> delta option }
-
-type registry = { mutable rules : rule list }
-
-let create_registry () = { rules = [] }
-
-let register reg ~name rclassify =
-  if not (List.exists (fun r -> String.equal r.rname name) reg.rules) then
-    reg.rules <- reg.rules @ [ { rname = name; rclassify } ]
-
-let rule_names reg = List.map (fun r -> r.rname) reg.rules
-
-let classify_op reg op =
-  match op with
+(* A credit is an unconditional increment, so credits commute and fold
+   as [Add] deltas; this covers SmallBank's credits and the KVStore
+   counters alike.  A debit does not commute: its balance-≥-0
+   precondition depends on what ran before it.  Blind writes do not
+   either (last-write-wins depends on order), and neither do reads. *)
+let classify_op = function
   | Tx.Merge { key; delta } -> Some (key, canon delta)
-  | Tx.Put _ | Tx.Get _ | Tx.Debit _ | Tx.Credit _ ->
-      Option.map
-        (fun delta -> (Tx.key_of_op op, delta))
-        (List.find_map (fun r -> r.rclassify op) reg.rules)
+  | Tx.Credit { account; amount } -> Some (account, Add amount)
+  | Tx.Put _ | Tx.Get _ | Tx.Debit _ -> None
 
 (* A delta keeps its op's key, so it lands on the shard the op's
    placement already names: the lane needs no hashing of its own. *)
-let classify_placement reg placement =
+let classify_placement placement =
   let rec deltas acc = function
     | [] -> Some (List.rev acc)
     | op :: rest -> (
-        match classify_op reg op with Some kd -> deltas (kd :: acc) rest | None -> None)
+        match classify_op op with Some kd -> deltas (kd :: acc) rest | None -> None)
   in
   let rec go acc = function
     | [] -> Some (List.rev acc)

@@ -2,10 +2,9 @@
     (DESIGN §18, CRDV-style conflict-free replicated views).
 
     Three pieces: a delta algebra (each class a commutative monoid with a
-    deterministic combine), a registry chaincodes use to declare which of
-    their operations are commutative, and a per-shard lock-free lane that
-    buffers deltas and folds them into canonical state at block
-    boundaries in a canonical order. *)
+    deterministic combine), one closed classifier of which operations
+    commute, and a per-shard lock-free lane that buffers deltas and folds
+    them into canonical state at block boundaries in a canonical order. *)
 
 type delta = Tx.delta = Add of int | Maxi of int | Union of string list
 
@@ -26,27 +25,18 @@ val apply_delta : State.t -> string -> delta -> unit
     encoding shared with [Executor.balance]; [Union] over a sorted
     comma-joined set). *)
 
-(** {1 Registry} *)
+(** {1 Classifier} *)
 
-type registry
-
-val create_registry : unit -> registry
-
-val register : registry -> name:string -> (Tx.op -> delta option) -> unit
-(** Declare a commutative-operation rule.  The classifier returns
-    [Some delta] when the op is an instance of this rule; the delta
-    applies to the op's own key ({!Tx.key_of_op}), so it lands on the
-    shard the op's placement names.  Re-registering an existing [name]
-    is a no-op. *)
-
-val rule_names : registry -> string list
-
-val classify_op : registry -> Tx.op -> (string * delta) option
-(** [Tx.Merge] ops classify as themselves; other ops consult the
-    registered rules in declaration order. *)
+val classify_op : Tx.op -> (string * delta) option
+(** The one closed rule for which ops commute.  A [Tx.Merge] op is its
+    own (canonical) delta; a [Tx.Credit] is an [Add] of its amount, since
+    unconditional increments commute; [Put], [Get] and [Debit] (whose
+    balance check depends on order) return [None].  The delta applies to
+    the op's own key, so it lands on the shard the op's placement
+    names. *)
 
 val classify_placement :
-  registry -> (int * Tx.op list) list -> (int * (string * delta) list) list option
+  (int * Tx.op list) list -> (int * (string * delta) list) list option
 (** [Some lane] iff the {!Tx.placement} is non-empty and {e every} op
     classifies — the all-mergeable test that admits a transaction to the
     fast lane.  Each shard keeps its deltas in op order, so the lane is

@@ -15,7 +15,3 @@ val savings_key : string -> string
 val send_payment_ops : src:string -> dst:string -> amount:int -> Tx.op list
 (** The two-account transfer of the evaluation (reads and writes two
     different states; cross-shard whenever the accounts hash apart). *)
-
-val declare_mergeable : Merge.registry -> unit
-(** Declare the chaincode's commutative operations (credits as [Add]
-    deltas) for the fast-lane classifier. *)

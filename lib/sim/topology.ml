@@ -29,14 +29,6 @@ let gcp_latency_matrix_ms =
 (* Delay within one region / between colocated instances. *)
 let intra_region_s = 0.4e-3
 
-let lan ?(latency_ms = 0.3) ?(jitter = 0.1) ?(bandwidth_mbps = 1000.0) () =
-  {
-    nregions = 1;
-    latency_s = [| [| latency_ms *. 1e-3 |] |];
-    jitter;
-    bandwidth_bps = bandwidth_mbps *. 1e6;
-  }
-
 let constrained_lan ~latency_ms ~bandwidth_mbps =
   {
     nregions = 1;
@@ -44,6 +36,8 @@ let constrained_lan ~latency_ms ~bandwidth_mbps =
     jitter = 0.1;
     bandwidth_bps = bandwidth_mbps *. 1e6;
   }
+
+let lan () = constrained_lan ~latency_ms:0.3 ~bandwidth_mbps:1000.0
 
 let gcp n =
   if n < 1 || n > 8 then Sim_error.invalid "Topology.gcp: regions must be in 1..8";

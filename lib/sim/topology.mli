@@ -8,10 +8,9 @@
 
 type t
 
-val lan : ?latency_ms:float -> ?jitter:float -> ?bandwidth_mbps:float -> unit -> t
-(** Single-region cluster.  [latency_ms] is the one-way propagation delay
-    (default 0.3 ms), [jitter] a relative spread (default 0.1), and
-    [bandwidth_mbps] the per-link rate (default 1000). *)
+val lan : unit -> t
+(** Single-region cluster: 0.3 ms one-way propagation delay with a 10%
+    relative jitter, and 1000 Mbps links. *)
 
 val constrained_lan : latency_ms:float -> bandwidth_mbps:float -> t
 (** The PoET experiment setup (Appendix C.1): cluster links throttled to a

@@ -350,6 +350,17 @@ let test_leader_stall_differential_holds () =
         (t.Explore.stats.Explore.view_changes >= 1))
     ahlr.Explore.trials
 
+(* Testbed never advances the stable checkpoint, so a schedule that asks
+   for [Config.watermark_window] requests or more stalls its correct
+   leader at the watermark, whatever the attack. *)
+let test_leader_schedule_below_watermark () =
+  for i = 0 to 999 do
+    let requests = (Explore.leader_schedule ~n:3 ~f:1 i).Schedule.requests in
+    if requests >= Config.watermark_window then
+      Alcotest.failf "trial %d asks for %d requests, the watermark window is %d" i requests
+        Config.watermark_window
+  done
+
 let test_shrink_drops_leader_attack () =
   let s = sched ~byz:[ 0 ] ~split_brain:false ~leader:Pbft.Leader_stall ~requests:2 () in
   let cs = Schedule.candidates s in
@@ -927,6 +938,8 @@ let () =
             test_differential_holds_and_witness_replays;
           Alcotest.test_case "leader-stall differential holds" `Quick
             test_leader_stall_differential_holds;
+          Alcotest.test_case "leader schedule stays below the watermark" `Quick
+            test_leader_schedule_below_watermark;
           Alcotest.test_case "json reports" `Quick test_explore_json;
         ] );
       ( "xschedule",

@@ -534,7 +534,7 @@ let test_harness_closed_loop_saturates () =
   let tps clients =
     (Harness.run ~duration:8.0 ~warmup:2.0 ~variant:Config.ahl_plus ~n:4
        ~topology:(Topology.lan ())
-       ~workload:(Harness.Closed_loop { clients; outstanding = 8; think = 0.0 })
+       ~workload:(Harness.Closed_loop { clients; outstanding = 8 })
        ())
       .Harness.throughput
   in
@@ -726,8 +726,7 @@ let test_pbft_stale_checkpoint_vote_ignored () =
      checkpoint traffic uses. *)
   let msg = Pbft.Checkpoint { seq = stable; digest = 424242; sender = 2 } in
   Network.send_external fx.network ~src_region:0 ~dst:0 ~channel:Pbft.consensus_channel
-    ~bytes:(Pbft.bytes_of_msg (Config.default Config.ahl_plus ~n:4) msg)
-    msg;
+    ~bytes:(Pbft.bytes_of_msg msg) msg;
   Engine.run fx.engine ~until:16.0;
   Alcotest.(check int) "straggler vote counted as stale" (before + 1)
     (obs_counter ometrics "ckpt.stale_msg");

@@ -287,6 +287,38 @@ let test_executor_single_path () =
   | Error _ -> Alcotest.(check int) "alice unchanged" 70 (Executor.balance s "alice")
   | Ok () -> Alcotest.fail "overdraft"
 
+(* A refused single-shard transaction writes nothing: neither its own
+   ops nor any lock tuple, whether funds or a held lock refused it. *)
+let test_executor_single_refusal_unchanged () =
+  let s = funded () in
+  expect_prepared (Executor.try_prepare s ~txid:1 [ Tx.Credit { account = "bob"; amount = 5 } ]);
+  let locks = Locks.create s in
+  let snapshot () =
+    ( Repro_crypto.Sha256.to_hex (State.root s),
+      Locks.held_count locks,
+      Locks.held_by locks ~txid:1,
+      Locks.held_by locks ~txid:2 )
+  in
+  let before = snapshot () in
+  let unchanged what =
+    let root, count, by1, by2 = snapshot () in
+    let root0, count0, by10, by20 = before in
+    Alcotest.(check string) (what ^ ": root") root0 root;
+    Alcotest.(check int) (what ^ ": held count") count0 count;
+    Alcotest.(check (list string)) (what ^ ": held by tx 1") by10 by1;
+    Alcotest.(check (list string)) (what ^ ": held by tx 2") by20 by2
+  in
+  expect_insufficient "alice"
+    (Executor.execute_single s ~txid:2 [ Tx.Debit { account = "alice"; amount = 1000 } ]);
+  unchanged "overdraft";
+  (match Executor.execute_single s ~txid:2 (transfer ~amount:10) with
+  | Error (Executor.Lock_conflict { key; holder }) ->
+      Alcotest.(check string) "conflict key" "bob" key;
+      Alcotest.(check int) "conflict holder" 1 holder
+  | Error e -> fail_refused e
+  | Ok () -> Alcotest.fail "a prepare on a held lock must be refused");
+  unchanged "lock conflict"
+
 (* ------------------------------------------------------------------ *)
 (* Block / Chain                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1015,29 +1047,22 @@ let prop_typed_state_matches_model =
 (* ------------------------------------------------------------------ *)
 
 let test_merge_classify () =
-  let reg = Merge.create_registry () in
-  Smallbank_cc.declare_mergeable reg;
-  Kvstore_cc.declare_mergeable reg;
-  Alcotest.(check (list string))
-    "rules declared" [ "smallbank.credit"; "kvstore.counter" ] (Merge.rule_names reg);
-  Smallbank_cc.declare_mergeable reg;
-  Alcotest.(check int) "re-declaring is a no-op" 2 (List.length (Merge.rule_names reg));
-  (* A Merge op classifies as itself; a Credit via the smallbank rule;
+  (* A Merge op classifies as itself; a Credit as an Add of its amount;
      conditional debits never classify. *)
-  (match Merge.classify_op reg (Tx.Merge { key = "k"; delta = Tx.Add 3 }) with
+  (match Merge.classify_op (Tx.Merge { key = "k"; delta = Tx.Add 3 }) with
   | Some ("k", Tx.Add 3) -> ()
   | _ -> Alcotest.fail "Merge op should classify as itself");
-  (match Merge.classify_op reg (Tx.Credit { account = "a"; amount = 7 }) with
+  (match Merge.classify_op (Tx.Credit { account = "a"; amount = 7 }) with
   | Some ("a", Tx.Add 7) -> ()
-  | _ -> Alcotest.fail "Credit should classify via smallbank.credit");
+  | _ -> Alcotest.fail "Credit should classify as an Add");
   Alcotest.(check bool) "Debit is not mergeable" true
-    (Merge.classify_op reg (Tx.Debit { account = "a"; amount = 7 }) = None);
+    (Merge.classify_op (Tx.Debit { account = "a"; amount = 7 }) = None);
   (* classify_placement is all-or-nothing. *)
   let all_credits =
     Tx.make ~txid:1
       [ Tx.Credit { account = "a"; amount = 1 }; Tx.Credit { account = "b"; amount = 2 } ]
   in
-  (match Merge.classify_placement reg (Tx.placement ~shards:1 all_credits) with
+  (match Merge.classify_placement (Tx.placement ~shards:1 all_credits) with
   | Some [ (0, [ ("a", Tx.Add 1); ("b", Tx.Add 2) ]) ] -> ()
   | _ -> Alcotest.fail "all-credit tx should classify");
   let mixed =
@@ -1045,7 +1070,7 @@ let test_merge_classify () =
       [ Tx.Credit { account = "a"; amount = 1 }; Tx.Debit { account = "b"; amount = 2 } ]
   in
   Alcotest.(check bool) "mixed tx stays locked" true
-    (Merge.classify_placement reg (Tx.placement ~shards:1 mixed) = None)
+    (Merge.classify_placement (Tx.placement ~shards:1 mixed) = None)
 
 let test_merge_apply_delta () =
   let s = State.create () in
@@ -1190,6 +1215,8 @@ let () =
           Alcotest.test_case "commit needs locks" `Quick test_executor_commit_requires_own_locks;
           Alcotest.test_case "conflict votes NOK" `Quick test_executor_lock_conflict_votes_nok;
           Alcotest.test_case "single path" `Quick test_executor_single_path;
+          Alcotest.test_case "single refusal leaves state unchanged" `Quick
+            test_executor_single_refusal_unchanged;
           Alcotest.test_case "first overdrawn reported" `Quick test_executor_reports_first_overdrawn;
         ] );
       ( "block",

@@ -154,7 +154,7 @@ let test_topology_table3_matches () =
   check_float "matrix value" 150.8 Topology.gcp_latency_matrix_ms.(0).(5)
 
 let test_topology_transfer_time () =
-  let t = Topology.lan ~bandwidth_mbps:1000.0 () in
+  let t = Topology.lan () in
   (* 1 MB over 1 Gbps = 8 ms. *)
   Alcotest.(check (float 1e-6)) "1MB @ 1Gbps" 8.388608e-3
     (Topology.transfer_time t ~bytes:(1024 * 1024))

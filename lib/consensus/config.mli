@@ -85,7 +85,8 @@ val request_parse_cost : float
 
 val client_sig_verify : float
 (** Per-transaction client-signature verification (500 µs), charged when a
-    replica validates a pre-prepare's batch (amortized batch ECDSA). *)
+    replica validates a proposed batch (amortized batch ECDSA): PBFT's
+    pre-prepare here, and the {!Lockstep} baselines' proposals. *)
 
 val msg_parse_cost : float
 (** CPU per consensus message intake, before signature verification

@@ -45,11 +45,10 @@ type committee = {
 
 let request_channel = Inbox.Request
 
-(* Per-transaction client-signature validation and the per-height commit
-   overhead (state persistence, proposer hand-over) that make these stacks
-   slower per block than pipelined PBFT. *)
-let client_sig_verify = 500e-6
-
+(* The per-height commit overhead (state persistence, proposer hand-over)
+   that, with per-transaction client-signature validation
+   ([Config.client_sig_verify]), makes these stacks slower per block than
+   pipelined PBFT. *)
 let commit_overhead = 0.15
 
 let round_timeout = 1.0
@@ -111,7 +110,7 @@ let rec try_propose c r =
     | Some (digest, batch) ->
         r.proposed_this_round <- true;
         charge c r
-          ((float_of_int (List.length batch) *. client_sig_verify)
+          ((float_of_int (List.length batch) *. Config.client_sig_verify)
           +. c.costs.Cost_model.ecdsa_sign);
         Hashtbl.replace r.proposals (r.height, r.round) (digest, batch);
         broadcast c r (Proposal { height = r.height; round = r.round; digest; batch; proposer = r.index });
@@ -127,7 +126,7 @@ and on_proposal c r ~height ~round ~digest ~batch ~charge_batch =
   if charge_batch then
     charge c r
       (c.costs.Cost_model.ecdsa_verify
-      +. (float_of_int (List.length batch) *. client_sig_verify));
+      +. (float_of_int (List.length batch) *. Config.client_sig_verify));
   if height = r.height && round = r.round then begin
     Hashtbl.replace r.proposals (height, round) (digest, batch);
     let vote =

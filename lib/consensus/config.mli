@@ -92,6 +92,8 @@ val msg_parse_cost : float
 (** CPU per consensus message intake, before signature verification
     (10 µs). *)
 
+(** {1 Committee arithmetic} *)
+
 val f_of : t -> int
 (** Tolerated failures for the committee size under the variant's rule. *)
 

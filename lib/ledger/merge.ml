@@ -39,8 +39,7 @@ let apply_delta state key delta =
 (* ---- the classifier: which ops commute ---- *)
 
 (* A credit is an unconditional increment, so credits commute and fold
-   as [Add] deltas; this covers SmallBank's credits and the KVStore
-   counters alike.  A debit does not commute: its balance-≥-0
+   as [Add] deltas.  A debit does not commute: its balance-≥-0
    precondition depends on what ran before it.  Blind writes do not
    either (last-write-wins depends on order), and neither do reads. *)
 let classify_op = function

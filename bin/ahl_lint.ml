@@ -1,10 +1,11 @@
 (* ahl_lint: project-invariant static analyzer for the AHL reproduction.
 
-   Usage: ahl_lint [--json|--sarif] [--baseline FILE] [--update-baseline]
-                   [--base PREFIX] [--exclude SUBSTR]... [--no-default-excludes]
-                   [roots...]
+   Usage: ahl_lint [--json] [--base PREFIX] [--no-default-excludes] [roots...]
 
-   Exit codes: 0 clean, 1 violations, 2 usage/baseline errors. *)
+   A finding passes only under an inline "ahl_lint: allow <rule>" comment,
+   with its reason, on the flagged line or the line above.
+
+   Exit codes: 0 clean, 1 violations, 2 usage errors. *)
 
 open Repro_analysis
 
@@ -14,30 +15,17 @@ let default_excludes = [ "_build"; "analysis_fixtures"; ".git" ]
 
 let () =
   let json = ref false in
-  let sarif = ref false in
   let base = ref "" in
-  let baseline_path = ref "lint.baseline" in
-  let update = ref false in
   let excludes = ref default_excludes in
   let roots = ref [] in
   let spec =
     [
       ("--json", Arg.Set json, " emit findings as a JSON array on stdout");
-      ("--sarif", Arg.Set sarif, " emit findings as a SARIF 2.1.0 log on stdout");
       ( "--base",
         Arg.Set_string base,
         "PREFIX strip PREFIX from scanned paths before rule scoping (fixture trees)" );
-      ( "--baseline",
-        Arg.Set_string baseline_path,
-        "FILE tolerated-violation baseline (default: lint.baseline)" );
-      ( "--update-baseline",
-        Arg.Set update,
-        " rewrite the baseline from current findings (R1/R2/R6/R7 are never written)" );
-      ( "--exclude",
-        Arg.String (fun s -> excludes := s :: !excludes),
-        "SUBSTR additionally skip paths containing SUBSTR" );
       ( "--no-default-excludes",
-        Arg.Unit (fun () -> excludes := List.filter (fun e -> not (List.mem e default_excludes)) !excludes),
+        Arg.Unit (fun () -> excludes := []),
         " drop the built-in excludes (needed to scan fixture trees)" );
     ]
   in
@@ -54,48 +42,14 @@ let () =
     roots;
   let all = Lint.scan ~base:!base ~roots ~excludes:!excludes () in
   let active = List.filter (fun f -> not f.Lint_types.suppressed) all in
-  let inline_allowed = List.length all - List.length active in
-  if !update then begin
-    match Lint.write_baseline ~path:!baseline_path active with
-    | Error msg ->
-        Printf.eprintf "ahl_lint: cannot write %s: %s\n" !baseline_path msg;
-        exit 2
-    | Ok (entries, unbaselinable) ->
-        Printf.printf "ahl_lint: wrote %d baseline entries to %s\n" entries !baseline_path;
-        if unbaselinable <> [] then begin
-          List.iter (fun f -> print_endline (Lint_types.to_human f)) unbaselinable;
-          Printf.eprintf
-            "ahl_lint: %d R1/R2/R6/R7 violations cannot be baselined; fix them\n"
-            (List.length unbaselinable);
-          exit 1
-        end
-  end
+  if !json then print_string (Lint_types.to_json active)
   else begin
-    match Lint.load_baseline !baseline_path with
-    | Error msg ->
-        Printf.eprintf "ahl_lint: %s\n" msg;
-        exit 2
-    | Ok baseline ->
-        let final = Lint.apply_baseline ~baseline active in
-        if !sarif then print_string (Lint_types.to_sarif final)
-        else if !json then print_string (Lint_types.to_json final)
-        else begin
-          List.iter (fun f -> print_endline (Lint_types.to_human f)) final;
-          let errors, warnings =
-            List.partition (fun f -> f.Lint_types.severity = Lint_types.Error) final
-          in
-          (* Rejected-baseline findings are synthesized by apply_baseline, so
-             "baselined" counts only the active findings it actually dropped. *)
-          let kept =
-            List.filter
-              (fun f -> List.exists (fun g -> Lint_types.compare_finding f g = 0) active)
-              final
-          in
-          Printf.eprintf
-            "ahl_lint: %d violations (%d errors, %d warnings); %d baselined, %d inline-allowed\n"
-            (List.length final) (List.length errors) (List.length warnings)
-            (List.length active - List.length kept)
-            inline_allowed
-        end;
-        if final <> [] then exit 1
-  end
+    List.iter (fun f -> print_endline (Lint_types.to_human f)) active;
+    let errors, warnings =
+      List.partition (fun f -> f.Lint_types.severity = Lint_types.Error) active
+    in
+    Printf.eprintf "ahl_lint: %d violations (%d errors, %d warnings); %d inline-allowed\n"
+      (List.length active) (List.length errors) (List.length warnings)
+      (List.length all - List.length active)
+  end;
+  if active <> [] then exit 1

@@ -197,14 +197,6 @@ let walk ~excludes roots =
 (* R9: lib modules no executable reaches                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Modules the paper's argument needs although no executable runs them,
-   each with the section it stands for. *)
-let paper_only =
-  [
-    "Rapidchain" (* §6.1, Fig. 3a: RapidChain's cross-shard commit, the baseline *);
-    "Utxo" (* §6.1, Fig. 3a: the UTXO ledger RapidChain's commit runs over *);
-  ]
-
 let executable_roots = [ "bin/"; "bench/"; "examples/" ]
 
 (* Every capitalised identifier in a source: module paths, constructors and
@@ -223,7 +215,9 @@ let module_mentions src =
 
 (* [sources] are (logical path, text) pairs for every scanned .ml/.mli.  A
    lib module is reached when an executable's source names it, or a
-   reached lib module's .ml or .mli does; modules are matched by name. *)
+   reached lib module's .ml or .mli does; modules are matched by name.  A
+   module the paper's argument needs although no executable runs it carries
+   an inline allow on line 1 naming its paper section. *)
 let unreached_modules sources =
   let in_lib (lg, _) = Lint_rules.starts_with ~prefix:"lib/" lg in
   let lib = List.filter in_lib sources in
@@ -242,21 +236,19 @@ let unreached_modules sources =
       if List.exists (fun prefix -> Lint_rules.starts_with ~prefix lg) executable_roots then
         List.iter reach (module_mentions src))
     sources;
-  List.filter_map
-    (fun (lg, _) ->
+  List.concat_map
+    (fun (lg, src) ->
       let name = module_name_of lg in
-      if
-        has_suffix ~suffix:".ml" lg
-        && (not (Hashtbl.mem reached name))
-        && not (List.exists (String.equal name) paper_only)
-      then
-        Some
-          (make ~rule:R9 ~file:lg ~line:1 ~col:1
-             (Printf.sprintf
-                "lib module %s is reached from no bin/, bench/ or examples/ code; delete it or \
-                 allowlist it with its paper section"
-                name))
-      else None)
+      if has_suffix ~suffix:".ml" lg && not (Hashtbl.mem reached name) then
+        mark_suppressed ~src
+          [
+            make ~rule:R9 ~file:lg ~line:1 ~col:1
+              (Printf.sprintf
+                 "lib module %s is reached from no bin/, bench/ or examples/ code; delete it or \
+                  allow it inline with its paper section"
+                 name);
+          ]
+      else [])
     lib
 
 (* ------------------------------------------------------------------ *)
@@ -351,126 +343,3 @@ let scan ?(base = "") ~roots ~excludes () =
     findings := unreached_modules (List.filter_map source files) @ !findings
   end;
   List.sort compare_finding !findings
-
-(* ------------------------------------------------------------------ *)
-(* Baseline: a checked-in ratchet of tolerated violations              *)
-(*                                                                     *)
-(* Format: one entry per line, "<rule> <path> <count>"; '#' comments.  *)
-(* A (rule, path) group passes while its violation count stays at or   *)
-(* below the recorded allowance; any growth reports every finding in   *)
-(* the group.  R1/R2/R6/R7 entries are rejected outright: determinism, *)
-(* comparison-safety, console-hygiene, and domain-safety violations    *)
-(* must be fixed, never baselined.  An entry whose count exceeds the   *)
-(* current findings is rejected too, so the file can only shrink.      *)
-(* ------------------------------------------------------------------ *)
-
-type baseline_entry = { b_rule : string; b_path : string; b_count : int }
-
-type baseline = baseline_entry list
-
-let load_baseline path =
-  if not (Sys.file_exists path) then Ok []
-  else
-    match read_file path with
-    | Error msg -> Error msg
-    | Ok src ->
-        let parse_line ((lineno : int), (acc : (baseline_entry list, string) result)) line =
-          let line = String.trim line in
-          match acc with
-          | Error _ -> (lineno + 1, acc)
-          | Ok entries ->
-              if String.equal line "" || String.length line > 0 && line.[0] = '#' then
-                (lineno + 1, acc)
-              else (
-                match List.filter (fun s -> not (String.equal s "")) (String.split_on_char ' ' line) with
-                | [ rule; bpath; count ] -> (
-                    match (rule_of_id rule, int_of_string_opt count) with
-                    | Some _, Some n when n > 0 ->
-                        (lineno + 1, Ok ({ b_rule = rule; b_path = bpath; b_count = n } :: entries))
-                    | _ ->
-                        ( lineno + 1,
-                          Error (Printf.sprintf "%s:%d: malformed baseline entry %S" path lineno line) ))
-                | _ ->
-                    ( lineno + 1,
-                      Error
-                        (Printf.sprintf
-                           "%s:%d: malformed baseline line %S (want \"<rule> <path> <count>\")" path
-                           lineno line) ))
-        in
-        let _, result =
-          List.fold_left parse_line (1, Ok []) (String.split_on_char '\n' src)
-        in
-        Result.map List.rev result
-
-let pair_compare (a1, b1) (a2, b2) =
-  let c = String.compare a1 a2 in
-  if c <> 0 then c else String.compare b1 b2
-
-let group_counts findings =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun f ->
-      let k = (rule_id f.rule, f.file) in
-      Hashtbl.replace tbl k (1 + Option.value (Hashtbl.find_opt tbl k) ~default:0))
-    findings;
-  tbl
-
-let never_baselined rule =
-  String.equal rule "R1" || String.equal rule "R2" || String.equal rule "R6"
-  || String.equal rule "R7"
-
-let apply_baseline ~baseline findings =
-  let counts = group_counts findings in
-  let count k = Option.value (Hashtbl.find_opt counts k) ~default:0 in
-  let allowance (rule, bpath) =
-    List.fold_left
-      (fun acc e ->
-        if String.equal e.b_rule rule && String.equal e.b_path bpath && not (never_baselined rule)
-        then acc + e.b_count
-        else acc)
-      0 baseline
-  in
-  let kept =
-    List.filter
-      (fun f ->
-        let k = (rule_id f.rule, f.file) in
-        count k > allowance k)
-      findings
-  in
-  let rejections =
-    List.filter_map
-      (fun e ->
-        let reject why =
-          Some
-            (make ~rule:(Option.value (rule_of_id e.b_rule) ~default:Parse_error)
-               ~file:e.b_path ~line:0 ~col:0
-               (Printf.sprintf "baseline entry \"%s %s %d\" rejected: %s" e.b_rule e.b_path
-                  e.b_count why))
-        in
-        let found = count (e.b_rule, e.b_path) in
-        if never_baselined e.b_rule then
-          reject (Printf.sprintf "%s violations must be fixed, not baselined" e.b_rule)
-        else if e.b_count > found then
-          reject
-            (if found = 0 then "no such findings remain; delete the entry"
-             else Printf.sprintf "only %d finding(s) remain; lower the count to %d" found found)
-        else None)
-      baseline
-  in
-  List.sort compare_finding (kept @ rejections)
-
-let write_baseline ~path findings =
-  let baselinable f = not (never_baselined (rule_id f.rule)) in
-  let good, bad = List.partition baselinable findings in
-  let groups =
-    Repro_util.Det.bindings ~compare:pair_compare (group_counts good)
-  in
-  let body =
-    "# ahl_lint baseline: tolerated pre-existing violations, \"<rule> <path> <count>\".\n\
-     # Shrink this file over time; never grow it.  R1/R2/R6/R7 entries are rejected.\n"
-    ^ String.concat ""
-        (List.map (fun ((rule, bpath), n) -> Printf.sprintf "%s %s %d\n" rule bpath n) groups)
-  in
-  match Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc body) with
-  | () -> Ok (List.length groups, bad)
-  | exception Sys_error msg -> Error msg

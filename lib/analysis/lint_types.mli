@@ -7,7 +7,7 @@
     - R2 comparison safety: no polymorphic compare or structural [=] in the
       consensus, ledger, and shard message/state paths.
     - R3 exception hygiene: no [failwith]/[assert false]/[invalid_arg] in
-      [lib/] outside the checked-in baseline.
+      [lib/].
     - R4 interface coverage: every [lib] module has an [.mli] exporting no
       unused public values.
     - R5 quorum hygiene: no bare [2*f+1] / [3*f+1] arithmetic in the
@@ -27,8 +27,9 @@
       code (cross-module).
     - R9 reachability: every [lib] module is reached, directly or through
       other [lib] modules, from code under [bin/], [bench/] or
-      [examples/] ([test/] does not count), unless it is allowlisted as
-      paper-only.  Runs only when a [bin] root is scanned. *)
+      [examples/] ([test/] does not count), unless line 1 carries an
+      inline allow naming the paper section it stands for.  Runs only when
+      a [bin] root is scanned. *)
 
 type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | Parse_error
 
@@ -47,8 +48,6 @@ type finding = {
 val rule_id : rule -> string
 (** "R1".."R9", or "parse" for unparseable files. *)
 
-val rule_of_id : string -> rule option
-
 val severity_id : severity -> string
 
 val make :
@@ -63,11 +62,3 @@ val to_human : finding -> string
 
 val to_json : finding list -> string
 (** Machine-readable JSON array of findings. *)
-
-val rule_description : rule -> string
-(** One-line rule summary, embedded in the SARIF tool metadata. *)
-
-val to_sarif : finding list -> string
-(** SARIF 2.1.0 log: one run, driver [ahl_lint] with static rule
-    metadata, one result per finding.  Whole-file findings (line 0) are
-    clamped to line 1 as SARIF regions are 1-based. *)

@@ -1,4 +1,3 @@
-open Repro_crypto
 open Repro_sim
 open Types
 module Idset = Repro_util.Idset
@@ -29,14 +28,12 @@ type replica = {
   pooled : unit Int_table.t;
   executed : Idset.t;
   entries : (int, request list) Hashtbl.t;
-  mutable last_heartbeat : float;
   mutable election_deadline : float;
   mutable crashed : bool;
 }
 
 type cluster = {
   engine : Engine.t;
-  costs : Cost_model.t;
   n : int;
   batch_max : int;
   commits : Commits.t; (* logged at member 0 *)
@@ -177,7 +174,6 @@ let handle c ~member m =
         charge c r (mac_cost +. (float_of_int (List.length batch) *. mac_cost));
         if term >= r.term then begin
           step_down c r ~term;
-          r.last_heartbeat <- now c;
           reset_election_deadline c r;
           Hashtbl.replace r.entries index batch;
           if index > r.last_index then r.last_index <- index;
@@ -210,7 +206,6 @@ let handle c ~member m =
         if term >= r.term then begin
           step_down c r ~term;
           if is_follower r then begin
-            r.last_heartbeat <- now c;
             reset_election_deadline c r;
             (* Forward any pooled requests to the leader. *)
             let count = Int.min 64 (Queue.length r.pool) in
@@ -256,11 +251,10 @@ let start c =
         tick)
     c.replicas
 
-let create ~engine ~costs ~n ~batch_max ~commits ~send ~charge =
+let create ~engine ~n ~batch_max ~commits ~send ~charge =
   let c =
     {
       engine;
-      costs;
       n;
       batch_max;
       commits;
@@ -287,7 +281,6 @@ let create ~engine ~costs ~n ~batch_max ~commits ~send ~charge =
           pooled = Int_table.create 256;
           executed = Idset.create ();
           entries = Hashtbl.create 256;
-          last_heartbeat = 0.0;
           election_deadline = infinity;
           crashed = false;
         });

@@ -14,7 +14,6 @@ type cluster
 
 val create :
   engine:Repro_sim.Engine.t ->
-  costs:Repro_crypto.Cost_model.t ->
   n:int ->
   batch_max:int ->
   commits:Repro_sim.Commits.t ->

@@ -205,7 +205,7 @@ let lockstep flavour engine =
     }
 
 let raft engine ~n ~commits ~send ~charge =
-  let c = Raft.create ~engine ~costs:Cost_model.default ~n ~batch_max:200 ~commits ~send ~charge in
+  let c = Raft.create ~engine ~n ~batch_max:200 ~commits ~send ~charge in
   {
     start = (fun () -> Raft.start c);
     handle = Raft.handle c;

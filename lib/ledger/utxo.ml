@@ -1,3 +1,4 @@
+(* ahl_lint: allow R9 — §6.1, Fig. 3a: the UTXO ledger RapidChain's commit runs over *)
 type coin_id = int
 
 type coin = { id : coin_id; owner : string; amount : int }

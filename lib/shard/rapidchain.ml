@@ -1,3 +1,4 @@
+(* ahl_lint: allow R9 — §6.1, Fig. 3a: RapidChain's cross-shard commit, the baseline *)
 open Repro_ledger
 
 type t = { utxos : Utxo.t array }

@@ -1,6 +1,6 @@
 (* Fixture-driven tests for ahl_lint: each rule fires on its positive
-   fixture, stays quiet on its negative one, and the suppression/baseline
-   machinery behaves as documented.  Fixtures live under
+   fixture, stays quiet on its negative one, and inline suppression
+   behaves as documented.  Fixtures live under
    analysis_fixtures/ and are linted with a [logical_path] that places
    them in the scope under test. *)
 
@@ -197,21 +197,29 @@ let test_r4_scan () =
 
 (* --- R9: reachability from the executables (whole-tree scan) -------- *)
 
-let test_r9_scan () =
+(* Every R9 finding of a scan over the given r9tree roots, suppressed or not. *)
+let r9_scan roots =
   let tree = fixture "r9tree" in
-  let scan roots =
-    List.filter
-      (fun f -> f.Lint_types.rule = Lint_types.R9)
-      (active
-         (Lint.scan ~base:(tree ^ "/")
-            ~roots:(List.map (Filename.concat tree) roots)
-            ~excludes:[] ()))
-  in
+  List.filter
+    (fun f -> f.Lint_types.rule = Lint_types.R9)
+    (Lint.scan ~base:(tree ^ "/") ~roots:(List.map (Filename.concat tree) roots) ~excludes:[] ())
+
+let files fs = List.map (fun f -> f.Lint_types.file) fs
+
+let test_r9_scan () =
+  let scan roots = active (r9_scan roots) in
   let r9 = scan [ "bin"; "lib"; "test" ] in
   Alcotest.(check (list string)) "only the module a test alone names is flagged"
     [ "lib/orphan.ml" ]
-    (List.map (fun f -> f.Lint_types.file) r9);
+    (files r9);
   Alcotest.(check int) "no bin root, no R9" 0 (List.length (scan [ "lib"; "test" ]))
+
+let test_r9_inline_allow () =
+  let r9 = r9_scan [ "bin"; "lib"; "test" ] in
+  Alcotest.(check (list string)) "line-1 allow marks paper.ml suppressed" [ "lib/paper.ml" ]
+    (files (List.filter (fun f -> f.Lint_types.suppressed) r9));
+  Alcotest.(check (list string)) "orphan.ml stays the only active finding" [ "lib/orphan.ml" ]
+    (files (active r9))
 
 (* --- R7: domain safety (cross-module scan) -------------------------- *)
 
@@ -332,7 +340,7 @@ let test_summary_contexts () =
   Alcotest.(check bool) "protected closure ref is guarded" true
     (List.for_all (fun (r : Summary.reference) -> r.Summary.r_guarded) (cell_refs (fn "safe")))
 
-(* --- Emitters: JSON and SARIF ---------------------------------------- *)
+(* --- Emitter: JSON ------------------------------------------------- *)
 
 let sample_findings () =
   [
@@ -345,91 +353,6 @@ let test_json_emitter () =
   let js = Lint_types.to_json (sample_findings ()) in
   Alcotest.(check bool) "parses as JSON" true (Mini_json.ok js);
   Alcotest.(check bool) "empty list is valid" true (Mini_json.ok (Lint_types.to_json []))
-
-let test_sarif_emitter () =
-  let sarif = Lint_types.to_sarif (sample_findings ()) in
-  Alcotest.(check bool) "parses as JSON" true (Mini_json.ok sarif);
-  let has needle =
-    let n = String.length needle in
-    let rec go i =
-      i + n <= String.length sarif
-      && (String.equal (String.sub sarif i n) needle || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "declares 2.1.0" true (has "\"version\":\"2.1.0\"");
-  Alcotest.(check bool) "names the driver" true (has "\"name\":\"ahl_lint\"");
-  Alcotest.(check bool) "carries rule metadata" true (has "\"id\":\"R7\"");
-  Alcotest.(check bool) "describes every rule" true
-    (List.for_all
-       (fun r -> not (String.equal (Lint_types.rule_description r) ""))
-       [ Lint_types.R7; Lint_types.R8 ]);
-  Alcotest.(check bool) "results carry locations" true (has "physicalLocation");
-  Alcotest.(check bool) "line 0 clamped to 1" true (has "\"startLine\":1");
-  Alcotest.(check bool) "empty log still valid" true (Mini_json.ok (Lint_types.to_sarif []))
-
-(* --- Baseline ratchet ----------------------------------------------- *)
-
-let with_baseline contents k =
-  let path = Filename.temp_file "ahl_lint_test" ".baseline" in
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
-      match Lint.load_baseline path with
-      | Error msg -> Alcotest.failf "baseline did not load: %s" msg
-      | Ok b -> k b)
-
-let mk_r3 ~line =
-  Lint_types.make ~severity:Lint_types.Warning ~rule:Lint_types.R3 ~file:"lib/core/x.ml" ~line
-    ~col:1 "failwith"
-
-let test_baseline_within_allowance () =
-  with_baseline "# comment\nR3 lib/core/x.ml 2\n" (fun b ->
-      let remaining = Lint.apply_baseline ~baseline:b [ mk_r3 ~line:3; mk_r3 ~line:9 ] in
-      Alcotest.(check int) "covered group dropped" 0 (List.length remaining))
-
-let test_baseline_exceeded () =
-  with_baseline "R3 lib/core/x.ml 1\n" (fun b ->
-      let remaining = Lint.apply_baseline ~baseline:b [ mk_r3 ~line:3; mk_r3 ~line:9 ] in
-      Alcotest.(check int) "growth reports the whole group" 2 (List.length remaining))
-
-let test_baseline_rejects_r1_r2 () =
-  with_baseline
-    "R1 lib/sim/engine.ml 1\nR2 lib/consensus/pbft.ml 3\nR6 lib/core/results.ml 1\n\
-     R7 lib/core/experiment.ml 2\n"
-    (fun b ->
-      let remaining = Lint.apply_baseline ~baseline:b [] in
-      Alcotest.(check int) "all four entries rejected" 4 (List.length remaining);
-      List.iter
-        (fun f ->
-          Alcotest.(check string) "rejection is an error" "error"
-            (Lint_types.severity_id f.Lint_types.severity))
-        remaining)
-
-let test_baseline_rejects_stale () =
-  with_baseline "R3 lib/core/x.ml 3\nR3 lib/core/gone.ml 1\n" (fun b ->
-      let remaining = Lint.apply_baseline ~baseline:b [ mk_r3 ~line:3; mk_r3 ~line:9 ] in
-      Alcotest.(check (list string)) "both over-counted entries rejected"
-        [
-          "baseline entry \"R3 lib/core/gone.ml 1\" rejected: no such findings remain; delete the \
-           entry";
-          "baseline entry \"R3 lib/core/x.ml 3\" rejected: only 2 finding(s) remain; lower the \
-           count to 2";
-        ]
-        (List.map (fun f -> f.Lint_types.message) remaining);
-      List.iter
-        (fun f ->
-          Alcotest.(check string) "rejection is an error" "error"
-            (Lint_types.severity_id f.Lint_types.severity))
-        remaining)
-
-let test_baseline_missing_file_is_empty () =
-  match Lint.load_baseline "analysis_fixtures/no_such_baseline" with
-  | Error msg -> Alcotest.failf "missing baseline should be empty, got: %s" msg
-  | Ok b ->
-      Alcotest.(check int) "no findings dropped or added" 1
-        (List.length (Lint.apply_baseline ~baseline:b [ mk_r3 ~line:3 ]))
 
 let () =
   Alcotest.run "analysis"
@@ -484,23 +407,15 @@ let () =
             test_r7_concurrent_mutations;
         ] );
       ("r8-nondeterminism", [ Alcotest.test_case "tree scan" `Quick test_r8_scan ]);
-      ("r9-reachability", [ Alcotest.test_case "tree scan" `Quick test_r9_scan ]);
+      ( "r9-reachability",
+        [
+          Alcotest.test_case "tree scan" `Quick test_r9_scan;
+          Alcotest.test_case "inline allow silences" `Quick test_r9_inline_allow;
+        ] );
       ( "summary-pass",
         [
           Alcotest.test_case "cell classification" `Quick test_summary_cells;
           Alcotest.test_case "guard and task contexts" `Quick test_summary_contexts;
         ] );
-      ( "emitters",
-        [
-          Alcotest.test_case "json well-formed" `Quick test_json_emitter;
-          Alcotest.test_case "sarif 2.1.0 shape" `Quick test_sarif_emitter;
-        ] );
-      ( "baseline",
-        [
-          Alcotest.test_case "within allowance" `Quick test_baseline_within_allowance;
-          Alcotest.test_case "exceeded reports group" `Quick test_baseline_exceeded;
-          Alcotest.test_case "R1/R2/R6/R7 never baselined" `Quick test_baseline_rejects_r1_r2;
-          Alcotest.test_case "stale count rejected" `Quick test_baseline_rejects_stale;
-          Alcotest.test_case "missing file is empty" `Quick test_baseline_missing_file_is_empty;
-        ] );
+      ("emitters", [ Alcotest.test_case "json well-formed" `Quick test_json_emitter ]);
     ]

@@ -429,7 +429,7 @@ let make_raft ~n () =
   let network = Network.create engine ~topology:(Topology.lan ()) in
   let c, nodes =
     Network.spawn network ~n ~inbox_mode:(Inbox.Shared 5000) ~handle:Raft.handle
-      (Raft.create ~engine ~costs:Cost_model.default ~n ~batch_max:50 ~commits)
+      (Raft.create ~engine ~n ~batch_max:50 ~commits)
   in
   Raft.start c;
   (engine, network, nodes, c, commits)

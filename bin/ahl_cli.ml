@@ -76,9 +76,8 @@ let consensus_cmd =
           Printf.sprintf "--byzantine must be between 0 and -n (%d), got %d" n byzantine ) ]
     @@ fun () ->
     let topology = if gcp then Repro_sim.Topology.gcp 8 else Repro_sim.Topology.lan () in
-    let cpu_scale = if gcp then 3.5 else 1.0 in
     let r =
-      Harness.run ~duration ~warmup:(duration /. 5.0) ~byzantine ~cpu_scale ~variant ~n ~topology
+      Harness.run ~duration ~warmup:(duration /. 5.0) ~byzantine ~variant ~n ~topology
         ~workload:(Harness.Open_loop { rate; clients = 10 })
         ()
     in

@@ -265,18 +265,24 @@ let scan ?(base = "") ~roots ~excludes () =
   let findings = ref [] in
   let usages = ref [] in
   let summaries = ref [] in
+  (* Each file is read once; R7/R8's inline-allow marking and R9 reuse it. *)
   let sources = Hashtbl.create 256 in
+  let read file =
+    let lg = logical file in
+    match Hashtbl.find_opt sources lg with
+    | Some src -> Ok src
+    | None -> Result.map (fun src -> Hashtbl.replace sources lg src; src) (read_file file)
+  in
   (* R1–R3 plus usage and summary collection, one parse per implementation. *)
   List.iter
     (fun file ->
       let lg = logical file in
-      match read_file file with
+      match read file with
       | Error msg -> findings := make ~rule:Parse_error ~file:lg ~line:1 ~col:1 msg :: !findings
       | Ok src -> (
           match parse_impl ~logical:lg src with
           | Error f -> findings := f :: !findings
           | Ok structure ->
-              Hashtbl.replace sources lg src;
               usages := usage_of_structure ~path:lg structure :: !usages;
               summaries := Summary.of_structure ~path:lg structure :: !summaries;
               findings :=
@@ -310,7 +316,7 @@ let scan ?(base = "") ~roots ~excludes () =
     (fun file ->
       let lg = logical file in
       if Lint_rules.starts_with ~prefix:"lib/" lg then
-        match read_file file with
+        match read file with
         | Error msg -> findings := make ~rule:Parse_error ~file:lg ~line:1 ~col:1 msg :: !findings
         | Ok src -> (
             match parse_intf ~logical:lg src with
@@ -337,9 +343,7 @@ let scan ?(base = "") ~roots ~excludes () =
      scanned (fixture trees that scan lib alone keep their findings). *)
   let bin_root r = List.exists (String.equal (logical (normalize r))) [ "bin"; "bin/" ] in
   if List.exists bin_root roots then begin
-    let source file =
-      Result.to_option (read_file file) |> Option.map (fun src -> (logical file, src))
-    in
+    let source file = Result.to_option (read file) |> Option.map (fun src -> (logical file, src)) in
     findings := unreached_modules (List.filter_map source files) @ !findings
   end;
   List.sort compare_finding !findings

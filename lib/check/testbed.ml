@@ -25,6 +25,7 @@ let cuts kind ~src ~dst =
 
 let run ~engine_seed ~variant ~n (sched : Schedule.t) =
   let engine = Engine.create ~seed:engine_seed in
+  let topology = Topology.lan () in
   let cfg =
     (* Strictly sequential execution: with checkpoints out of the way a
        replica can never jump its ledger forward via state transfer, so
@@ -32,11 +33,11 @@ let run ~engine_seed ~variant ~n (sched : Schedule.t) =
        checkpoint therefore never moves, so a run orders at most
        [Config.watermark_window] slots: schedules keep their request
        count below it. *)
-    { (Config.default variant ~n) with Config.checkpoint_interval = 1_000_000 }
+    { (Config.default variant ~n ~topology) with Config.checkpoint_interval = 1_000_000 }
   in
   let keystore = Keys.create_keystore (Engine.rng engine) in
   let adversary = sched.Schedule.adversary in
-  let network : Pbft.msg Network.t = Network.create engine ~topology:(Topology.lan ()) in
+  let network : Pbft.msg Network.t = Network.create engine ~topology in
   let c, _ =
     Network.spawn network ~n ~inbox_mode:(Config.inbox_mode cfg) ~handle:Pbft.handle
       (Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg ~adversary

@@ -70,16 +70,18 @@ let quorum_size t =
 let n_for_f variant ~f =
   match variant.quorum_rule with `Third -> (3 * f) + 1 | `Half -> (2 * f) + 1
 
-let default variant ~n =
+let default variant ~n ~topology =
   if n < 1 then Repro_sim.Sim_error.invalid "Config.default: n must be positive";
+  (* Across regions the relay deadline must absorb round-trip jitter. *)
+  let wan = Repro_sim.Topology.regions topology > 1 in
   {
     variant;
     n;
     checkpoint_interval = 16;
     progress_timeout = 2.0;
     vc_backoff_cap = 3;
-    relay_timeout = 1.0;
-    relay_tail_prob = 0.01;
+    relay_timeout = (if wan then 2.5 else 1.0);
+    relay_tail_prob = (if wan then 0.005 else 0.01);
   }
 
 let inbox_mode t =

@@ -103,10 +103,12 @@ val quorum_size : t -> int
 val n_for_f : variant -> f:int -> int
 (** Committee size achieving tolerance [f] ([3f+1] or [2f+1]). *)
 
-val default : variant -> n:int -> t
-(** Paper-calibrated defaults: checkpoints every 16 blocks, a 2 s
-    watchdog with its retry exponent capped at 3, and AHLR's 1 s relay
-    deadline with a 1% tail. *)
+val default : variant -> n:int -> topology:Repro_sim.Topology.t -> t
+(** Paper-calibrated defaults: checkpoints every 16 blocks and a 2 s
+    watchdog with its retry exponent capped at 3.  AHLR's relay timing
+    comes from the topology: a 1 s deadline with a 1% tail within one
+    region, and across regions ({!Repro_sim.Topology.regions} > 1) a 2.5 s
+    deadline, which absorbs round-trip jitter, with a 0.5% tail. *)
 
 val inbox_mode : t -> Repro_sim.Inbox.mode
 (** One shared queue of 5000 messages, or, with [split_queues], a

@@ -24,12 +24,12 @@ type result = {
 }
 
 let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?adversary
-    ?(crashes = []) ?(recovers = []) ?(cpu_scale = 1.0) ?(costs = Cost_model.default)
+    ?(crashes = []) ?(recovers = []) ?(costs = Cost_model.default)
     ?(tune = fun (c : Config.t) -> c) ?(probe = Repro_obs.Probe.none) ~variant ~n ~topology
     ~workload () =
   let module Probe = Repro_obs.Probe in
   let engine = Engine.create ~seed in
-  let cfg = tune (Config.default variant ~n) in
+  let cfg = tune (Config.default variant ~n ~topology) in
   let keystore = Keys.create_keystore (Engine.rng engine) in
   let commits = Commits.create engine in
   let adversary =
@@ -64,7 +64,7 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?advers
      executes at the observer replica. *)
   let on_commit : (int -> unit) ref = ref (fun _ -> ()) in
   let c, nodes =
-    Network.spawn network ~cpu_scale ~n ~inbox_mode:(Config.inbox_mode cfg) ~handle:Pbft.handle
+    Network.spawn network ~n ~inbox_mode:(Config.inbox_mode cfg) ~handle:Pbft.handle
       (Pbft.create ~engine ~keystore ~costs ~config:cfg ~adversary ~enclave_base_id:0
          ~execute:(fun ~member ~seq:_ batch ->
            if member = observer then begin

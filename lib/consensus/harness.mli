@@ -38,7 +38,6 @@ val run :
   ?adversary:Pbft.adversary ->
   ?crashes:(int * float) list ->
   ?recovers:(int * float) list ->
-  ?cpu_scale:float ->
   ?costs:Repro_crypto.Cost_model.t ->
   ?tune:(Config.t -> Config.t) ->
   ?probe:Repro_obs.Probe.t ->
@@ -60,9 +59,9 @@ val run :
     inbox reopens and the replica runs checkpoint catch-up
     ({!Pbft.notify_recovered}) for the slots it missed; the observer
     ({!Pbft.observer}) is moved to the first member that stays honest and
-    alive.  [cpu_scale] multiplies every
-    CPU charge — 1.0 models the paper's 3.5 GHz Xeon cluster servers, 3.5
-    the 2-vCPU GCP instances.  [tune] post-processes the default
+    alive.  The [topology] is the whole testbed: it sets every CPU
+    charge's scale ({!Repro_sim.Topology.cpu_scale}) and AHLR's relay
+    timing ({!Config.default}).  [tune] post-processes the default
     {!Config.t} (checkpoint interval, timeouts) for ablations.  [probe] (default
     disabled) threads observability through the committee and transport:
     PBFT phase/view-change events, network delivery latency and drop

@@ -31,11 +31,9 @@ type replica = {
 type committee = {
   engine : Engine.t;
   keystore : Keys.keystore;
-  costs : Cost_model.t;
   flavour : flavour;
   n : int;
   f : int;
-  batch_max : int;
   commits : Commits.t; (* logged at member 0 *)
   mutable round_changes : int;
   send_cb : src:int -> dst:int -> channel:Inbox.channel -> bytes:int -> msg -> unit;
@@ -52,6 +50,10 @@ let request_channel = Inbox.Request
 let commit_overhead = 0.15
 
 let round_timeout = 1.0
+
+let batch_max = 200 (* requests per proposal *)
+
+let costs = Cost_model.default
 
 let bytes_of_msg = function
   | Req _ -> request_bytes
@@ -89,7 +91,7 @@ let rec try_propose c r =
              proposer) while building the batch. *)
           let batch = ref [] in
           let budget = ref (Queue.length r.pool) in
-          while List.length !batch < c.batch_max && !budget > 0 do
+          while List.length !batch < batch_max && !budget > 0 do
             decr budget;
             let req = Queue.take r.pool in
             if not (Idset.mem r.executed req.req_id) then batch := req :: !batch
@@ -111,21 +113,21 @@ let rec try_propose c r =
         r.proposed_this_round <- true;
         charge c r
           ((float_of_int (List.length batch) *. Config.client_sig_verify)
-          +. c.costs.Cost_model.ecdsa_sign);
+          +. costs.Cost_model.ecdsa_sign);
         Hashtbl.replace r.proposals (r.height, r.round) (digest, batch);
         broadcast c r (Proposal { height = r.height; round = r.round; digest; batch; proposer = r.index });
         on_proposal c r ~height:r.height ~round:r.round ~digest ~batch ~charge_batch:false
   end
 
 and prevote c r ~height ~round ~digest =
-  charge c r c.costs.Cost_model.ecdsa_sign;
+  charge c r costs.Cost_model.ecdsa_sign;
   broadcast c r (Prevote { height; round; digest; sender = r.index });
   count_prevote c r ~height ~round ~digest ~sender:r.index
 
 and on_proposal c r ~height ~round ~digest ~batch ~charge_batch =
   if charge_batch then
     charge c r
-      (c.costs.Cost_model.ecdsa_verify
+      (costs.Cost_model.ecdsa_verify
       +. (float_of_int (List.length batch) *. Config.client_sig_verify));
   if height = r.height && round = r.round then begin
     Hashtbl.replace r.proposals (height, round) (digest, batch);
@@ -156,7 +158,7 @@ and count_prevote c r ~height ~round ~digest ~sender =
       | Some _ | None -> ());
       match r.locked with
       | Some (d, _, _) when d = digest ->
-          charge c r c.costs.Cost_model.ecdsa_sign;
+          charge c r costs.Cost_model.ecdsa_sign;
           broadcast c r (Precommit { height; round; digest; sender = r.index });
           count_precommit c r ~height ~round ~digest ~sender:r.index
       | Some _ | None -> ()
@@ -193,7 +195,7 @@ and batch_for _c r ~height ~digest =
 
 and commit c r ~batch =
   let fresh = List.filter (fun q -> not (Idset.mem r.executed q.req_id)) batch in
-  charge c r (commit_overhead +. (float_of_int (List.length fresh) *. c.costs.Cost_model.tx_execute));
+  charge c r (commit_overhead +. (float_of_int (List.length fresh) *. costs.Cost_model.tx_execute));
   List.iter
     (fun q ->
       Idset.add r.executed q.req_id;
@@ -242,10 +244,10 @@ let handle c ~member m =
       if proposer = proposer_of c ~height ~round then
         on_proposal c r ~height ~round ~digest ~batch ~charge_batch:true
   | Prevote { height; round; digest; sender } ->
-      charge c r c.costs.Cost_model.ecdsa_verify;
+      charge c r costs.Cost_model.ecdsa_verify;
       count_prevote c r ~height ~round ~digest ~sender
   | Precommit { height; round; digest; sender } ->
-      charge c r c.costs.Cost_model.ecdsa_verify;
+      charge c r costs.Cost_model.ecdsa_verify;
       count_precommit c r ~height ~round ~digest ~sender
 
 let start c =
@@ -262,16 +264,14 @@ let start c =
         watchdog)
     c.replicas
 
-let create ~engine ~keystore ~costs ~flavour ~n ~batch_max ~commits ~send ~charge =
+let create ~engine ~keystore ~flavour ~n ~commits ~send ~charge =
   let c =
     {
       engine;
       keystore;
-      costs;
       flavour;
       n;
       f = (n - 1) / 3;
-      batch_max;
       commits;
       round_changes = 0;
       send_cb = send;

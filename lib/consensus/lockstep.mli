@@ -22,15 +22,15 @@ type committee
 val create :
   engine:Repro_sim.Engine.t ->
   keystore:Repro_crypto.Keys.keystore ->
-  costs:Repro_crypto.Cost_model.t ->
   flavour:flavour ->
   n:int ->
-  batch_max:int ->
   commits:Repro_sim.Commits.t ->
   send:(src:int -> dst:int -> channel:Repro_sim.Inbox.channel -> bytes:int -> msg -> unit) ->
   charge:(member:int -> float -> unit) ->
   committee
-(** [commits] logs every transaction member 0 executes. *)
+(** [commits] logs every transaction member 0 executes.  Proposals carry
+    at most 200 requests, and every signature and execution is charged at
+    {!Repro_crypto.Cost_model.default}. *)
 
 val start : committee -> unit
 

@@ -30,7 +30,11 @@ let plus_l_bits ~n =
    re-enter the race without being able to redraw a prior slot. *)
 let slot ~height ~attempt = (height * 64) + Int.min 63 attempt
 
-let run ?(seed = 7L) ?(duration = 600.0) ~n ~topology ~block_mb ~block_time ~l_bits ~tx_bytes () =
+let block_time = 18.0 (* target mean interval between valid certificates *)
+
+let tx_bytes = 500
+
+let run ?(seed = 7L) ?(duration = 600.0) ~n ~topology ~block_mb ~l_bits () =
   let engine = Engine.create ~seed in
   let keystore = Keys.create_keystore (Engine.rng engine) in
   let costs = Cost_model.default in

@@ -28,15 +28,14 @@ val run :
   n:int ->
   topology:Repro_sim.Topology.t ->
   block_mb:float ->
-  block_time:float ->
   l_bits:int ->
-  tx_bytes:int ->
   unit ->
   result
-(** [l_bits = 0] is plain PoET.  [block_time] is the target mean interval
-    between valid certificates network-wide; the per-node exponential mean
-    is scaled by n·2^-l to keep it constant across configurations, as the
-    Sawtooth difficulty adjustment does. *)
+(** [l_bits = 0] is plain PoET.  Blocks of [block_mb] MiB hold 500-byte
+    transactions.  The target mean interval between valid certificates
+    network-wide is 18 s; the per-node exponential mean is scaled by
+    n·2^-l to keep it constant across configurations, as the Sawtooth
+    difficulty adjustment does. *)
 
 val plus_l_bits : n:int -> int
 (** The paper's PoET+ setting l = log₂(N)/2, rounded. *)

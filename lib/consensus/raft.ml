@@ -35,7 +35,6 @@ type replica = {
 type cluster = {
   engine : Engine.t;
   n : int;
-  batch_max : int;
   commits : Commits.t; (* logged at member 0 *)
   mutable elections : int;
   send_cb : src:int -> dst:int -> channel:Inbox.channel -> bytes:int -> msg -> unit;
@@ -56,6 +55,8 @@ let block_overhead = 0.08
 let heartbeat_period = 0.15
 
 let election_timeout_base = 0.6
+
+let batch_max = 200 (* requests per block *)
 
 let bytes_of_msg = function
   | Req _ -> request_bytes
@@ -91,7 +92,7 @@ let reset_election_deadline c r =
 let rec try_replicate c r =
   if is_leader r && Option.is_none r.in_flight && not (Queue.is_empty r.pool) then begin
     let batch = ref [] in
-    let count = Int.min c.batch_max (Queue.length r.pool) in
+    let count = Int.min batch_max (Queue.length r.pool) in
     for _ = 1 to count do
       batch := Queue.take r.pool :: !batch
     done;
@@ -251,12 +252,11 @@ let start c =
         tick)
     c.replicas
 
-let create ~engine ~n ~batch_max ~commits ~send ~charge =
+let create ~engine ~n ~commits ~send ~charge =
   let c =
     {
       engine;
       n;
-      batch_max;
       commits;
       elections = 0;
       send_cb = send;

@@ -15,12 +15,12 @@ type cluster
 val create :
   engine:Repro_sim.Engine.t ->
   n:int ->
-  batch_max:int ->
   commits:Repro_sim.Commits.t ->
   send:(src:int -> dst:int -> channel:Repro_sim.Inbox.channel -> bytes:int -> msg -> unit) ->
   charge:(member:int -> float -> unit) ->
   cluster
-(** [commits] logs every transaction member 0 executes. *)
+(** [commits] logs every transaction member 0 executes.  A block carries
+    at most 200 requests. *)
 
 val start : cluster -> unit
 

@@ -65,10 +65,11 @@ val length : registry -> int
 (** Live entries; regression surface for the retry-leak bound. *)
 
 val op_cost : Repro_crypto.Cost_model.t -> op -> float
-(** Execution cost charged per replica when the operation runs: prepares
-    and commits touch the lock tuples and state, begin/vote only the
-    coordinator chaincode's bookkeeping; a batch costs the sum of its
-    steps. *)
+(** A per-operation cost model (prepares and commits touch lock tuples and
+    state, begin/vote only bookkeeping; a batch sums its steps) that no run
+    charges: [Pbft.try_execute] charges one [tx_execute] per request, so a
+    batch carrier of up to 128 steps, or a prepare or commit leg of any op
+    count, costs one plain transaction. *)
 
 val op_bytes : op -> int
 (** Wire-size contribution of the operation's payload (beyond the fixed

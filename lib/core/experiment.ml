@@ -80,14 +80,6 @@ let topology_of = function
 
 let site_code = function Cluster -> 0 | Gcp4 -> 4 | Gcp8 -> 8
 
-let cpu_scale_of = function Cluster -> 1.0 | Gcp4 | Gcp8 -> 3.5
-
-(* On WAN deployments the relay deadline must absorb round-trip jitter. *)
-let tune_of site (c : Config.t) =
-  match site with
-  | Cluster -> c
-  | Gcp4 | Gcp8 -> { c with Config.relay_timeout = 2.5; relay_tail_prob = 0.005 }
-
 (* Keyed once-cell: when parallel datapoints request the same
    configuration, exactly one computes it and the rest share the cell. *)
 let pbft_cache : (string * int * int * int * bool * bool, Harness.result) Memo.t =
@@ -121,14 +113,10 @@ let run_pbft ~quick ~byzantine ~leader_attack ~site ~variant ~n =
             }
         else None
       in
-      let tune c =
-        let c = tune_of site c in
-        if leader_attack then { c with Config.progress_timeout = 1.0 } else c
-      in
+      let tune c = if leader_attack then { c with Config.progress_timeout = 1.0 } else c in
       let clients = if leader_attack then n else 10 in
-      Harness.run ~duration:(duration ~quick) ~warmup ~byzantine ?adversary
-        ~cpu_scale:(cpu_scale_of site) ~tune ~probe ~variant ~n
-        ~topology:(topology_of site)
+      Harness.run ~duration:(duration ~quick) ~warmup ~byzantine ?adversary ~tune ~probe ~variant
+        ~n ~topology:(topology_of site)
         ~workload:(Harness.Open_loop { rate = 2200.0; clients })
         ())
 
@@ -164,8 +152,7 @@ let run_baseline ~protocol ~n ~clients ~rate ~duration:dur =
   let engine = Engine.create ~seed:1L in
   let create = protocol engine in
   let commits = Commits.create engine in
-  let topology = Topology.lan () in
-  let network = Network.create engine ~topology in
+  let network = Network.create engine ~topology:(Topology.lan ()) in
   let c, _ =
     Network.spawn network ~n ~inbox_mode:(Inbox.Shared 5000)
       ~handle:(fun c -> c.handle)
@@ -193,10 +180,7 @@ let run_baseline ~protocol ~n ~clients ~rate ~duration:dur =
 let lockstep flavour engine =
   let keystore = Keys.create_keystore (Engine.rng engine) in
   fun ~n ~commits ~send ~charge ->
-    let c =
-      Lockstep.create ~engine ~keystore ~costs:Cost_model.default ~flavour ~n ~batch_max:200
-        ~commits ~send ~charge
-    in
+    let c = Lockstep.create ~engine ~keystore ~flavour ~n ~commits ~send ~charge in
     {
       start = (fun () -> Lockstep.start c);
       handle = Lockstep.handle c;
@@ -205,7 +189,7 @@ let lockstep flavour engine =
     }
 
 let raft engine ~n ~commits ~send ~charge =
-  let c = Raft.create ~engine ~n ~batch_max:200 ~commits ~send ~charge in
+  let c = Raft.create ~engine ~n ~commits ~send ~charge in
   {
     start = (fun () -> Raft.start c);
     handle = Raft.handle c;
@@ -233,8 +217,6 @@ let run_shards ~quick ?(site = Cluster) ?(mode = System.With_reference)
       concurrency;
       variant;
       topology = topology_of site;
-      cpu_scale = cpu_scale_of site;
-      tune = tune_of site;
       fast_lane;
     }
   in
@@ -340,8 +322,7 @@ let poet_panel ~quick ~title pick =
             (fun n (mb, plus) ->
               let block_mb = float_of_int mb and l_bits = if plus then Poet.plus_l_bits ~n else 0 in
               Memo.get poet_cache (n, block_mb, l_bits, quick) (fun () ->
-                  Poet.run ~n ~topology ~block_mb ~block_time:18.0 ~l_bits ~tx_bytes:500
-                    ~duration:dur ()))))
+                  Poet.run ~n ~topology ~block_mb ~l_bits ~duration:dur ()))))
 
 (* ------------------------------------------------------------------ *)
 (* Appendices                                                          *)
@@ -759,8 +740,8 @@ let figures : (string * (quick:bool -> Results.figure)) list =
                  (fun clients variant ->
                    let offered = Float.min rate (32.0 *. float_of_int clients) in
                    throughput
-                     (Harness.run ~duration:(duration ~quick) ~warmup ~cpu_scale:(cpu_scale_of Gcp8)
-                        ~tune:(tune_of Gcp8) ~variant ~n:19 ~topology:(topology_of Gcp8)
+                     (Harness.run ~duration:(duration ~quick) ~warmup ~variant ~n:19
+                        ~topology:(topology_of Gcp8)
                         ~workload:(Harness.Open_loop { rate = offered; clients })
                         ())))
         in

@@ -21,11 +21,9 @@ type config = {
   committee_size : int;
   variant : Config.variant;
   topology : Topology.t;
-  cpu_scale : float;
   mode : coordination_mode;
   concurrency : concurrency_control;
   seed : int64;
-  tune : Config.t -> Config.t;
   fast_lane : bool;
       (* DESIGN §18: route all-mergeable transactions down the lock-free
          delta lane instead of 2PC+2PL *)
@@ -37,11 +35,9 @@ let default_config ~shards ~committee_size =
     committee_size;
     variant = Config.ahl_plus;
     topology = Topology.lan ();
-    cpu_scale = 1.0;
     mode = With_reference;
     concurrency = Two_phase_locking;
     seed = 1L;
-    tune = Fun.id;
     fast_lane = false;
   }
 
@@ -123,6 +119,7 @@ type decision_event = { at : float; txid : int; shard : int; commit : bool }
 
 type t = {
   cfg : config;
+  cpu_scale : float; (* the topology's, read once *)
   engine : Engine.t;
   network : Pbft.msg Network.t;
   registry : Coordination.registry;
@@ -197,7 +194,7 @@ let deliver_op t ~committee ~client op =
          [client_sig_verify]). *)
       Node.charge ctx.nodes.(member)
         (float_of_int (List.length steps)
-        *. Config.client_sig_verify *. t.cfg.cpu_scale)
+        *. Config.client_sig_verify *. t.cpu_scale)
   | _ -> ());
   let dst = ctx.base + member in
   let msg = Pbft.request req in
@@ -465,7 +462,7 @@ let fold_lane t ctx =
       Probe.incr t.probe "merge.folds";
       Probe.observe t.probe "merge.fold.depth" (float_of_int depth);
       let dur =
-        float_of_int count *. Cost_model.default.Cost_model.tx_execute *. t.cfg.cpu_scale
+        float_of_int count *. Cost_model.default.Cost_model.tx_execute *. t.cpu_scale
       in
       Probe.span t.probe ~time:(Engine.now t.engine) ~dur ~cat:"merge"
         ~node:("s" ^ string_of_int ctx.index)
@@ -750,7 +747,7 @@ let transfer_cost t pkg =
   let transfer = State_transfer.transfer_time t.cfg.topology pkg in
   let verify =
     float_of_int (State_transfer.size_bytes pkg / 64)
-    *. Cost_model.default.Cost_model.sha256 *. t.cfg.cpu_scale
+    *. Cost_model.default.Cost_model.sha256 *. t.cpu_scale
   in
   if Probe.enabled t.probe then begin
     Probe.observe t.probe "ckpt.transfer_bytes" (float_of_int (State_transfer.size_bytes pkg));
@@ -772,6 +769,7 @@ let create cfg =
   let t =
     {
       cfg;
+      cpu_scale = Topology.cpu_scale cfg.topology;
       engine;
       network;
       registry;
@@ -791,7 +789,7 @@ let create cfg =
   let make_committee index =
     let n = cfg.committee_size in
     let base = index * n in
-    let pbft_cfg = cfg.tune (Config.default cfg.variant ~n) in
+    let pbft_cfg = Config.default cfg.variant ~n ~topology:cfg.topology in
     let state = State.create () in
     let chain = Block.Chain.create ~state_root:(State.root state) in
     (* Blocks execute only once the run starts, after [t.committees] is
@@ -809,7 +807,7 @@ let create cfg =
       end
     in
     let pbft, nodes =
-      Network.spawn network ~base ~cpu_scale:cfg.cpu_scale ~n
+      Network.spawn network ~base ~n
         ~inbox_mode:(Config.inbox_mode pbft_cfg) ~handle:Pbft.handle
         (Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:pbft_cfg
            ~adversary:Pbft.honest ~enclave_base_id:base ~execute)

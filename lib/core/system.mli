@@ -39,11 +39,10 @@ type config = {
   committee_size : int;
   variant : Repro_consensus.Config.variant;
   topology : Repro_sim.Topology.t;
-  cpu_scale : float;
+      (** the testbed: it sets the CPU scale and AHLR's relay timing *)
   mode : coordination_mode;
   concurrency : concurrency_control;
   seed : int64;
-  tune : Repro_consensus.Config.t -> Repro_consensus.Config.t;
   fast_lane : bool;
       (** route all-mergeable transactions down the lock-free delta lane
           (DESIGN §18): deltas append per shard with no prepare/vote round

@@ -105,7 +105,7 @@ let send_external t ~src_region ~dst ~channel ~bytes msg =
 let broadcast t ~src ~dsts ~channel ~bytes msg =
   List.iter (fun dst -> if dst <> Node.id src then send t ~src ~dst ~channel ~bytes msg) dsts
 
-let spawn t ?(base = 0) ?(cpu_scale = 1.0) ~n ~inbox_mode ~handle make =
+let spawn t ?(base = 0) ~n ~inbox_mode ~handle make =
   (* Handlers fire only on delivery, after [make] has returned. *)
   let committee = ref None in
   let nodes =
@@ -117,6 +117,7 @@ let spawn t ?(base = 0) ?(cpu_scale = 1.0) ~n ~inbox_mode ~handle make =
   let send ~src ~dst ~channel ~bytes msg =
     send t ~src:nodes.(src) ~dst:(base + dst) ~channel ~bytes msg
   in
+  let cpu_scale = Topology.cpu_scale t.topology in
   let charge ~member cost = Node.charge nodes.(member) (cost *. cpu_scale) in
   let c = make ~send ~charge in
   committee := Some c;

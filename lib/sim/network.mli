@@ -40,7 +40,6 @@ val broadcast :
 val spawn :
   'msg t ->
   ?base:int ->
-  ?cpu_scale:float ->
   n:int ->
   inbox_mode:Inbox.mode ->
   handle:('c -> member:int -> 'msg -> unit) ->
@@ -51,8 +50,9 @@ val spawn :
 (** Put a committee of [n] members on the network: create and register
     nodes [base .. base+n-1] (default [base] 0), build the committee with
     member-indexed [send] (to node [base + dst]) and [charge] (every cost
-    multiplied by [cpu_scale], default 1.0), and route each node's
-    deliveries to [handle committee ~member].  Draws no randomness. *)
+    multiplied by the topology's {!Topology.cpu_scale}, read once here),
+    and route each node's deliveries to [handle committee ~member].  Draws
+    no randomness. *)
 
 val set_probe : 'msg t -> Repro_obs.Probe.t -> unit
 (** Install an observability probe (default {!Repro_obs.Probe.none}):

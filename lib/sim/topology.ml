@@ -3,8 +3,8 @@ open Repro_util
 type t = {
   nregions : int;
   latency_s : float array array; (* mean one-way latency between regions *)
-  jitter : float; (* relative spread *)
   bandwidth_bps : float;
+  cpu_scale : float; (* CPU-charge multiplier of the testbed's machines *)
 }
 
 let gcp_region_names =
@@ -26,6 +26,9 @@ let gcp_latency_matrix_ms =
     [| 132.1; 134.9; 88.1; 76.6; 252.1; 283.9; 7.1; 0.0 |];
   |]
 
+(* Relative spread of every link's delay. *)
+let jitter = 0.1
+
 (* Delay within one region / between colocated instances. *)
 let intra_region_s = 0.4e-3
 
@@ -33,8 +36,8 @@ let constrained_lan ~latency_ms ~bandwidth_mbps =
   {
     nregions = 1;
     latency_s = [| [| latency_ms *. 1e-3 |] |];
-    jitter = 0.1;
     bandwidth_bps = bandwidth_mbps *. 1e6;
+    cpu_scale = 1.0;
   }
 
 let lan () = constrained_lan ~latency_ms:0.3 ~bandwidth_mbps:1000.0
@@ -49,12 +52,13 @@ let gcp n =
   {
     nregions = n;
     latency_s;
-    jitter = 0.1;
     bandwidth_bps = 100.0 *. 1e6;
+    cpu_scale = 3.5;
   }
 
-
 let regions t = t.nregions
+
+let cpu_scale t = t.cpu_scale
 
 let region_of_node t node = node mod t.nregions
 
@@ -64,7 +68,7 @@ let latency t rng ~src_region ~dst_region =
   let base = t.latency_s.(src_region).(dst_region) in
   let base = Float.max base intra_region_s in
   (* Symmetric relative jitter, truncated at zero. *)
-  let j = 1.0 +. ((Rng.float rng 2.0 -. 1.0) *. t.jitter) in
+  let j = 1.0 +. ((Rng.float rng 2.0 -. 1.0) *. jitter) in
   Float.max 0.0 (base *. j)
 
 let transfer_time t ~bytes = float_of_int (8 * bytes) /. t.bandwidth_bps

@@ -1,10 +1,10 @@
-(** Network topology: node placement, propagation latency, and bandwidth.
+(** Network topology: node placement, latency, bandwidth and CPU speed.
 
     Two families are provided, matching the paper's two testbeds:
-    - [lan]: the in-house 100-server cluster (sub-millisecond latency,
-      gigabit links);
-    - [gcp n]: Google Cloud Platform with the first [n] of the 8 regions of
-      Table 3 (measured inter-region round-trip latencies). *)
+    - [lan]: the in-house 100-server cluster of 3.5 GHz Xeons
+      (sub-millisecond latency, gigabit links);
+    - [gcp n]: 2-vCPU Google Cloud Platform instances in the first [n] of
+      the 8 regions of Table 3 (measured inter-region round-trip latencies). *)
 
 type t
 
@@ -22,6 +22,10 @@ val gcp : int -> t
     100 Mbps per flow. *)
 
 val regions : t -> int
+
+val cpu_scale : t -> float
+(** Multiplier on every CPU charge: 1.0 on the cluster ([lan],
+    [constrained_lan]), 3.5 on the GCP instances ([gcp]). *)
 
 val region_of_node : t -> int -> int
 (** Round-robin placement of node ids onto regions. *)

@@ -74,16 +74,27 @@ let test_quorum_forget_below_keeps_uncertified () =
 (* ------------------------------------------------------------------ *)
 
 let test_config_quorum_rules () =
-  let hl = Config.default Config.hl ~n:7 in
+  let hl = Config.default Config.hl ~n:7 ~topology:(Topology.lan ()) in
   Alcotest.(check int) "HL f" 2 (Config.f_of hl);
   Alcotest.(check int) "HL quorum 2f+1" 5 (Config.quorum_size hl);
-  let ahl = Config.default Config.ahl_plus ~n:7 in
+  let ahl = Config.default Config.ahl_plus ~n:7 ~topology:(Topology.lan ()) in
   Alcotest.(check int) "AHL f" 3 (Config.f_of ahl);
   Alcotest.(check int) "AHL quorum f+1" 4 (Config.quorum_size ahl)
 
 let test_config_n_for_f () =
   Alcotest.(check int) "HL 3f+1" 16 (Config.n_for_f Config.hl ~f:5);
   Alcotest.(check int) "AHL 2f+1" 11 (Config.n_for_f Config.ahl_plus ~f:5)
+
+let test_config_relay_timing () =
+  (* The topology sets AHLR's relay timing: the cluster's 1 s deadline
+     with a 1% tail, and across GCP regions 2.5 s with a 0.5% tail. *)
+  let relay topology =
+    let c = Config.default Config.ahlr ~n:7 ~topology in
+    (c.Config.relay_timeout, c.Config.relay_tail_prob)
+  in
+  let pair = Alcotest.(pair (float 0.0) (float 0.0)) in
+  Alcotest.check pair "lan" (1.0, 0.01) (relay (Topology.lan ()));
+  Alcotest.check pair "gcp 8" (2.5, 0.005) (relay (Topology.gcp 8))
 
 let test_honest_adversary_flags () =
   (* The throughput experiments' scripted adversary: conflicting-message
@@ -118,7 +129,7 @@ type fixture = {
 
 let make_fixture ?(variant = Config.ahl_plus) ?(n = 5) ?(byzantine = []) () =
   let engine = Engine.create ~seed:11L in
-  let cfg = Config.default variant ~n in
+  let cfg = Config.default variant ~n ~topology:(Topology.lan ()) in
   let keystore = Keys.create_keystore (Engine.rng engine) in
   let network = Network.create engine ~topology:(Topology.lan ()) in
   let executions = Hashtbl.create 8 in
@@ -305,7 +316,8 @@ let test_adversary_roster () =
     match
       Pbft.create ~engine
         ~keystore:(Keys.create_keystore (Engine.rng engine))
-        ~costs:Cost_model.default ~config:(Config.default Config.ahl ~n:5)
+        ~costs:Cost_model.default
+        ~config:(Config.default Config.ahl ~n:5 ~topology:(Topology.lan ()))
         ~adversary:{ Pbft.honest with Pbft.byzantine } ~enclave_base_id:0
         ~send:(fun ~src:_ ~dst:_ ~channel:_ ~bytes:_ _ -> ())
         ~charge:(fun ~member:_ _ -> ())
@@ -369,8 +381,7 @@ let make_lockstep ?(flavour = Lockstep.Tendermint) ~n () =
   let network = Network.create engine ~topology:(Topology.lan ()) in
   let c, nodes =
     Network.spawn network ~n ~inbox_mode:(Inbox.Shared 5000) ~handle:Lockstep.handle
-      (Lockstep.create ~engine ~keystore ~costs:Cost_model.default ~flavour ~n ~batch_max:50
-         ~commits)
+      (Lockstep.create ~engine ~keystore ~flavour ~n ~commits)
   in
   Lockstep.start c;
   (engine, network, nodes, c, commits)
@@ -429,7 +440,7 @@ let make_raft ~n () =
   let network = Network.create engine ~topology:(Topology.lan ()) in
   let c, nodes =
     Network.spawn network ~n ~inbox_mode:(Inbox.Shared 5000) ~handle:Raft.handle
-      (Raft.create ~engine ~n ~batch_max:50 ~commits)
+      (Raft.create ~engine ~n ~commits)
   in
   Raft.start c;
   (engine, network, nodes, c, commits)
@@ -495,7 +506,7 @@ let test_poet_basic_run () =
   let r =
     Poet.run ~n:8
       ~topology:(Topology.constrained_lan ~latency_ms:100.0 ~bandwidth_mbps:50.0)
-      ~block_mb:2.0 ~block_time:18.0 ~l_bits:0 ~tx_bytes:500 ~duration:600.0 ()
+      ~block_mb:2.0 ~l_bits:0 ~duration:600.0 ()
   in
   Alcotest.(check bool) "blocks adopted" true (r.Poet.adopted > 0);
   Alcotest.(check bool) "adopted <= produced" true (r.Poet.adopted <= r.Poet.produced);
@@ -506,7 +517,7 @@ let test_poet_plus_reduces_stale () =
   let run l_bits =
     Poet.run ~n:32
       ~topology:(Topology.constrained_lan ~latency_ms:100.0 ~bandwidth_mbps:50.0)
-      ~block_mb:8.0 ~block_time:18.0 ~l_bits ~tx_bytes:500 ~duration:2400.0 ()
+      ~block_mb:8.0 ~l_bits ~duration:2400.0 ()
   in
   let plain = run 0 and plus = run (Poet.plus_l_bits ~n:32) in
   Alcotest.(check bool) "PoET+ stales less" true (plus.Poet.stale_rate < plain.Poet.stale_rate)
@@ -681,7 +692,9 @@ let test_pbft_first_cert_on_the_interval () =
   Engine.run fx.engine ~until:15.0;
   let blocks = Pbft.last_executed fx.committee ~member:0 in
   Alcotest.(check bool) "scenario stayed inside one interval" true (blocks >= 16 && blocks < 32);
-  let quorum = Config.quorum_size (Config.default Config.ahl_plus ~n:4) in
+  let quorum =
+    Config.quorum_size (Config.default Config.ahl_plus ~n:4 ~topology:(Topology.lan ()))
+  in
   (* Replicas at equal last_executed hold equal execution-chain roots —
      the property that makes the root a certifiable digest at all. *)
   List.iter
@@ -812,7 +825,9 @@ let test_vc_backoff_cap_recovers_from_failed_view_changes () =
     in
     (r, capped)
   in
-  let default_cap = (Config.default Config.ahl ~n:15).Config.vc_backoff_cap in
+  let default_cap =
+    (Config.default Config.ahl ~n:15 ~topology:(Topology.lan ())).Config.vc_backoff_cap
+  in
   Alcotest.(check int) "default cap is 3" 3 default_cap;
   let r, capped = run default_cap in
   Alcotest.(check bool) "cap binds during the stall run" true (capped > 0);
@@ -990,6 +1005,7 @@ let () =
           Alcotest.test_case "quorum rules" `Quick test_config_quorum_rules;
           Alcotest.test_case "n_for_f" `Quick test_config_n_for_f;
           Alcotest.test_case "variant flags" `Quick test_config_variant_flags;
+          Alcotest.test_case "relay timing follows the topology" `Quick test_config_relay_timing;
           Alcotest.test_case "default byz strategy" `Quick test_honest_adversary_flags;
         ] );
       ( "pbft",

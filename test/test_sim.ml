@@ -121,12 +121,15 @@ let test_engine_determinism () =
 let test_topology_lan_single_region () =
   let t = Topology.lan () in
   Alcotest.(check int) "one region" 1 (Topology.regions t);
-  Alcotest.(check int) "all nodes region 0" 0 (Topology.region_of_node t 17)
+  Alcotest.(check int) "all nodes region 0" 0 (Topology.region_of_node t 17);
+  check_float "cluster cpu scale" 1.0 (Topology.cpu_scale t)
 
 let test_topology_gcp_regions () =
   let t = Topology.gcp 8 in
   Alcotest.(check int) "eight regions" 8 (Topology.regions t);
-  Alcotest.(check int) "round robin" 3 (Topology.region_of_node t 11)
+  Alcotest.(check int) "round robin" 3 (Topology.region_of_node t 11);
+  check_float "gcp 8 cpu scale" 3.5 (Topology.cpu_scale t);
+  check_float "gcp 4 cpu scale" 3.5 (Topology.cpu_scale (Topology.gcp 4))
 
 let test_topology_gcp_bad_count () =
   Alcotest.check_raises "9 regions" (Sim_error.Invalid "Topology.gcp: regions must be in 1..8")
@@ -410,11 +413,11 @@ let test_network_broadcast_excludes_self () =
 
 let test_network_spawn () =
   (* Members are indexed from 0 but live at node ids [base ..]; every
-     charge is scaled by [cpu_scale]. *)
+     charge is scaled by the topology's CPU scale (3.5 on GCP). *)
   let e = Engine.create ~seed:1L in
-  let net = Network.create e ~topology:(Topology.lan ()) in
+  let net = Network.create e ~topology:(Topology.gcp 8) in
   let (send, charge, received), nodes =
-    Network.spawn net ~base:3 ~cpu_scale:2.0 ~n:2 ~inbox_mode:(Inbox.Shared 10)
+    Network.spawn net ~base:3 ~n:2 ~inbox_mode:(Inbox.Shared 10)
       ~handle:(fun (_, _, received) ~member m ->
         received := (member, m, Engine.now e) :: !received)
       (fun ~send ~charge -> (send, charge, ref []))
@@ -432,11 +435,11 @@ let test_network_spawn () =
   | _ -> Alcotest.fail "node 4 is member 1");
   let start = Engine.now e in
   charge ~member:0 0.5;
-  check_float "busy for twice the charge" 1.0 (Node.charged nodes.(0));
+  check_float "busy for 3.5 times the charge" 1.75 (Node.charged nodes.(0));
   ignore (Node.deliver nodes.(0) Inbox.Consensus "queued");
   Engine.run_until_idle e;
   match !received with
-  | (0, "queued", at) :: _ -> check_float "handled once the CPU frees" (start +. 1.0) at
+  | (0, "queued", at) :: _ -> check_float "handled once the CPU frees" (start +. 1.75) at
   | _ -> Alcotest.fail "expected member 0 to handle the queued message"
 
 let test_network_send_external () =
@@ -511,7 +514,8 @@ let test_topology_constrained_lan () =
   Alcotest.(check bool) "around 100ms" true (l > 0.08 && l < 0.12);
   (* 4 MB at 50 Mbps ~ 0.67 s *)
   Alcotest.(check (float 0.02)) "transfer" 0.671
-    (Topology.transfer_time t ~bytes:(4 * 1024 * 1024))
+    (Topology.transfer_time t ~bytes:(4 * 1024 * 1024));
+  check_float "cluster machines" 1.0 (Topology.cpu_scale t)
 
 let test_commits_throughput_series () =
   let e = Engine.create ~seed:1L in

@@ -86,6 +86,21 @@ let micro_tests () =
     Workload.setup wl sys ~initial_balance:1_000;
     Staged.stage (fun () -> Workload.next_tx wl sys ~client:0)
   in
+  (* SmallBank genesis on 6 shards x 1,000 accounts: each run gets a
+     fresh system, so nothing pending from an earlier run is forced. *)
+  let setup =
+    Test.make_with_resource ~name:"workload/setup" Test.multiple
+      ~allocate:(fun () ->
+        ( System.create (System.default_config ~shards:6 ~committee_size:3),
+          Workload.create Workload.Smallbank ~keyspace:1_000 ~theta:0.99 ~rng:(Rng.create 5L) ))
+      ~free:ignore
+      (Staged.stage (fun (sys, wl) -> Workload.setup wl sys ~initial_balance:1_000))
+  in
+  (* Key->shard routing over 1,024 checking keys (8-11 bytes each). *)
+  let route_keys =
+    Array.init 1_024 (fun i -> Repro_ledger.Smallbank_cc.checking_key ("acc" ^ string_of_int i))
+  in
+  let route_cursor = ref 0 in
   (* The event queue in the hold model: the engine holds 9,000 pending
      events (about [consensus_n79]'s traced queue depth), and each op fires
      the earliest, which schedules one fresh closure ([hold_event (k + 1)]
@@ -169,6 +184,11 @@ let micro_tests () =
       (Staged.stage (fun () ->
            List.iter (fun op -> ignore (Coordination.register registry op)) xshard_steps;
            Coordination.release registry ~txid:7));
+    Test.make ~name:"tx/shard-of-key"
+      (Staged.stage (fun () ->
+           route_cursor := (!route_cursor + 1) land 1_023;
+           Repro_ledger.Tx.shard_of_key ~shards:12 route_keys.(!route_cursor)));
+    setup;
     Test.make ~name:"next-tx/kvstore" (next_tx (Workload.Kvstore { updates_per_tx = 3 }));
     Test.make ~name:"next-tx/smallbank" (next_tx Workload.Smallbank);
     Test.make ~name:"next-tx/hot-increments"

@@ -32,7 +32,12 @@ val create :
 
 val setup : t -> System.t -> initial_balance:int -> unit
 (** Materialize initial state in every shard (SmallBank account balances;
-    KVStore needs nothing). *)
+    KVStore needs nothing).  Checking balances are written at once;
+    savings balances, which no generated transaction touches, are one
+    {!Repro_ledger.State.defer} fill over the shard states, run when a
+    reader first needs them (a savings key, a snapshot, a root, a state
+    transfer).  Either way every reader sees what funding both at once
+    would show. *)
 
 val next_tx : t -> System.t -> client:int -> Repro_ledger.Tx.t
 (** Generate the next transaction (fresh txid, current virtual time). *)

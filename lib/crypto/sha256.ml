@@ -167,6 +167,68 @@ let digest_concat parts =
   List.iter (feed st) parts;
   finish st
 
+(* [digest_string]'s first word for a message that pads into one block
+   (at most 55 bytes), with the 16-word schedule rolled in place in an
+   array literal: no C allocation call, no block buffer, no digest
+   string.  Longer messages take the general path. *)
+let first_word s =
+  let len = String.length s in
+  if len > 55 then Int32.to_int (String.get_int32_be (digest_string s) 0) land mask
+  else begin
+    let w = [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |] in
+    let whole = len lsr 2 in
+    for i = 0 to whole - 1 do
+      let p = 4 * i in
+      Array.unsafe_set w i
+        ((Char.code (String.unsafe_get s p) lsl 24)
+        lor (Char.code (String.unsafe_get s (p + 1)) lsl 16)
+        lor (Char.code (String.unsafe_get s (p + 2)) lsl 8)
+        lor Char.code (String.unsafe_get s (p + 3)))
+    done;
+    (* The word the 0x80 terminator lands in; words up to 14 stay zero
+       and word 15 is the bit length (under 2^32 here). *)
+    let tail = ref (0x80 lsl (24 - (8 * (len land 3)))) in
+    for j = 0 to (len land 3) - 1 do
+      tail := !tail lor (Char.code (String.unsafe_get s ((4 * whole) + j)) lsl (24 - (8 * j)))
+    done;
+    Array.unsafe_set w whole !tail;
+    Array.unsafe_set w 15 (len * 8);
+    let a = ref 0x6a09e667 and b = ref 0xbb67ae85 and c = ref 0x3c6ef372 in
+    let d = ref 0xa54ff53a and e = ref 0x510e527f and f = ref 0x9b05688c in
+    let g = ref 0x1f83d9ab and h = ref 0x5be0cd19 in
+    for i = 0 to 63 do
+      let wi =
+        if i < 16 then Array.unsafe_get w i
+        else begin
+          let x = Array.unsafe_get w ((i - 15) land 15) and y = Array.unsafe_get w ((i - 2) land 15) in
+          let s0 = (x >>> 7) lxor (x >>> 18) lxor (x lsr 3) in
+          let s1 = (y >>> 17) lxor (y >>> 19) lxor (y lsr 10) in
+          let v =
+            (Array.unsafe_get w (i land 15) + s0 + Array.unsafe_get w ((i - 7) land 15) + s1)
+            land mask
+          in
+          Array.unsafe_set w (i land 15) v;
+          v
+        end
+      in
+      let e_ = !e and a_ = !a in
+      let s1 = (e_ >>> 6) lxor (e_ >>> 11) lxor (e_ >>> 25) in
+      let ch = (e_ land !f) lxor (lnot e_ land !g) in
+      let temp1 = !h + s1 + ch + Array.unsafe_get k i + wi in
+      let s0 = (a_ >>> 2) lxor (a_ >>> 13) lxor (a_ >>> 22) in
+      let maj = (a_ land !b) lxor (a_ land !c) lxor (!b land !c) in
+      h := !g;
+      g := !f;
+      f := e_;
+      e := (!d + temp1) land mask;
+      d := !c;
+      c := !b;
+      b := a_;
+      a := (temp1 + s0 + maj) land mask
+    done;
+    (0x6a09e667 + !a) land mask
+  end
+
 let to_hex d =
   let hex = "0123456789abcdef" in
   let out = Bytes.create 64 in

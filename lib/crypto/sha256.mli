@@ -14,6 +14,10 @@ val digest_string : string -> digest
 val digest_concat : string list -> digest
 (** Digest of the concatenation, without building the intermediate string. *)
 
+val first_word : string -> int
+(** The first four bytes of [digest_string s] as a big-endian unsigned
+    int, without building the digest: key→shard routing's hash. *)
+
 val to_hex : digest -> string
 
 exception Not_a_digest of int

@@ -8,6 +8,7 @@
    operations that commute; everything else keeps the 2PC+2PL path. *)
 
 open Repro_crypto
+module Str_table = Repro_util.Str_table
 
 type delta = Tx.delta = Add of int | Maxi of int | Union of string list
 
@@ -70,7 +71,7 @@ type lane = {
   mutable pending : entry list; (* newest first; folded at block boundaries *)
   mutable log_rev : entry list; (* full applied history, for the audit *)
   mutable log_len : int;
-  base : (string, string option) Hashtbl.t; (* state value before first delta *)
+  base : string option Str_table.t; (* state value before first delta *)
   mutable folds : int;
   mutable root : Sha256.digest; (* chained digest over every fold *)
 }
@@ -80,14 +81,15 @@ let lane () =
     pending = [];
     log_rev = [];
     log_len = 0;
-    base = Hashtbl.create 64;
+    base = Str_table.create 64;
     folds = 0;
     root = Sha256.digest_string "merge-lane-genesis";
   }
 
 let append lane state ~txid ~key delta =
-  if not (Hashtbl.mem lane.base key) then
-    Hashtbl.replace lane.base key (State.get_data state key);
+  (match Str_table.find_opt lane.base key with
+  | Some _ -> ()
+  | None -> Str_table.replace lane.base key (State.get_data state key));
   let e = { txid; key; delta = canon delta } in
   lane.pending <- e :: lane.pending;
   lane.log_rev <- e :: lane.log_rev;
@@ -153,7 +155,7 @@ let audit lane state =
   Repro_util.Det.fold ~compare:String.compare
     (fun key entries acc ->
       let scratch = State.create () in
-      (match Hashtbl.find_opt lane.base key with
+      (match Str_table.find_opt lane.base key with
       | Some (Some v) -> State.put scratch key v
       | Some None | None -> ());
       List.iter

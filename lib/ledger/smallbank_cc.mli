@@ -12,6 +12,11 @@ val checking_key : string -> string
 
 val savings_key : string -> string
 
+val is_savings_key : string -> bool
+(** Whether a key is some account's {!savings_key}: the family
+    [Workload.setup] funds through {!State.defer}, since [sendPayment]
+    touches checking balances only. *)
+
 val send_payment_ops : src:string -> dst:string -> amount:int -> Tx.op list
 (** The two-account transfer of the evaluation (reads and writes two
     different states; cross-shard whenever the accounts hash apart). *)

@@ -9,19 +9,60 @@ type value = { data : string; version : int }
 type cell = Num of { n : int; version : int } | Text of value
 
 (* Every string key lives in exactly one table: a key with the "L_" prefix
-   in [locks], filed under its suffix, any other key in [values]. *)
-type t = { values : cell Str_table.t; locks : cell Str_table.t }
+   in [locks], filed under its suffix, any other key in [values].
+   [genesis] is a deferred fill not run yet ({!defer}). *)
+type t = { values : cell Str_table.t; locks : cell Str_table.t; mutable genesis : genesis option }
 
-let create () = { values = Str_table.create 256; locks = Str_table.create 64 }
+(* One fill shared by [sharers]: every sharer points at it until any of
+   them forces it, which detaches all of them before the fill writes. *)
+and genesis = { covers : string -> bool; fill : unit -> unit; sharers : t list }
+
+let create () = { values = Str_table.create 256; locks = Str_table.create 64; genesis = None }
+
+let force t =
+  match t.genesis with
+  | None -> ()
+  | Some g ->
+      List.iter (fun s -> s.genesis <- None) g.sharers;
+      g.fill ()
+
+(* Run the pending fill first if it writes [key] (a lock tuple's base
+   key counts as the tuple's). *)
+let touch t key =
+  match t.genesis with Some g when g.covers key -> force t | Some _ | None -> ()
+
+let holds_lock_in covers t =
+  let found = ref false in
+  Str_table.iter_sorted (fun base _ -> if covers base then found := true) t.locks;
+  !found
+
+(* A lock already held on a covered key would coexist with the pending
+   fill, which [locked_by] refuses: fill at once instead. *)
+let defer states ~covers fill =
+  List.iter force states;
+  if List.exists (holds_lock_in covers) states then fill ()
+  else begin
+    let g = Some { covers; fill; sharers = states } in
+    List.iter (fun s -> s.genesis <- g) states
+  end
 
 let is_lock_key key = String.length key >= 2 && key.[0] = 'L' && key.[1] = '_'
 
 let base_of_lock key = String.sub key 2 (String.length key - 2)
 
 let find t key =
-  if is_lock_key key then Str_table.find_opt t.locks (base_of_lock key)
-  else Str_table.find_opt t.values key
+  if is_lock_key key then begin
+    let base = base_of_lock key in
+    touch t base;
+    Str_table.find_opt t.locks base
+  end
+  else begin
+    touch t key;
+    Str_table.find_opt t.values key
+  end
 
+(* Every write reads the old version through [find] first, which forces
+   the pending fill. *)
 let store t key cell =
   if is_lock_key key then Str_table.replace t.locks (base_of_lock key) cell
   else Str_table.replace t.values key cell
@@ -45,8 +86,15 @@ let get_data t key =
 let put t key data = store t key (Text { data; version = version_after (find t key) })
 
 let delete t key =
-  if is_lock_key key then Str_table.remove t.locks (base_of_lock key)
-  else Str_table.remove t.values key
+  if is_lock_key key then begin
+    let base = base_of_lock key in
+    touch t base;
+    Str_table.remove t.locks base
+  end
+  else begin
+    touch t key;
+    Str_table.remove t.values key
+  end
 
 let mem t key = Option.is_some (find t key)
 
@@ -60,13 +108,23 @@ let get_int t key ~default =
 
 let set_int t key n = store t key (Num { n; version = version_after (find t key) })
 
-let lock_holder t key = Option.bind (Str_table.find_opt t.locks key) int_of_cell
+let lock_holder t key =
+  touch t key;
+  Option.bind (Str_table.find_opt t.locks key) int_of_cell
 
 let set_lock t key holder =
+  touch t key;
   let version = version_after (Str_table.find_opt t.locks key) in
   Str_table.replace t.locks key (Num { n = holder; version })
 
-let clear_lock t key = Str_table.remove t.locks key
+let clear_lock t key =
+  touch t key;
+  Str_table.remove t.locks key
+
+(* The two lock-only views leave a pending fill alone: it writes no lock
+   tuple, and a lock on a key it covers exists only after an access that
+   forced it or before a [defer] that filled at once ([locked_by] checks
+   that as it walks). *)
 
 (* The tuple "L_" (the lock of the empty key) is too short to count. *)
 let lock_count t =
@@ -76,6 +134,10 @@ let locked_by t holder =
   let acc = ref [] in
   Str_table.iter_sorted
     (fun base cell ->
+      (match t.genesis with
+      | Some g when g.covers base ->
+          Repro_util.Invariant.fail "State.locked_by: lock on %S while its genesis is pending" base
+      | Some _ | None -> ());
       match int_of_cell cell with
       | Some n when n = holder && base <> "" -> acc := base :: !acc
       | Some _ | None -> ())
@@ -83,6 +145,7 @@ let locked_by t holder =
   List.rev !acc
 
 let snapshot t =
+  force t;
   let acc = ref [] in
   Str_table.iter_sorted (fun key cell -> acc := (key, render cell) :: !acc) t.values;
   Str_table.iter_sorted (fun base cell -> acc := ("L_" ^ base, render cell) :: !acc) t.locks;

@@ -10,7 +10,11 @@
     6.2), whose holder is kept as an [int] under [key] itself.  Outside,
     nothing shows it: {!get}, {!get_data}, {!keys}, {!snapshot} and
     {!root} read a number as its [string_of_int] and a lock tuple as the
-    string key ["L_" ^ key], exactly as if both had been {!put}. *)
+    string key ["L_" ^ key], exactly as if both had been {!put}.
+
+    A family of genesis tuples can be written late ({!defer}): the fill
+    runs the first time a reader could tell, so no reader ever sees the
+    state without it. *)
 
 type t
 
@@ -51,11 +55,28 @@ val clear_lock : t -> string -> unit
 
 val lock_count : t -> int
 (** Number of keys of the form ["L_" ^ k] with a non-empty [k], whatever
-    their data. *)
+    their data.  Leaves a pending genesis pending. *)
 
 val locked_by : t -> int -> string list
 (** Every non-empty [k] whose ["L_" ^ k] data reads as [holder]
-    ({!lock_holder}), ascending. *)
+    ({!lock_holder}), ascending.  Leaves a pending genesis pending, and
+    raises [Invariant.Violation] on a lock of a key it covers (every
+    access to such a key forces the genesis first). *)
+
+(** {2 Genesis on read} *)
+
+val defer : t list -> covers:(string -> bool) -> (unit -> unit) -> unit
+(** [defer states ~covers fill] first runs any genesis still pending on
+    [states], then registers [fill] as one genesis shared by all of
+    them.  It runs once, when any of [states] first reads, writes or
+    deletes a key [covers] accepts (a lock tuple by its base key:
+    ["L_" ^ k] and {!set_lock} [k] both count as [k]), takes a
+    whole-state view ({!keys}, {!root}, {!snapshot}, {!equal}) or
+    receives another [defer].  It runs at once instead when one of
+    [states] already holds a lock on a key [covers] accepts.  [fill]
+    must write only values of keys [covers] accepts, only into
+    [states], so that running it late reads exactly as running it at
+    [defer]. *)
 
 (** {2 Whole-state views} *)
 

@@ -35,16 +35,7 @@ let shard_of_key ~shards key =
   if shards <= 0 then Repro_util.Invariant.fail "Tx.shard_of_key: shards must be positive";
   (* [v mod 1 = 0] for every digest: one shard needs no hash. *)
   if shards = 1 then 0
-  else
-    let digest = Sha256.to_raw (Sha256.digest_string key) in
-    (* First 4 digest bytes as an unsigned int. *)
-    let v =
-      (Char.code digest.[0] lsl 24)
-      lor (Char.code digest.[1] lsl 16)
-      lor (Char.code digest.[2] lsl 8)
-      lor Char.code digest.[3]
-    in
-    v mod shards
+  else Sha256.first_word key mod shards
 
 let group_by_shard ~shard_of ~key items =
   (* One lookup per item; the stable sort keeps each shard's items in their

@@ -838,6 +838,191 @@ let prop_workload_placement_uncached =
         visits)
 
 (* ------------------------------------------------------------------ *)
+(* Genesis on read: deferred savings funding against eager funding      *)
+(* ------------------------------------------------------------------ *)
+
+(* Each shard's root and key count after SmallBank setup on 4 shards x
+   500 accounts, recorded when setup still funded both balances of each
+   account in one interleaved pass. *)
+let test_workload_setup_known_answers () =
+  let sys = System.create (System.default_config ~shards:4 ~committee_size:1) in
+  let wl = Workload.create Workload.Smallbank ~keyspace:500 ~theta:0.99 ~rng:(Rng.create 1L) in
+  Workload.setup wl sys ~initial_balance:1_000;
+  List.iteri
+    (fun s (root, count) ->
+      let st = System.shard_state sys s in
+      Alcotest.(check string) (Printf.sprintf "shard %d root" s) root
+        (Repro_crypto.Sha256.to_hex (State.root st));
+      Alcotest.(check int) (Printf.sprintf "shard %d keys" s) count (List.length (State.keys st)))
+    [
+      ("5e4c11f940d4abb56ed3f3c5aedc66729169acc793923fde4aa136ac6ea9b486", 231);
+      ("68d4e54389713a2d898053f6f4ee9bf742f300a5f236c4553a2cc1eab211a09a", 266);
+      ("9f7caffdd3602c0aaa0e2a00bb1500f9f6bdafdf0b575e9d28756ba0ef19dfa2", 248);
+      ("b10d342b5ca2f240f15ab11cc49c61d01d5e53d6abaca2a21290eba4bd001bc6", 255);
+    ]
+
+(* SmallBank setup as one interleaved pass over the accounts, checking
+   then savings, both written at once. *)
+let fund_eagerly states ~keyspace ~initial_balance =
+  let shards = Array.length states in
+  for i = 0 to keyspace - 1 do
+    let acc = "acc" ^ string_of_int i in
+    List.iter
+      (fun key -> Executor.set_balance states.(Tx.shard_of_key ~shards key) key initial_balance)
+      [ Smallbank_cc.checking_key acc; Smallbank_cc.savings_key acc ]
+  done
+
+(* Shards are drawn from 0..4 and taken modulo the system's count. *)
+type genesis_op =
+  | Setup of int
+  | Balance of int * string
+  | Get of int * string
+  | Mem of int * string
+  | Set_int of int * string * int
+  | Put of int * string * string
+  | Delete of int * string
+  | Set_lock of int * string * int
+  | Clear_lock of int * string
+  | Lock_holder of int * string
+  | Snapshot of int
+  | Root of int
+  | Keys of int
+  | Equal of int * int
+  | Pack of int
+
+let show_genesis_op = function
+  | Setup b -> Printf.sprintf "setup %d" b
+  | Balance (s, k) -> Printf.sprintf "balance %d %s" s k
+  | Get (s, k) -> Printf.sprintf "get %d %s" s k
+  | Mem (s, k) -> Printf.sprintf "mem %d %s" s k
+  | Set_int (s, k, n) -> Printf.sprintf "set_int %d %s %d" s k n
+  | Put (s, k, d) -> Printf.sprintf "put %d %s %S" s k d
+  | Delete (s, k) -> Printf.sprintf "delete %d %s" s k
+  | Set_lock (s, k, h) -> Printf.sprintf "set_lock %d %s %d" s k h
+  | Clear_lock (s, k) -> Printf.sprintf "clear_lock %d %s" s k
+  | Lock_holder (s, k) -> Printf.sprintf "lock_holder %d %s" s k
+  | Snapshot s -> Printf.sprintf "snapshot %d" s
+  | Root s -> Printf.sprintf "root %d" s
+  | Keys s -> Printf.sprintf "keys %d" s
+  | Equal (a, b) -> Printf.sprintf "equal %d %d" a b
+  | Pack s -> Printf.sprintf "pack %d" s
+
+let genesis_op_gen =
+  let open QCheck.Gen in
+  let shard = int_bound 4 in
+  (* Checking, savings and other keys over accounts 0..6 (a keyspace of
+     at most 6 leaves some unfunded). *)
+  let key =
+    map2
+      (fun family i ->
+        (match family with 0 -> "chk_acc" | 1 -> "sav_acc" | _ -> "k") ^ string_of_int i)
+      (int_bound 2) (int_bound 6)
+  in
+  let tuple = map2 (fun lock k -> if lock = 0 then "L_" ^ k else k) (int_bound 3) key in
+  frequency
+    [
+      (1, map (fun b -> Setup b) (int_range 1 900));
+      (3, map2 (fun s k -> Balance (s, k)) shard key);
+      (3, map2 (fun s k -> Get (s, k)) shard tuple);
+      (1, map2 (fun s k -> Mem (s, k)) shard tuple);
+      (3, map3 (fun s k n -> Set_int (s, k, n)) shard key (int_bound 50));
+      (2, map3 (fun s k n -> Put (s, k, "d" ^ string_of_int n)) shard tuple (int_bound 9));
+      (2, map2 (fun s k -> Delete (s, k)) shard tuple);
+      (3, map3 (fun s k h -> Set_lock (s, k, h)) shard key (int_bound 2));
+      (2, map2 (fun s k -> Clear_lock (s, k)) shard key);
+      (2, map2 (fun s k -> Lock_holder (s, k)) shard key);
+      (1, map (fun s -> Snapshot s) shard);
+      (1, map (fun s -> Root s) shard);
+      (1, map (fun s -> Keys s) shard);
+      (1, map2 (fun a b -> Equal (a, b)) shard shard);
+      (1, map (fun s -> Pack s) shard);
+    ]
+
+let show_value = function
+  | None -> "-"
+  | Some v -> Printf.sprintf "%s@%d" v.State.data v.State.version
+
+let show_entries entries =
+  String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ show_value (Some v)) entries)
+
+(* What one operation returns on [states]; [setup] funds them. *)
+let run_genesis_op states ~setup op =
+  let on s = states.(s mod Array.length states) in
+  match op with
+  | Setup b ->
+      setup b;
+      ""
+  | Balance (s, k) -> string_of_int (Executor.balance (on s) k)
+  | Get (s, k) -> show_value (State.get (on s) k)
+  | Mem (s, k) -> string_of_bool (State.mem (on s) k)
+  | Set_int (s, k, n) ->
+      State.set_int (on s) k n;
+      ""
+  | Put (s, k, d) ->
+      State.put (on s) k d;
+      ""
+  | Delete (s, k) ->
+      State.delete (on s) k;
+      ""
+  | Set_lock (s, k, h) ->
+      State.set_lock (on s) k h;
+      ""
+  | Clear_lock (s, k) ->
+      State.clear_lock (on s) k;
+      ""
+  | Lock_holder (s, k) -> Option.fold ~none:"-" ~some:string_of_int (State.lock_holder (on s) k)
+  | Snapshot s -> show_entries (State.snapshot (on s))
+  | Root s -> Repro_crypto.Sha256.to_hex (State.root (on s))
+  | Keys s -> String.concat " " (State.keys (on s))
+  | Equal (a, b) -> string_of_bool (State.equal (on a) (on b))
+  | Pack s ->
+      let module T = Repro_shard.State_transfer in
+      let p = T.pack (on s) in
+      let root = T.claimed_root p in
+      Printf.sprintf "%s %d %s" (Repro_crypto.Sha256.to_hex root) (T.size_bytes p)
+        (match T.verify_and_restore p ~expected_root:root with
+        | Ok st -> show_entries (State.snapshot st)
+        | Error e -> e)
+
+(* The lock-only views, which read without forcing a pending fill. *)
+let lock_views states =
+  Array.to_list states
+  |> List.concat_map (fun st ->
+         string_of_int (State.lock_count st)
+         :: List.map (fun h -> String.concat "," (State.locked_by st h)) [ 0; 1; 2 ])
+
+(* Savings balances funded on read are indistinguishable from funding
+   them with the checking balances: after repeated setups and any mix of
+   point reads and writes on checking, savings and other keys, value or
+   lock tuple, every reader (whole-state views and transfer packages
+   included) answers as on states funded eagerly, and the lock-only
+   views agree after every step. *)
+let prop_workload_genesis_on_read =
+  QCheck.Test.make ~name:"workload genesis on read = eager funding" ~count:200
+    (QCheck.make
+       ~print:(fun (shards, keyspace, ops) ->
+         Printf.sprintf "%d shards, keyspace %d: %s" shards keyspace
+           (String.concat "; " (List.map show_genesis_op ops)))
+       QCheck.Gen.(triple (int_range 1 5) (int_range 1 6) (list_size (1 -- 30) genesis_op_gen)))
+    (fun (shards, keyspace, ops) ->
+      let sys = System.create (System.default_config ~shards ~committee_size:1) in
+      let wl = Workload.create Workload.Smallbank ~keyspace ~theta:0.5 ~rng:(Rng.create 3L) in
+      let deferred = Array.init shards (System.shard_state sys) in
+      let eager = Array.init shards (fun _ -> State.create ()) in
+      let setup_deferred b = Workload.setup wl sys ~initial_balance:b in
+      let setup_eager b = fund_eagerly eager ~keyspace ~initial_balance:b in
+      setup_deferred 100;
+      setup_eager 100;
+      List.for_all
+        (fun op ->
+          String.equal
+            (run_genesis_op deferred ~setup:setup_deferred op)
+            (run_genesis_op eager ~setup:setup_eager op)
+          && lock_views deferred = lock_views eager)
+        ops
+      && List.for_all2 State.equal (Array.to_list deferred) (Array.to_list eager))
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end with workload driver                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -974,6 +1159,8 @@ let () =
           Alcotest.test_case "cross fraction = eq 3" `Quick test_workload_cross_fraction_matches_eq3;
           Alcotest.test_case "txids unique" `Quick test_workload_txids_unique;
           QCheck_alcotest.to_alcotest prop_workload_placement_uncached;
+          Alcotest.test_case "setup known answers" `Quick test_workload_setup_known_answers;
+          QCheck_alcotest.to_alcotest prop_workload_genesis_on_read;
         ] );
       ( "results",
         [

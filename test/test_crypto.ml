@@ -75,6 +75,21 @@ let test_sha256_padding_boundaries () =
       done)
     padding_boundary_vectors
 
+(* [first_word] is the digest's first four bytes, on the one-block path
+   (up to 55 bytes, every tail length mod 4) and past it. *)
+let test_sha256_first_word () =
+  let leading d = int_of_string ("0x" ^ String.sub d 0 8) in
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check int) (Printf.sprintf "%d bytes" n) (leading expected)
+        (Sha256.first_word (alphabet_message n)))
+    padding_boundary_vectors;
+  for n = 0 to 130 do
+    let msg = String.init n (fun i -> Char.chr (((i * 97) + n) land 255)) in
+    Alcotest.(check int) (Printf.sprintf "%d bytes, high bits" n) (leading (hex_of msg))
+      (Sha256.first_word msg)
+  done
+
 let test_sha256_of_raw_roundtrip () =
   let d = Sha256.digest_string "roundtrip" in
   let d' = Sha256.of_raw_exn (Sha256.to_raw d) in
@@ -271,6 +286,10 @@ let prop_sha_injective_on_samples =
     QCheck.(pair string string)
     (fun (a, b) -> a = b || not (Sha256.equal (Sha256.digest_string a) (Sha256.digest_string b)))
 
+let prop_sha_first_word =
+  QCheck.Test.make ~name:"first_word is the digest's first word" ~count:300 QCheck.string
+    (fun s -> Sha256.first_word s = int_of_string ("0x" ^ String.sub (hex_of s) 0 8))
+
 let prop_sha_concat_chunking =
   QCheck.Test.make ~name:"digest_concat independent of chunking" ~count:100
     QCheck.(list string)
@@ -300,6 +319,7 @@ let qsuite =
       prop_sha_deterministic;
       prop_sha_injective_on_samples;
       prop_sha_concat_chunking;
+      prop_sha_first_word;
       prop_merkle_all_proofs_verify;
       prop_sign_verify_roundtrip;
     ]
@@ -316,6 +336,7 @@ let () =
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "incremental chunking" `Quick test_sha256_incremental_matches_oneshot;
           Alcotest.test_case "padding boundaries" `Quick test_sha256_padding_boundaries;
+          Alcotest.test_case "first word" `Quick test_sha256_first_word;
           Alcotest.test_case "raw roundtrip" `Quick test_sha256_of_raw_roundtrip;
           Alcotest.test_case "raw rejects bad length" `Quick test_sha256_of_raw_rejects_bad_length;
           Alcotest.test_case "hmac rfc4231 case 1" `Quick test_hmac_rfc4231_case1;

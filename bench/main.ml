@@ -1,27 +1,18 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section, plus Bechamel micro-benchmarks of the real
-   cryptographic / trusted-log operations backing Table 2.
+(* Bechamel micro-benchmarks of the real cryptographic, trusted-log and
+   simulator operations behind Table 2 and the hot paths, followed by the
+   2% disabled-probe overhead gate.
 
    Usage:
-     dune exec bench/main.exe                 # everything
-     dune exec bench/main.exe -- fig8 fig13   # selected experiments
-     dune exec bench/main.exe -- micro        # only the Bechamel suite
-     dune exec bench/main.exe -- -j 4 fig8    # 4 worker domains
-     BENCH_QUICK=1 dune exec bench/main.exe   # reduced sweeps
-     BENCH_JOBS=4 dune exec bench/main.exe    # worker domains via env
+     dune exec bench/main.exe
 
-   Figure datapoints fan across a deterministic domain pool
-   (Repro_util.Pool): output is bit-identical for any worker count.
-   Machine-readable BENCH_<id>.json artifacts (axis points, series,
-   wall time, jobs) land in $BENCH_JSON_DIR (default bench-artifacts/);
-   CSVs are additionally written when $BENCH_CSV_DIR is set. *)
+   The paper's tables and figures are rendered and recorded by
+   `ahl_cli experiment` (`--out DIR` writes BENCH_<id>.json and
+   METRICS_<id>.json). *)
 
 open Repro_util
 open Repro_crypto
 open Repro_core
 module Probe = Repro_obs.Probe
-
-let quick = Sys.getenv_opt "BENCH_QUICK" <> None
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks (one Test.make per operation)              *)
@@ -301,65 +292,9 @@ let run_micro () =
   print_newline ();
   assert_probe_overhead ()
 
-(* ------------------------------------------------------------------ *)
-(* Figure/table harness                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let csv_dir = Sys.getenv_opt "BENCH_CSV_DIR"
-
-let json_dir =
-  match Sys.getenv_opt "BENCH_JSON_DIR" with Some d -> d | None -> "bench-artifacts"
-
-let run_experiment id f =
-  let t0 = Unix.gettimeofday () in
-  (* One hub per figure: METRICS_<id>.json carries the runs this figure
-     computed itself.  Memoized sweeps shared with an earlier figure
-     record nothing here (they already landed in that figure's file). *)
-  let hub = Repro_obs.Hub.create () in
-  Experiment.set_hub (Some hub);
-  let fig = f ~quick in
-  Experiment.set_hub None;
-  let wall = Unix.gettimeofday () -. t0 in
-  Results.print fig;
-  Option.iter (fun dir -> Results.save_csv ~dir fig) csv_dir;
-  Results.save_json ~dir:json_dir ~wall_time_s:wall ~jobs:(Experiment.jobs_in_use ()) fig;
-  let metrics_path = Filename.concat json_dir (Printf.sprintf "METRICS_%s.json" id) in
-  (match Repro_obs.Sink.save ~path:metrics_path (Repro_obs.Sink.metrics_json (Repro_obs.Hub.metrics hub)) with
-  | Ok () -> ()
-  | Error msg -> Printf.eprintf "bench: cannot write %s: %s\n" metrics_path msg);
-  Printf.printf "(%s completed in %.1f s wall time)\n\n%!" id wall
-
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let args = List.filter (fun a -> a <> "--") args in
-  (* Pull out -j/--jobs N; the rest are experiment ids. *)
-  let rec parse ids = function
-    | [] -> List.rev ids
-    | ("-j" | "--jobs") :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some j when j >= 1 ->
-            Experiment.set_jobs j;
-            parse ids rest
-        | Some _ | None ->
-            prerr_endline "bench: -j/--jobs expects a positive integer";
-            exit 2)
-    | [ ("-j" | "--jobs") ] ->
-        prerr_endline "bench: -j/--jobs expects a positive integer";
-        exit 2
-    | id :: rest -> parse (id :: ids) rest
-  in
-  let ids = match parse [] args with [] -> "micro" :: Experiment.all_ids | ids -> ids in
-  (* Resolve every id before running any, so a typo fails fast. *)
-  let resolve id =
-    if id = "micro" then Some run_micro
-    else Option.map (fun f () -> run_experiment id f) (Experiment.by_id id)
-  in
-  let runs = List.map (fun id -> (id, resolve id)) ids in
-  (match List.filter (fun (_, run) -> Option.is_none run) runs with
-  | [] -> ()
-  | unknown ->
-      List.iter (fun (id, _) -> Printf.eprintf "bench: unknown experiment id: %s\n" id) unknown;
-      exit 2);
-  Printf.printf "(bench: %d worker domain%s)\n%!" (Experiment.jobs_in_use ())
-    (if Experiment.jobs_in_use () = 1 then "" else "s");
-  List.iter (fun (_, run) -> Option.iter (fun run -> run ()) run) runs
+  if Array.length Sys.argv > 1 then begin
+    prerr_endline "usage: bench/main.exe (figures: ahl_cli experiment [--out DIR] ID...)";
+    exit 2
+  end;
+  run_micro ()

@@ -1,7 +1,8 @@
 (* Command-line driver for the AHL sharded-blockchain reproduction.
 
    Subcommands:
-     experiment  — regenerate a paper table/figure by id (or list them)
+     experiment  — regenerate a paper table/figure by id (or list them);
+                   with --out DIR, also record its BENCH/METRICS artifacts
      consensus   — run one PBFT-family committee and report measurements
      sizing      — committee-size calculator (Eq. 1/2)
      beacon      — run the distributed randomness beacon once
@@ -27,31 +28,93 @@ let positive name v = (v > 0.0, Printf.sprintf "%s must be positive, got %g" nam
 (* experiment                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Wall time is read here, at the edge, for the BENCH_<id>.json metadata
+   only; no simulated number depends on it. *)
+let wall_clock () = Unix.gettimeofday () (* ahl_lint: allow R1 *)
+
+let make_out_dir dir =
+  if Sys.file_exists dir && Sys.is_directory dir then Ok ()
+  else match Sys.mkdir dir 0o755 with () -> Ok () | exception Sys_error msg -> Error msg
+
+(* [--out DIR]: record the figure (every datapoint recomputed into a fresh
+   hub), print it as without [--out], and write BENCH_<id>.json and
+   METRICS_<id>.json, both a function of the id alone. *)
+let record_figure ~dir ~quick id f =
+  let t0 = wall_clock () in
+  let figure, hub = Experiment.record f ~quick in
+  let wall_time_s = wall_clock () -. t0 in
+  Results.print figure;
+  let metrics_path = Filename.concat dir (Printf.sprintf "METRICS_%s.json" id) in
+  match
+    Result.bind
+      (Results.save_json ~dir ~wall_time_s ~jobs:(Experiment.jobs_in_use ()) figure)
+      (fun () ->
+        Repro_obs.Sink.save ~path:metrics_path
+          (Repro_obs.Sink.metrics_json (Repro_obs.Hub.metrics hub)))
+  with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "ahl_cli: cannot write %s artifacts: %s\n" id msg;
+      exit 2
+
 let experiment_cmd =
-  let run ids quick list_only =
+  let run ids quick list_only jobs out =
+    let jobs_ok = match jobs with Some j -> at_least "-j" 1 j | None -> (true, "") in
+    checked [ jobs_ok ] @@ fun () ->
     if list_only then begin
       List.iter print_endline Experiment.all_ids;
       0
     end
     else begin
       let ids = if ids = [] then Experiment.all_ids else ids in
-      (* Resolve every id before running any, so a typo fails fast. *)
-      let figures = List.map (fun id -> (id, Experiment.by_id id)) ids in
-      match List.filter_map (fun (id, f) -> if Option.is_none f then Some id else None) figures with
-      | [] ->
-          List.iter (fun (_, f) -> Option.iter (fun f -> Results.print (f ~quick)) f) figures;
-          0
-      | unknown ->
+      (* Resolve every id and make the output directory before running
+         anything, so a typo or a bad path fails fast. *)
+      let figures = List.filter_map (fun id -> Option.map (fun f -> (id, f)) (Experiment.by_id id)) ids in
+      match List.filter (fun id -> not (List.mem_assoc id figures)) ids with
+      | _ :: _ as unknown ->
           List.iter (Printf.eprintf "unknown experiment id: %s (try --list)\n") unknown;
           2
+      | [] -> (
+          match Option.fold ~none:(Ok ()) ~some:make_out_dir out with
+          | Error msg ->
+              Printf.eprintf "ahl_cli: cannot create the --out directory: %s\n" msg;
+              2
+          | Ok () ->
+              Option.iter Experiment.set_jobs jobs;
+              List.iter
+                (fun (id, f) ->
+                  match out with
+                  | None -> Results.print (f ~quick)
+                  | Some dir -> record_figure ~dir ~quick id f)
+                figures;
+              0)
     end
   in
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (fig8, table2, ...)") in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweeps and durations") in
   let list_only = Arg.(value & flag & info [ "list" ] ~doc:"List experiment ids and exit") in
+  let jobs =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Worker domains for the datapoints (default: the recommended domain count); \
+             every output is identical for any $(docv)")
+  in
+  let out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "out" ] ~docv:"DIR"
+          ~doc:
+            "Record each figure: recompute every datapoint and write BENCH_<id>.json \
+             (panels, wall time, jobs) and METRICS_<id>.json (the runs' metrics registries) \
+             under $(docv), created if missing")
+  in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate a table or figure from the paper")
-    Term.(const run $ ids $ quick $ list_only)
+    Term.(ret (const run $ ids $ quick $ list_only $ jobs $ out))
 
 (* ------------------------------------------------------------------ *)
 (* consensus                                                           *)

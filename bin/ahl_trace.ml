@@ -118,13 +118,7 @@ let () =
       | None -> fail "unknown experiment id %s (try `ahl_cli experiment --list`)" !id
     in
     if !jobs > 0 then Experiment.set_jobs !jobs;
-    (* A fresh cache makes the recording complete: memoized runs from an
-       earlier figure would otherwise record nothing. *)
-    Experiment.reset_caches ();
-    let hub = Hub.create () in
-    Experiment.set_hub (Some hub);
-    let figure = f ~quick:!quick in
-    Experiment.set_hub None;
+    let figure, hub = Experiment.record f ~quick:!quick in
     if !print_figure then Results.print figure;
     let traces = Hub.traces hub in
     let metrics = Hub.metrics hub in

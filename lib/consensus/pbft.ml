@@ -50,6 +50,7 @@ type msg =
 
 type replica = {
   index : int;
+  name : string; (* trace node name: "r" and the global node id *)
   enclave : Enclave.t option;
   a2m : A2m.t option;
   mutable view : int;
@@ -217,12 +218,10 @@ let is_byz c r = c.byz_member.(r.index)
 
 let observer c = c.observer
 
-let rname r = "r" ^ string_of_int r.index
-
 (* Trace emitters are guarded on [Probe.enabled] at every call site so an
    uninstrumented run neither builds the args list nor takes the call. *)
 let probe_instant c r ~cat ?args name =
-  Probe.instant c.probe ~time:(Engine.now c.engine) ~cat ~node:(rname r) ?args name
+  Probe.instant c.probe ~time:(Engine.now c.engine) ~cat ~node:r.name ?args name
 
 let charge_consensus c r cost =
   c.charge_cb ~member:r.index cost;
@@ -292,6 +291,7 @@ let make_replica c ~enclave_base_id index =
   in
   {
     index;
+    name = "r" ^ string_of_int (enclave_base_id + index);
     enclave;
     a2m;
     view = 0;
@@ -546,10 +546,9 @@ and mark_committed c r ~seq ~digest =
            slots instead of stalling execution forever. *)
         if seq > r.last_exec && not r.gap_timer_armed then begin
           r.gap_timer_armed <- true;
-          ignore
-            (Engine.timer c.engine ~delay:c.cfg.Config.progress_timeout (fun () ->
-                 r.gap_timer_armed <- false;
-                 if c.alive r.index && (not r.fetching) && gapped c r then request_catch_up c r))
+          Engine.schedule c.engine ~delay:c.cfg.Config.progress_timeout (fun () ->
+              r.gap_timer_armed <- false;
+              if c.alive r.index && (not r.fetching) && gapped c r then request_catch_up c r)
         end
     | Some _ | None -> ()
   end
@@ -581,7 +580,7 @@ and try_execute c r =
            per-block consensus interval, rendered as a span in Perfetto. *)
         Probe.span c.probe ~time:r.last_exec_time
           ~dur:(now c -. r.last_exec_time)
-          ~cat:"pbft" ~node:(rname r)
+          ~cat:"pbft" ~node:r.name
           ~args:[ ("seq", Ev.I seq); ("txs", Ev.I (List.length fresh)) ]
           "block_interval";
         Probe.observe c.probe "pbft.block_interval_s" (now c -. r.last_exec_time)
@@ -675,12 +674,11 @@ and request_catch_up c r =
         send c r ~dst ~channel:consensus_channel (Fetch { since = r.last_exec; sender = r.index })
       end
     done;
-    ignore
-      (Engine.timer c.engine ~delay:c.cfg.Config.progress_timeout (fun () ->
-           if r.fetching then begin
-             r.fetching <- false;
-             if c.alive r.index && gapped c r then request_catch_up c r
-           end))
+    Engine.schedule c.engine ~delay:c.cfg.Config.progress_timeout (fun () ->
+        if r.fetching then begin
+          r.fetching <- false;
+          if c.alive r.index && gapped c r then request_catch_up c r
+        end)
   end
 
 and stabilize c r ~seq =
@@ -889,10 +887,10 @@ and respond_to_preprepare c r ~view ~seq ~digest =
         if c.alive r.index && r.active && r.view = view && r.last_exec < seq then begin
           let stall = now c -. r.last_exec_time in
           if stall > deadline then start_view_change c r ~reason:"relay-stall" ~target:(r.view + 1)
-          else ignore (Engine.timer c.engine ~delay:(deadline -. stall +. 1e-3) watch)
+          else Engine.schedule c.engine ~delay:(deadline -. stall +. 1e-3) watch
         end
       in
-      ignore (Engine.timer c.engine ~delay:deadline watch)
+      Engine.schedule c.engine ~delay:deadline watch
     end
   end
   else if authenticate c r ~phase_idx:1 ~view ~slot:seq ~digest then begin

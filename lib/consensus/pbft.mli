@@ -134,7 +134,9 @@ val create :
   committee
 (** [enclave_base_id]: the attested variants register one enclave per
     member with keystore principal ids [base .. base+n-1] (pass a range
-    disjoint from other committees).  [adversary] names members by index.
+    disjoint from other committees, e.g. the committee's node ids); trace
+    events name member [i] ["r<base+i>"].  [adversary] names members by
+    index.
     [execute] is called on every replica with the not-yet-executed requests
     of each decided batch, in sequence order; an embedding that logs
     commits does so for [member = observer c] only.

@@ -42,8 +42,6 @@ let pool () =
    stay byte-identical for any worker count. *)
 let the_hub : Repro_obs.Hub.t option Atomic.t = Atomic.make None
 
-let set_hub h = Atomic.set the_hub h
-
 let hub_probe name =
   match Atomic.get the_hub with
   | None -> Repro_obs.Probe.none
@@ -796,9 +794,17 @@ let figures : (string * (quick:bool -> Results.figure)) list =
         ]);
   ]
 
-let reset_caches () =
+(* The one recording path.  Memoized runs from an earlier figure would
+   record nothing into this figure's hub, so the caches go first: every
+   datapoint is recomputed, and the hub holds exactly the runs this
+   figure makes. *)
+let record f ~quick =
   Memo.clear pbft_cache;
-  Memo.clear poet_cache
+  Memo.clear poet_cache;
+  let hub = Repro_obs.Hub.create () in
+  Atomic.set the_hub (Some hub);
+  let figure = Fun.protect ~finally:(fun () -> Atomic.set the_hub None) (fun () -> f ~quick) in
+  (figure, hub)
 
 let all_ids = List.map fst figures
 

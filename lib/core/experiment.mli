@@ -9,26 +9,25 @@
 
 val set_jobs : int -> unit
 (** Fix the worker-domain count for subsequent figures (replacing any
-    live pool).  Without a call, the count comes from [BENCH_JOBS] or
-    [Domain.recommended_domain_count].  The rendered figures are
+    live pool).  Without a call, the count is
+    [Domain.recommended_domain_count ()].  The rendered figures are
     bit-identical for every worker count; only wall time changes.
     Do not call while a figure is running. *)
 
 val jobs_in_use : unit -> int
 (** The worker count the next figure will run with. *)
 
-val set_hub : Repro_obs.Hub.t option -> unit
-(** Install (or clear) an observability hub for subsequent figures.  The
-    shared runners request per-run probes under names derived purely
-    from their parameters (the memo keys), so the hub's sorted-by-name
-    dumps are byte-identical for every [-j] worker count.  Runs already
-    cached by the memo tables record nothing; call {!reset_caches} first
-    for a complete trace.  Do not swap hubs while a figure is running. *)
-
-val reset_caches : unit -> unit
-(** Drop the memoized PBFT/PoET sweeps so the next figure recomputes
-    them (used by the determinism replay test).  Do not call while a
-    figure is running. *)
+val record :
+  (quick:bool -> Results.figure) -> quick:bool -> Results.figure * Repro_obs.Hub.t
+(** [record f ~quick] renders [f ~quick] with a fresh observability hub
+    installed and returns the figure with that hub.  It first drops the
+    memoized PBFT/PoET sweeps, so the hub holds every run the figure
+    makes, whatever ran before: the figure and the hub's dumps are a
+    function of the figure and [quick] alone.  Runs request probes under
+    names derived from their parameters, and the dumps are sorted by
+    name, so they are byte-identical for every worker count.  Calling a
+    figure directly shares the memoized sweeps with earlier figures and
+    records nothing.  Do not call while a figure is running. *)
 
 val all_ids : string list
 (** Every registered id, in the paper's order: [table1]..[table3],

@@ -26,41 +26,11 @@ let render f =
   Buffer.contents buf
 
 (* The one sanctioned console write of lib/core: the exported figure
-   printer that bin/bench call on purpose. *)
+   printer that bin calls on purpose. *)
 let print f = print_string (render f) (* ahl_lint: allow R6 *)
 
 let text_figure ~id ~caption body =
   { id; caption; panels = [ { title = body; x_label = ""; columns = []; rows = [] } ] }
-
-let slug s =
-  String.map (fun c -> if ('a' <= Char.lowercase_ascii c && Char.lowercase_ascii c <= 'z') || ('0' <= c && c <= '9') then Char.lowercase_ascii c else '-') s
-
-let to_csv f =
-  List.filter_map
-    (fun p ->
-      if p.columns = [] then None
-      else begin
-        let buf = Buffer.create 256 in
-        Buffer.add_string buf (String.concat "," (p.x_label :: p.columns));
-        Buffer.add_char buf '\n';
-        List.iter
-          (fun (x, ys) ->
-            Buffer.add_string buf
-              (String.concat "," (List.map (Printf.sprintf "%g") (x :: ys)));
-            Buffer.add_char buf '\n')
-          p.rows;
-        Some (Printf.sprintf "%s-%s.csv" f.id (slug p.title), Buffer.contents buf)
-      end)
-    f.panels
-
-let save_csv ~dir f =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  List.iter
-    (fun (name, contents) ->
-      let oc = open_out (Filename.concat dir name) in
-      output_string oc contents;
-      close_out oc)
-    (to_csv f)
 
 (* ---- machine-readable artifacts ----------------------------------- *)
 
@@ -103,7 +73,6 @@ let to_json ?wall_time_s ?jobs f =
   Buffer.contents buf
 
 let save_json ~dir ?wall_time_s ?jobs f =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out (Filename.concat dir (Printf.sprintf "BENCH_%s.json" f.id)) in
-  output_string oc (to_json ?wall_time_s ?jobs f);
-  close_out oc
+  Repro_obs.Sink.save
+    ~path:(Filename.concat dir (Printf.sprintf "BENCH_%s.json" f.id))
+    (to_json ?wall_time_s ?jobs f)

@@ -21,17 +21,12 @@ val print : figure -> unit
 val text_figure : id:string -> caption:string -> string -> figure
 (** A figure whose body is preformatted text (tables 1 and 3). *)
 
-val to_csv : figure -> (string * string) list
-(** One CSV per panel: [(filename, contents)] with an x column followed by
-    one column per series — ready for gnuplot/pandas. *)
-
-val save_csv : dir:string -> figure -> unit
-(** Write the CSVs under [dir] (created if missing). *)
-
 val to_json : ?wall_time_s:float -> ?jobs:int -> figure -> string
 (** The whole figure as one JSON object — id, caption, panels with axis
     points and series values, plus optional wall-time and worker-count
-    metadata — so successive bench runs can be diffed by tooling. *)
+    metadata — so successive runs can be diffed by tooling. *)
 
-val save_json : dir:string -> ?wall_time_s:float -> ?jobs:int -> figure -> unit
-(** Write {!to_json} to [dir]/BENCH_<id>.json (dir created if missing). *)
+val save_json :
+  dir:string -> ?wall_time_s:float -> ?jobs:int -> figure -> (unit, string) result
+(** Write {!to_json} to [dir]/BENCH_<id>.json; [Error msg] on IO failure
+    (a missing [dir] included). *)

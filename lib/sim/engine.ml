@@ -13,8 +13,6 @@ type t = {
   mutable processed : int;
 }
 
-type cancel = bool ref
-
 let create ~seed =
   { clock = ref 0.0; queue = Heap.create (); root_rng = Rng.create seed; processed = 0 }
 
@@ -29,15 +27,6 @@ let schedule_at t ~time f =
 let schedule t ~delay f =
   if delay < 0.0 then Sim_error.invalid "Engine.schedule: negative delay";
   schedule_at t ~time:(!(t.clock) +. delay) f
-
-let timer t ~delay f =
-  let flag = ref false in
-  schedule t ~delay (fun () -> if not !flag then f ());
-  flag
-
-let cancel flag = flag := true
-
-let cancelled flag = !flag
 
 (* Fire the minimum event, whose key the caller has read as [time]. *)
 let fire t time =

@@ -7,9 +7,6 @@
 
 type t
 
-type cancel
-(** Handle for a cancellable timer. *)
-
 val create : seed:int64 -> t
 
 val now : t -> float
@@ -24,14 +21,6 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** Run the callback at absolute virtual [time] (clamped to now). *)
-
-val timer : t -> delay:float -> (unit -> unit) -> cancel
-(** Like [schedule] but cancellable. *)
-
-val cancel : cancel -> unit
-(** Cancelling a fired or already-cancelled timer is a no-op. *)
-
-val cancelled : cancel -> bool
 
 val run : t -> until:float -> unit
 (** Process events in timestamp order until the clock would pass [until].

@@ -18,13 +18,7 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-let default_jobs () =
-  match Sys.getenv_opt "BENCH_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> j
-      | Some _ | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+let default_jobs () = Domain.recommended_domain_count ()
 
 let jobs t = t.n_jobs
 

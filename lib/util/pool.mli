@@ -16,8 +16,8 @@ type t
 type 'a future
 
 val default_jobs : unit -> int
-(** Worker count from the [BENCH_JOBS] environment variable when set to a
-    positive integer, else [Domain.recommended_domain_count ()]. *)
+(** [Domain.recommended_domain_count ()]: the worker count when the
+    caller fixes none (see [ahl_cli experiment -j]). *)
 
 val create : jobs:int -> t
 (** A pool of [jobs] workers ([jobs] is clamped to at least 1).  With

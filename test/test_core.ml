@@ -1164,19 +1164,6 @@ let () =
         ] );
       ( "results",
         [
-          Alcotest.test_case "csv export" `Quick (fun () ->
-              let fig =
-                Results.figure ~id:"figX" ~caption:"c"
-                  [
-                    Results.panel ~title:"Panel A" ~x_label:"N" ~columns:[ "s1"; "s2" ]
-                      ~rows:[ (1.0, [ 2.0; 3.0 ]); (2.0, [ 4.0; 5.0 ]) ];
-                  ]
-              in
-              match Results.to_csv fig with
-              | [ (name, body) ] ->
-                  Alcotest.(check string) "filename" "figX-panel-a.csv" name;
-                  Alcotest.(check string) "contents" "N,s1,s2\n1,2,3\n2,4,5\n" body
-              | _ -> Alcotest.fail "expected one csv");
           Alcotest.test_case "json export" `Quick (fun () ->
               let fig =
                 Results.figure ~id:"figX" ~caption:"a \"quoted\" caption"

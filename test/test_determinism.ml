@@ -42,7 +42,7 @@ let test_run_produces_work () =
 
 (* Golden renders in figure_snapshot/, recorded at jobs=1: each figure the
    parallel-runner tests render must also equal its committed bytes (and,
-   where a hub records it, its committed metrics artifact), so a change
+   where one is committed, its metrics artifact), so a change
    that moves any simulated number fails here even when it is
    worker-count invariant. *)
 let golden file =
@@ -65,12 +65,12 @@ let contains s sub =
 
 (* The parallel runner's contract: a figure rendered with 4 worker domains
    is bit-for-bit the figure rendered sequentially — and so are the
-   metrics artifact (and, with [trace], the trace) an installed
-   observability hub records while it runs.  Caches are dropped between
-   runs so both actually recompute every datapoint.  Each needle
-   [(what, artifact, sub)] must appear in the jobs=1 rendered figure or
-   metrics artifact. *)
-let worker_count_invariant ~hub ?(trace = false) id needles () =
+   metrics artifact (and, with [trace], the trace) its recording hub
+   holds.  [Experiment.record] drops the caches, so both runs actually
+   recompute every datapoint.  [metrics_golden] says whether the metrics
+   artifact has a golden to match.  Each needle [(what, artifact, sub)]
+   must appear in the jobs=1 rendered figure or metrics artifact. *)
+let worker_count_invariant ~metrics_golden ?(trace = false) id needles () =
   let open Repro_core in
   let figure =
     match Experiment.by_id id with
@@ -79,11 +79,8 @@ let worker_count_invariant ~hub ?(trace = false) id needles () =
   in
   let render jobs =
     Experiment.set_jobs jobs;
-    Experiment.reset_caches ();
-    let h = Repro_obs.Hub.create () in
-    if hub then Experiment.set_hub (Some h);
-    let rendered = Results.render (figure ~quick:true) in
-    Experiment.set_hub None;
+    let fig, h = Experiment.record figure ~quick:true in
+    let rendered = Results.render fig in
     ( rendered,
       (if trace then Repro_obs.Sink.chrome_json (Repro_obs.Hub.traces h) else ""),
       Repro_obs.Sink.metrics_json (Repro_obs.Hub.metrics h) )
@@ -92,11 +89,10 @@ let worker_count_invariant ~hub ?(trace = false) id needles () =
   let parallel, trace4, metrics4 = render 4 in
   Experiment.set_jobs 1 (* join the 4 worker domains *);
   Alcotest.(check string) (Printf.sprintf "jobs=4 %s equals jobs=1" id) sequential parallel;
-  check_golden id ?metrics:(if hub then Some metrics1 else None) sequential;
+  check_golden id ?metrics:(if metrics_golden then Some metrics1 else None) sequential;
   Alcotest.(check bool) "figure is non-trivial" true (String.length sequential > 200);
-  if hub then
-    Alcotest.(check bool) "jobs=4 metrics artifact is byte-identical" true
-      (String.equal metrics1 metrics4);
+  Alcotest.(check bool) "jobs=4 metrics artifact is byte-identical" true
+    (String.equal metrics1 metrics4);
   if trace then begin
     Alcotest.(check bool) "jobs=4 trace is byte-identical" true (String.equal trace1 trace4);
     Alcotest.(check bool) "trace is non-trivial" true (String.length trace1 > 10_000)
@@ -118,29 +114,29 @@ let () =
       ( "parallel-runner",
         [
           Alcotest.test_case "worker count does not change output" `Slow
-            (worker_count_invariant ~hub:true ~trace:true "fig10" []);
+            (worker_count_invariant ~metrics_golden:true ~trace:true "fig10" []);
           (* The batched + pipelined commit path: batch ids, flush timing
              and sub-batch scheduling are pure functions of the seeded
              event order. *)
           Alcotest.test_case "fig13 batched path is worker-count invariant" `Slow
-            (worker_count_invariant ~hub:false "fig13"
+            (worker_count_invariant ~metrics_golden:false "fig13"
                [ ("flattened variant is plotted", `Figure, "AHL+;flat") ]);
           (* Literal committee swaps: crash, reset, snapshot transfer and
              checkpoint catch-up all ride the seeded engine. *)
           Alcotest.test_case "fig12 committee swaps are worker-count invariant" `Slow
-            (worker_count_invariant ~hub:true "fig12"
+            (worker_count_invariant ~metrics_golden:true "fig12"
                [ ("checkpoint catch-up counters exported", `Metrics, "ckpt.fetch") ]);
           (* Byzantine members that win the leader slot and stall it: the
              view-change storm (campaign votes, backoff doubling, capped
              deadlines) is still a pure function of the event order. *)
           Alcotest.test_case "fig16 leader-stall attacks are worker-count invariant" `Slow
-            (worker_count_invariant ~hub:true "fig16"
+            (worker_count_invariant ~metrics_golden:true "fig16"
                [ ("view-change reason counters exported", `Metrics, "pbft.vc.reason") ]);
           (* Lane-on and lane-off cells interleave: lane appends,
              block-boundary folds and chained merge roots must not depend
              on scheduling. *)
           Alcotest.test_case "fig13_fastlane merge folds are worker-count invariant" `Slow
-            (worker_count_invariant ~hub:true "fig13_fastlane"
+            (worker_count_invariant ~metrics_golden:true "fig13_fastlane"
                [
                  ("lane counters exported", `Metrics, "merge.lane_hits");
                  ("lane-on columns plotted", `Figure, "lane on");

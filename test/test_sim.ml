@@ -81,15 +81,6 @@ let test_engine_nested_scheduling () =
   Alcotest.(check int) "ten ticks" 10 !count;
   check_float "clock at horizon" 100.0 (Engine.now e)
 
-let test_engine_timer_cancel () =
-  let e = Engine.create ~seed:1L in
-  let fired = ref false in
-  let timer = Engine.timer e ~delay:1.0 (fun () -> fired := true) in
-  Engine.cancel timer;
-  Engine.run_until_idle e;
-  Alcotest.(check bool) "cancelled" false !fired;
-  Alcotest.(check bool) "reports cancelled" true (Engine.cancelled timer)
-
 let test_engine_negative_delay_rejected () =
   let e = Engine.create ~seed:1L in
   Alcotest.check_raises "negative delay" (Sim_error.Invalid "Engine.schedule: negative delay")
@@ -684,7 +675,6 @@ let () =
           Alcotest.test_case "horizon" `Quick test_engine_run_until_horizon;
           Alcotest.test_case "run until: FIFO, queued, clock" `Quick test_engine_run_until_fifo;
           Alcotest.test_case "nested scheduling" `Quick test_engine_nested_scheduling;
-          Alcotest.test_case "timer cancel" `Quick test_engine_timer_cancel;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_rejected;
           Alcotest.test_case "past schedule clamps" `Quick test_engine_schedule_at_past_clamps;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;

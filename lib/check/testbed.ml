@@ -39,10 +39,8 @@ let run ~engine_seed ~variant ~n (sched : Schedule.t) =
   let adversary = sched.Schedule.adversary in
   let network : Pbft.msg Network.t = Network.create engine ~topology in
   let c, _ =
-    Network.spawn network ~n ~inbox_mode:(Config.inbox_mode cfg) ~handle:Pbft.handle
-      (Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg ~adversary
-         ~enclave_base_id:0
-         ~execute:(fun ~member:_ ~seq:_ _ -> ()))
+    Pbft.spawn network ~keystore ~costs:Cost_model.default ~config:cfg ~adversary
+      ~execute:(fun ~member:_ ~seq:_ _ -> ())
   in
   let commits = ref [] in
   Pbft.set_commit_hook c (fun ~member ~view ~seq ~digest ~batch ->

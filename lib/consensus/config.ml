@@ -71,7 +71,7 @@ let n_for_f variant ~f =
   match variant.quorum_rule with `Third -> (3 * f) + 1 | `Half -> (2 * f) + 1
 
 let default variant ~n ~topology =
-  if n < 1 then Repro_sim.Sim_error.invalid "Config.default: n must be positive";
+  if n < 1 then Repro_util.Invariant.fail "Config.default: n must be positive";
   (* Across regions the relay deadline must absorb round-trip jitter. *)
   let wan = Repro_sim.Topology.regions topology > 1 in
   {

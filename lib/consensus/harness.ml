@@ -37,13 +37,13 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?advers
     | Some a ->
         let ids = List.length a.Pbft.byzantine in
         if byzantine <> 0 && byzantine <> ids then
-          Sim_error.invalid "Harness.run: byzantine count %d disagrees with the adversary's %d ids"
+          Invariant.fail "Harness.run: byzantine count %d disagrees with the adversary's %d ids"
             byzantine ids;
         a
     | None when byzantine = 0 -> Pbft.honest
     | None ->
         if byzantine > n then
-          Sim_error.invalid "Harness.run: byzantine count %d exceeds n %d" byzantine n;
+          Invariant.fail "Harness.run: byzantine count %d exceeds n %d" byzantine n;
         let perm = Rng.permutation (Rng.split_named (Engine.rng engine) "faults") n in
         let ids = List.init byzantine (Array.get perm) in
         { Pbft.honest with Pbft.byzantine = List.sort Int.compare ids }
@@ -64,25 +64,23 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?advers
      executes at the observer replica. *)
   let on_commit : (int -> unit) ref = ref (fun _ -> ()) in
   let c, nodes =
-    Network.spawn network ~n ~inbox_mode:(Config.inbox_mode cfg) ~handle:Pbft.handle
-      (Pbft.create ~engine ~keystore ~costs ~config:cfg ~adversary ~enclave_base_id:0
-         ~execute:(fun ~member ~seq:_ batch ->
-           if member = observer then begin
-             Commits.commit commits ~count:(List.length batch);
-             List.iter (fun q -> Commits.commit_latency commits ~submitted:q.submitted) batch;
-             List.iter (fun q -> !on_commit q.req_id) batch
-           end))
+    Pbft.spawn network ~keystore ~costs ~config:cfg ~adversary
+      ~execute:(fun ~member ~seq:_ batch ->
+        if member = observer then begin
+          Commits.commit commits ~count:(List.length batch);
+          List.iter (fun q -> Commits.commit_latency commits ~submitted:q.submitted) batch;
+          List.iter (fun q -> !on_commit q.req_id) batch
+        end)
   in
   Network.set_probe network probe;
   Pbft.set_observer c observer;
   Pbft.set_probe c probe;
-  Pbft.set_alive c (fun m -> not (Node.is_crashed nodes.(m)));
   List.iter
     (fun (m, at) ->
       Engine.schedule engine ~delay:at (fun () ->
           Probe.instant probe ~time:(Engine.now engine) ~cat:"harness"
             ~node:("r" ^ string_of_int m) "node_crash";
-          Node.crash nodes.(m)))
+          Pbft.crash c ~member:m))
     crashes;
   (* Scheduled recoveries: the node's inbox reopens and the replica asks
      its peers for the slots it missed (checkpoint catch-up). *)
@@ -92,8 +90,7 @@ let run ?(seed = 1L) ?(duration = 20.0) ?(warmup = 5.0) ?(byzantine = 0) ?advers
           if Node.is_crashed nodes.(m) then begin
             Probe.instant probe ~time:(Engine.now engine) ~cat:"harness"
               ~node:("r" ^ string_of_int m) "node_recover";
-            Node.recover nodes.(m);
-            Pbft.notify_recovered c ~member:m
+            Pbft.recover c ~member:m
           end))
     recovers;
   Pbft.start c;

@@ -53,21 +53,21 @@ val run :
     pick: its ids and script are the committee's whole adversary — this
     wires the Fig. 16 leader attacks, which need the clique sitting on the
     early leader slots.  [crashes] is a list of [(member, time)]
-    crash-fault injections: the node stops at [time] seconds and stays
-    down (its watchdog timers are muted through {!Pbft.set_alive}) unless
-    a matching [(member, time)] entry in [recovers] revives it later: the
-    inbox reopens and the replica runs checkpoint catch-up
-    ({!Pbft.notify_recovered}) for the slots it missed; the observer
-    ({!Pbft.observer}) is moved to the first member that stays honest and
-    alive.  The [topology] is the whole testbed: it sets every CPU
-    charge's scale ({!Repro_sim.Topology.cpu_scale}) and AHLR's relay
-    timing ({!Config.default}).  [tune] post-processes the default
-    {!Config.t} (checkpoint interval, timeouts) for ablations.  [probe] (default
+    crash-fault injections ({!Pbft.crash}): the member stops at [time]
+    seconds, timers included, and stays down unless an entry in
+    [recovers] revives it later ({!Pbft.recover}: the inbox reopens and
+    the replica catches up on the slots it missed; an entry for a live
+    member does nothing).  With crashes, the observer ({!Pbft.observer})
+    is the lowest-indexed honest member that never crashes.  The
+    [topology] is the whole testbed: it sets every CPU charge's scale
+    ({!Repro_sim.Topology.cpu_scale}) and AHLR's relay timing
+    ({!Config.default}).  [tune] post-processes the default {!Config.t}
+    (checkpoint interval, timeouts) for ablations.  [probe] (default
     disabled) threads observability through the committee and transport:
     PBFT phase/view-change events, network delivery latency and drop
     counters, crash instants, and a per-replica inbox-depth counter series
     sampled at 2 Hz.
-    @raise Repro_sim.Sim_error.Invalid before anything runs if
+    @raise Repro_util.Invariant.Violation before anything runs if
     [byzantine] exceeds [n] (and no [adversary] is given), or if both are
     given and a nonzero [byzantine] is not the adversary's id count. *)
 

@@ -140,9 +140,9 @@ type committee = {
   mutable replicas : replica array;
   mutable observer : int;
   rng : Repro_util.Rng.t;
-  mutable alive : int -> bool;
-      (* embedding hook: timers of nodes that are offline (crashed or
-         transitioning between shards) must not fire *)
+  mutable nodes : msg Node.t array;
+      (* member -> its simulated node, set by [spawn]; timers of crashed or
+         transitioning members must not fire *)
   equiv_plans : (int * int, int * request list * int * request list) Hashtbl.t;
       (* (view, seq) -> digest_a, batch_a, digest_b, batch_b: the colluding
          replicas' shared script for a split-brain sequence number *)
@@ -215,6 +215,8 @@ let leader_of_view_int c v = ((v mod n_of c) + n_of c) mod n_of c
 let is_leader c r = r.active && leader_of_view_int c r.view = r.index
 
 let is_byz c r = c.byz_member.(r.index)
+
+let alive c r = not (Node.is_crashed c.nodes.(r.index))
 
 let observer c = c.observer
 
@@ -333,7 +335,8 @@ let create ~engine ~keystore ~costs ~config ~adversary ~enclave_base_id ~send ~c
   let byz_member = Array.make n false in
   List.iter
     (fun id ->
-      if id < 0 || id >= n then Sim_error.invalid "Pbft.create: byzantine id %d out of range" id;
+      if id < 0 || id >= n then
+        Repro_util.Invariant.fail "Pbft.spawn: byzantine id %d out of range" id;
       byz_member.(id) <- true)
     adversary.byzantine;
   let obs =
@@ -354,7 +357,7 @@ let create ~engine ~keystore ~costs ~config ~adversary ~enclave_base_id ~send ~c
       replicas = [||];
       observer = obs;
       rng = Repro_util.Rng.split_named (Engine.rng engine) "pbft";
-      alive = (fun _ -> true);
+      nodes = [||];
       equiv_plans = Hashtbl.create 16;
       stale_log = [];
       commit_hook = (fun ~member:_ ~view:_ ~seq:_ ~digest:_ ~batch:_ -> ());
@@ -445,7 +448,7 @@ and arm_batch_timer c r =
     in
     Engine.schedule c.engine ~delay:fire_in (fun () ->
         r.batch_timer_armed <- false;
-        if c.alive r.index then try_propose c r)
+        if alive c r then try_propose c r)
   end
 
 (* AHLR: the leader contributes its own signed vote to the pool and
@@ -548,7 +551,7 @@ and mark_committed c r ~seq ~digest =
           r.gap_timer_armed <- true;
           Engine.schedule c.engine ~delay:c.cfg.Config.progress_timeout (fun () ->
               r.gap_timer_armed <- false;
-              if c.alive r.index && (not r.fetching) && gapped c r then request_catch_up c r)
+              if alive c r && (not r.fetching) && gapped c r then request_catch_up c r)
         end
     | Some _ | None -> ()
   end
@@ -677,7 +680,7 @@ and request_catch_up c r =
     Engine.schedule c.engine ~delay:c.cfg.Config.progress_timeout (fun () ->
         if r.fetching then begin
           r.fetching <- false;
-          if c.alive r.index && gapped c r then request_catch_up c r
+          if alive c r && gapped c r then request_catch_up c r
         end)
   end
 
@@ -884,7 +887,7 @@ and respond_to_preprepare c r ~view ~seq ~digest =
          watchdog only fires on genuine leader stalls. *)
       let deadline = c.cfg.Config.relay_timeout in
       let rec watch () =
-        if c.alive r.index && r.active && r.view = view && r.last_exec < seq then begin
+        if alive c r && r.active && r.view = view && r.last_exec < seq then begin
           let stall = now c -. r.last_exec_time in
           if stall > deadline then start_view_change c r ~reason:"relay-stall" ~target:(r.view + 1)
           else Engine.schedule c.engine ~delay:(deadline -. stall +. 1e-3) watch
@@ -993,7 +996,8 @@ let byz_naive_equivocate c r ~view ~seq ~digest =
             broadcast c r ~channel:consensus_channel (Prepare { view; seq; digest; sender = r.index })
         | None -> ());
         (match A2m.append a2m ~log ~slot:seq ~digest_tag:(digest + 1) with
-        | Some _ -> Sim_error.invalid "Pbft: A2M accepted a conflicting append for slot %d" seq
+        | Some _ ->
+            Repro_util.Invariant.fail "Pbft: A2M accepted a conflicting append for slot %d" seq
         | None -> ())
     | None -> ()
 
@@ -1046,7 +1050,7 @@ let rec byz_leader_drip c r ~delay =
       ~delay:(Float.max 1e-4 (r.drip_next -. t))
       (fun () ->
         r.batch_timer_armed <- false;
-        if c.alive r.index && byz_holds_slot c r then byz_leader_try_propose c r)
+        if alive c r && byz_holds_slot c r then byz_leader_try_propose c r)
   end
 
 and byz_leader_try_propose c r =
@@ -1303,7 +1307,7 @@ let handle_fetch_resp c r ~view ~ckpt ~blocks =
         if Probe.enabled c.probe then Probe.incr c.probe "ckpt.fetch.snapshots";
         c.snapshot_fetch ~member:r.index ~seq:cseq ~digest:cdigest
           ~k:(fun ok ->
-            if c.alive r.index then
+            if alive c r then
               if ok then begin
                 adopt_checkpoint c r ~seq:cseq ~digest:cdigest;
                 List.iter insert sorted;
@@ -1368,7 +1372,7 @@ let handle c ~member m =
 (* ------------------------------------------------------------------ *)
 
 let watchdog c r () =
-  if not (c.alive r.index) then ()
+  if not (alive c r) then ()
   else if is_byz c r then begin
     match c.adversary.leader_attack with
     | Some _ when byz_holds_slot c r ->
@@ -1455,13 +1459,6 @@ let checkpoint_cert c ~member =
       | None -> None)
   | None -> None
 
-let notify_recovered c ~member =
-  let r = c.replicas.(member) in
-  r.fetching <- false;
-  r.last_exec_time <- now c;
-  r.earliest_known <- (if Int_table.length r.known > 0 then now c else infinity);
-  if not (is_byz c r) then request_catch_up c r
-
 let reset_member c ~member =
   let r = c.replicas.(member) in
   r.active <- true;
@@ -1507,10 +1504,53 @@ let install_checkpoint c ~member ~seq ~digest ~voters =
 
 let set_snapshot_hook c f = c.snapshot_fetch <- f
 
-let set_alive c f = c.alive <- f
-
 let set_observer c o = c.observer <- o
 
 let set_commit_hook c f = c.commit_hook <- f
 
 let set_probe c p = c.probe <- p
+
+(* ------------------------------------------------------------------ *)
+(* Lifecycle: spawn, crash, recover, swap                              *)
+(* ------------------------------------------------------------------ *)
+
+let spawn ?(base = 0) network ~keystore ~costs ~config ~adversary ~execute =
+  let c, nodes =
+    Network.spawn network ~base ~n:config.Config.n ~inbox_mode:(Config.inbox_mode config) ~handle
+      (create ~engine:(Network.engine network) ~keystore ~costs ~config ~adversary
+         ~enclave_base_id:base ~execute)
+  in
+  c.nodes <- nodes;
+  (c, nodes)
+
+let crash c ~member = Node.crash c.nodes.(member)
+
+(* A member whose node just came back up: restart its progress clock and
+   ask f+1 peers for the slots it missed. *)
+let rejoin c r =
+  r.fetching <- false;
+  r.last_exec_time <- now c;
+  r.earliest_known <- (if Int_table.length r.known > 0 then now c else infinity);
+  if not (is_byz c r) then request_catch_up c r
+
+let recover c ~member =
+  let node = c.nodes.(member) in
+  if Node.is_crashed node then begin
+    Node.recover node;
+    rejoin c c.replicas.(member)
+  end
+
+let swap c ~member ~window =
+  let node = c.nodes.(member) in
+  let newcomer = member <> c.observer in
+  Node.crash node;
+  if newcomer then reset_member c ~member;
+  Engine.schedule c.engine ~delay:window (fun () ->
+      (* Unguarded: a member some other fault already revived still
+         installs and catches up. *)
+      Node.recover node;
+      (if newcomer then
+         match checkpoint_cert c ~member:c.observer with
+         | Some (seq, root, voters) -> install_checkpoint c ~member ~seq ~digest:root ~voters
+         | None -> ());
+      rejoin c c.replicas.(member))

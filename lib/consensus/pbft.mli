@@ -18,9 +18,9 @@
       quorum certificate (O(N) messages, but a serial hotspot and a
       view-change hazard when the certificate misses the relay deadline).
 
-    The module is transport-agnostic: the embedding supplies [send]/[self]
-    callbacks, per-member CPU charging, and an [execute] upcall.  Committee
-    members are addressed by their index 0..n-1. *)
+    {!spawn} puts a committee on a {!Repro_sim.Network.t} and keeps its
+    nodes; the embedding supplies an [execute] upcall.  Committee members
+    are addressed by their index 0..n-1. *)
 
 open Types
 
@@ -88,7 +88,7 @@ type leader_attack =
           just under the watchdog period to probe the detection boundary
           (throughput collapses but no timeout ever fires) *)
 
-(** A committee's whole adversary, fixed at {!create}: which members are
+(** A committee's whole adversary, fixed at {!spawn}: which members are
     Byzantine and how they behave (one script shared by all of them). *)
 type adversary = {
   byzantine : int list;  (** the colluding members, each in [0..n-1] *)
@@ -121,26 +121,27 @@ val set_commit_hook :
     earlier block) just before the [execute] upcall.  This is the committed
     trace the safety oracles consume. *)
 
-val create :
-  engine:Repro_sim.Engine.t ->
+val spawn :
+  ?base:int ->
+  msg Repro_sim.Network.t ->
   keystore:Repro_crypto.Keys.keystore ->
   costs:Repro_crypto.Cost_model.t ->
   config:Config.t ->
   adversary:adversary ->
-  enclave_base_id:int ->
-  send:(src:int -> dst:int -> channel:Repro_sim.Inbox.channel -> bytes:int -> msg -> unit) ->
-  charge:(member:int -> float -> unit) ->
   execute:(member:int -> seq:int -> request list -> unit) ->
-  committee
-(** [enclave_base_id]: the attested variants register one enclave per
-    member with keystore principal ids [base .. base+n-1] (pass a range
-    disjoint from other committees, e.g. the committee's node ids); trace
-    events name member [i] ["r<base+i>"].  [adversary] names members by
-    index.
+  committee * msg Repro_sim.Node.t array
+(** Put a committee of [config.n] members on the network
+    ({!Repro_sim.Network.spawn}): nodes [base .. base+n-1] (default [base]
+    0) with {!Config.inbox_mode}'s inboxes, each delivering to its
+    replica.  The attested variants register one enclave per member under
+    the same ids (pass a range disjoint from other committees); trace
+    events name member [i] ["r<base+i>"].  [adversary] names members by index.
     [execute] is called on every replica with the not-yet-executed requests
     of each decided batch, in sequence order; an embedding that logs
-    commits does so for [member = observer c] only.
-    @raise Repro_sim.Sim_error.Invalid if a byzantine id is outside
+    commits does so for [member = observer c] only.  Returns the committee
+    and its nodes, for load and inbox readings.  Nothing runs until
+    {!start}.
+    @raise Repro_util.Invariant.Violation if a byzantine id is outside
     [0..n-1]. *)
 
 val set_observer : committee -> int -> unit
@@ -148,11 +149,6 @@ val set_observer : committee -> int -> unit
     be in [0..n-1]; pass a member that stays honest and alive, or the
     {!tally} and the embedding's commit log go dark.  Call before
     {!start}. *)
-
-val set_alive : committee -> (int -> bool) -> unit
-(** Install the embedding's liveness predicate: members for which it
-    returns [false] (crashed / transitioning nodes) fire no timers.
-    Defaults to always-alive. *)
 
 val set_probe : committee -> Repro_obs.Probe.t -> unit
 (** Install an observability probe (default {!Repro_obs.Probe.none}):
@@ -164,11 +160,40 @@ val set_probe : committee -> Repro_obs.Probe.t -> unit
 val start : committee -> unit
 (** Arm leader batching and watchdog timers (they run as local engine
     timers, not network messages — a flooded inbox cannot suppress a
-    timeout).  Call once, after the transport is wired. *)
+    timeout).  Call once, after {!spawn} and the embedding's setters. *)
 
-val handle : committee -> member:int -> msg -> unit
-(** Entry point the embedding's node handler calls for every delivered
-    message (including self-ticks). *)
+(** {2 Lifecycle}
+
+    A member's node is up or crashed, and the committee reads liveness
+    from it: a crashed member receives nothing and fires no timers.
+    Embeddings crash and revive members only through these operations;
+    DESIGN §16 describes the two ways back in. *)
+
+val crash : committee -> member:int -> unit
+(** Take the member's node down, dropping its queued messages.  Its
+    consensus state stays. *)
+
+val recover : committee -> member:int -> unit
+(** Bring a crashed member's node back up and catch it up: its progress
+    clock restarts and it asks f+1 peers for the slots it missed,
+    replaying them (or taking a snapshot, see {!set_snapshot_hook}).  A
+    no-op on a live member: no [Fetch] is sent. *)
+
+val swap : committee -> member:int -> window:float -> unit
+(** Reconfigure the member's slot (Section 5.3): its node goes down now
+    and comes back after [window] seconds (state fetch and
+    re-attestation), then catches up as in {!recover}.  Any member but the
+    {!observer} is a newcomer: its state is wiped now ({!reset_member}),
+    and on rejoin it installs the observer's latest checkpoint certificate
+    instead of replaying below it.  The observer keeps its state.  The
+    rejoin runs even if another fault revived the node in the window. *)
+
+val reset_member : committee -> member:int -> unit
+(** Wipe a member's consensus state (logs, votes, checkpoints, attested
+    log) as if a brand-new node took over its slot: {!swap}'s state half.
+    A crashed member so wiped rejoins through {!recover}. *)
+
+(** {2 Messages and introspection} *)
 
 val request : request -> msg
 (** The wire message a client sends to any member (a plain request; the
@@ -222,24 +247,6 @@ val checkpoint_cert : committee -> member:int -> (int * int * int list) option
     [(seq, root, voters)] — the quorum of members whose matching
     [Checkpoint] votes were collected.  [None] before the first
     certificate forms (or right after {!reset_member}). *)
-
-val notify_recovered : committee -> member:int -> unit
-(** Tell a member the embedding just revived (un-crashed) it: it resets its
-    progress clock and asks f+1 peers for the slots it missed, replaying
-    them through the normal execution path.  Call after the member's inbox
-    is accepting deliveries again. *)
-
-val reset_member : committee -> member:int -> unit
-(** Wipe a member's consensus state (logs, votes, checkpoints, attested
-    log) as if a brand-new node took over its slot — the literal
-    committee-swap primitive used by epoch transitions.  The newcomer
-    rejoins via {!install_checkpoint} or {!notify_recovered}. *)
-
-val install_checkpoint : committee -> member:int -> seq:int -> digest:int -> voters:int list -> unit
-(** Hand a member a checkpoint certificate whose snapshot the embedding
-    already transferred and verified (Section 5.3): the member adopts
-    [seq] as executed and stable without replaying below it.  Ignored
-    unless [voters] contains a quorum of distinct member indices. *)
 
 val set_snapshot_hook :
   committee -> (member:int -> seq:int -> digest:int -> k:(bool -> unit) -> unit) -> unit

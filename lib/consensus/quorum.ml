@@ -3,7 +3,7 @@ type slot = { mask : Bytes.t; mutable count : int }
 type t = { n : int; slots : (int * int * int, slot) Hashtbl.t }
 
 let create ~n =
-  if n <= 0 then Repro_sim.Sim_error.invalid "Quorum.create: n must be positive";
+  if n <= 0 then Repro_util.Invariant.fail "Quorum.create: n must be positive";
   { n; slots = Hashtbl.create 256 }
 
 let get_slot t key =
@@ -16,7 +16,7 @@ let get_slot t key =
 
 let vote t ~view ~seq ~digest ~member =
   if member < 0 || member >= t.n then
-    Repro_sim.Sim_error.invalid "Quorum.vote: member %d out of range [0,%d)" member t.n;
+    Repro_util.Invariant.fail "Quorum.vote: member %d out of range [0,%d)" member t.n;
   let s = get_slot t (view, seq, digest) in
   if Bytes.get s.mask member = '\000' then begin
     Bytes.set s.mask member '\001';

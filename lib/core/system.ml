@@ -807,10 +807,8 @@ let create cfg =
       end
     in
     let pbft, nodes =
-      Network.spawn network ~base ~n
-        ~inbox_mode:(Config.inbox_mode pbft_cfg) ~handle:Pbft.handle
-        (Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:pbft_cfg
-           ~adversary:Pbft.honest ~enclave_base_id:base ~execute)
+      Pbft.spawn network ~base ~keystore ~costs:Cost_model.default ~config:pbft_cfg
+        ~adversary:Pbft.honest ~execute
     in
     let coordsm =
       match cfg.mode with
@@ -836,7 +834,6 @@ let create cfg =
         corrupt_next = false;
       }
     in
-    Pbft.set_alive pbft (fun member -> not (Node.is_crashed nodes.(member)));
     (* Section 5.3 state transfer for checkpoint catch-up: a member whose
        missed slots were pruned from its peers' replay rings pulls a
        snapshot of the shard state, pays transfer + Merkle re-verification
@@ -1012,16 +1009,9 @@ let set_probe t p =
   Network.set_probe t.network p;
   Array.iter (fun ctx -> Pbft.set_probe ctx.pbft p) t.committees
 
-let crash_member t ~committee ~member = Node.crash t.committees.(committee).nodes.(member)
+let crash_member t ~committee ~member = Pbft.crash t.committees.(committee).pbft ~member
 
-let recover_member t ~committee ~member =
-  let ctx = t.committees.(committee) in
-  if Node.is_crashed ctx.nodes.(member) then begin
-    Node.recover ctx.nodes.(member);
-    (* The revived replica immediately asks its peers for the slots it
-       missed — the fix for the crashobs divergence the checker found. *)
-    Pbft.notify_recovered ctx.pbft ~member
-  end
+let recover_member t ~committee ~member = Pbft.recover t.committees.(committee).pbft ~member
 
 let reset_member t ~committee ~member = Pbft.reset_member t.committees.(committee).pbft ~member
 
@@ -1079,17 +1069,12 @@ let advance_epoch t ~at ~seed ~epoch ~strategy =
   let nodes_total = Array.fold_left (fun acc ctx -> acc + Array.length ctx.nodes) 0 t.committees in
   let from_ = Assignment.derive ~seed ~epoch:(epoch - 1) ~nodes:nodes_total ~committees in
   let to_ = Assignment.derive ~seed ~epoch ~nodes:nodes_total ~committees in
-  let node_of_global id =
-    (* Global ids are dense across committees in creation order. *)
-    let rec find c =
-      if c >= Array.length t.committees then
-        Sim_error.invalid "System.advance_epoch: node id %d outside all committees" id
-      else
-        let ctx = t.committees.(c) in
-        if id >= ctx.base && id < ctx.base + Array.length ctx.nodes then ctx.nodes.(id - ctx.base)
-        else find (c + 1)
-    in
-    find 0
+  let slot_of_global id =
+    (* Global ids are dense across equal-sized committees in creation
+       order. *)
+    if id < 0 || id >= nodes_total then
+      Invariant.fail "System.advance_epoch: node id %d outside all committees" id;
+    (t.committees.(id / t.cfg.committee_size), id mod t.cfg.committee_size)
   in
   (* A transitioning node is down for as long as fetching + verifying its
      destination shard's state takes (plus re-attestation of the new
@@ -1119,41 +1104,15 @@ let advance_epoch t ~at ~seed ~epoch ~strategy =
             let moved = ref 0 in
             List.iter
               (fun step ->
-                let nd = node_of_global step.Assignment.node in
-                let cidx = Node.id nd / t.cfg.committee_size in
-                let member = Node.id nd mod t.cfg.committee_size in
-                let ctx = t.committees.(cidx) in
-                (* The observer replica anchors measurement; it is treated
-                   as pinned infrastructure and never transitions. *)
+                let ctx, member = slot_of_global step.Assignment.node in
+                (* The observer replica (member 0) anchors measurement; it
+                   is pinned infrastructure and moves only under swap-all,
+                   where [Pbft.swap] restarts it with its state. *)
                 if member <> 0 || strategy = `Swap_all then begin
-                  Node.crash nd;
                   Stdlib.incr moved;
                   let ft = fetch_time step in
                   if ft > !max_fetch then max_fetch := ft;
-                  if member <> 0 then begin
-                    (* A literal committee swap: the slot's previous
-                       occupant departs with its consensus state; after the
-                       fetch window a newcomer rejoins holding only the
-                       snapshot it transferred and verified, anchored at the
-                       committee's latest certified checkpoint, and replays
-                       the tail from its peers. *)
-                    Pbft.reset_member ctx.pbft ~member;
-                    Engine.schedule t.engine ~delay:ft (fun () ->
-                        Node.recover nd;
-                        (match
-                           Pbft.checkpoint_cert ctx.pbft ~member:(Pbft.observer ctx.pbft)
-                         with
-                        | Some (seq, root, voters) ->
-                            Pbft.install_checkpoint ctx.pbft ~member ~seq ~digest:root ~voters
-                        | None -> ());
-                        Pbft.notify_recovered ctx.pbft ~member)
-                  end
-                  else
-                    (* Swap-all restarts even the pinned observer node; it
-                       keeps its state and catches up by replay. *)
-                    Engine.schedule t.engine ~delay:ft (fun () ->
-                        Node.recover nd;
-                        Pbft.notify_recovered ctx.pbft ~member)
+                  Pbft.swap ctx.pbft ~member ~window:ft
                 end)
               wave;
             Probe.incr t.probe "epoch.waves";

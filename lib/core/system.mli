@@ -141,22 +141,24 @@ val set_probe : t -> Repro_obs.Probe.t -> unit
     delivery/drop instrumentation.  Call before {!run}. *)
 
 val crash_member : t -> committee:int -> member:int -> unit
-(** Crash one replica of a committee ([shards t] addresses R).  Crashing
-    member 0 — the observer that materializes state — stalls that
-    committee's execution; checkers that want the paper's crash-fault
-    model should pick members >= 1. *)
+(** Crash one replica of a committee ([shards t] addresses R) through
+    {!Repro_consensus.Pbft.crash}.  Crashing member 0 — the observer that
+    materializes state — stalls that committee's execution; checkers that
+    want the paper's crash-fault model should pick members >= 1. *)
 
 val recover_member : t -> committee:int -> member:int -> unit
-(** Revive a crashed replica.  It immediately runs checkpoint catch-up
-    ({!Repro_consensus.Pbft.notify_recovered}): missed slots are fetched
-    from f+1 peers and replayed through the execution path, so a recovered
-    observer's materialized state converges instead of silently diverging
-    (the crashobs regression). *)
+(** Revive a crashed replica ({!Repro_consensus.Pbft.recover}; a no-op on
+    a live one).  It immediately runs checkpoint catch-up: missed slots
+    are fetched from f+1 peers and replayed through the execution path,
+    so a recovered observer's materialized state converges instead of
+    silently diverging (the crashobs regression). *)
 
 val reset_member : t -> committee:int -> member:int -> unit
 (** Wipe one replica's consensus state as if a brand-new node took over
-    the slot ({!Repro_consensus.Pbft.reset_member}) — node-churn modelling:
-    pair with {!crash_member}/{!recover_member} for a literal swap. *)
+    the slot ({!Repro_consensus.Pbft.reset_member}).  Between
+    {!crash_member} and {!recover_member} it makes a swap without the
+    certificate install {!advance_epoch} does, so the newcomer must
+    replay or transfer a snapshot. *)
 
 val corrupt_next_snapshot : t -> shard:int -> unit
 (** One-shot fault: the next catch-up snapshot served for this committee
@@ -218,11 +220,12 @@ val advance_epoch :
 (** The full Section 5 pipeline: derive the epoch's node-to-committee
     assignment from the beacon seed ({!Repro_shard.Assignment.derive}),
     plan the transition in waves of B = log₂(n)
-    ({!Repro_shard.Sizing.swap_batch_size}), and run each wave as a
-    *literal* committee swap: the departing occupant's consensus state is
-    wiped, the slot is offline for the time needed to fetch and verify the
-    destination shard's state ({!Repro_shard.State_transfer}), and the
-    newcomer rejoins anchored at the committee's latest certified
-    checkpoint, replaying the tail from its peers.  Observers (member 0)
-    are pinned infrastructure: they transition only under [`Swap_all], and
-    then by restart-and-replay, never by state wipe. *)
+    ({!Repro_shard.Sizing.swap_batch_size}), and run each wave as
+    *literal* committee swaps ({!Repro_consensus.Pbft.swap}): the
+    departing occupant's consensus state is wiped, the slot is offline for
+    the time needed to fetch and verify the destination shard's state
+    ({!Repro_shard.State_transfer}) plus re-attestation, and the newcomer
+    rejoins anchored at the committee's latest certified checkpoint,
+    replaying the tail from its peers.  Observers (member 0) are pinned
+    infrastructure: they transition only under [`Swap_all], and then by
+    restart-and-replay, never by state wipe. *)

@@ -133,7 +133,7 @@ let next_tx t system ~client =
     | Smallbank -> (
         match distinct_keys t 2 with
         | [ a; b ] -> payment t a b
-        | ks -> Repro_sim.Sim_error.invalid "Workload.next_tx: expected 2 keys, got %d" (List.length ks))
+        | ks -> Invariant.fail "Workload.next_tx: expected 2 keys, got %d" (List.length ks))
     | Hot_increments { increment_fraction } -> (
         (* The CRDV-style mix: with probability [increment_fraction] a
            credit-only increment of two hot counters — all-commutative, so
@@ -156,7 +156,7 @@ let next_tx t system ~client =
               in
               (List.map (fun (account, _) -> Tx.Credit { account; amount }) known, known)
             else payment t a b
-        | ks -> Repro_sim.Sim_error.invalid "Workload.next_tx: expected 2 keys, got %d" (List.length ks))
+        | ks -> Invariant.fail "Workload.next_tx: expected 2 keys, got %d" (List.length ks))
   in
   let tx =
     Tx.make ~txid ~client ~submitted:(Repro_sim.Engine.now (System.engine system)) ops

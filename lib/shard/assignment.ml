@@ -4,7 +4,7 @@ type t = { epoch : int; committees : int array array }
 
 let derive ~seed ~epoch ~nodes ~committees =
   if nodes <= 0 || committees <= 0 || committees > nodes then
-    Repro_sim.Sim_error.invalid "Assignment.derive: bad sizes (nodes %d, committees %d)" nodes
+    Invariant.fail "Assignment.derive: bad sizes (nodes %d, committees %d)" nodes
       committees;
   let rng = Rng.split_named (Rng.create seed) (Printf.sprintf "epoch-%d" epoch) in
   let perm = Rng.permutation rng nodes in
@@ -24,7 +24,7 @@ let committee_of t node =
   Array.iteri
     (fun c members -> if Array.exists (fun m -> m = node) members then found := c)
     t.committees;
-  if !found < 0 then Repro_sim.Sim_error.invalid "Assignment.committee_of: unknown node %d" node;
+  if !found < 0 then Invariant.fail "Assignment.committee_of: unknown node %d" node;
   !found
 
 let transitioning ~from_ ~to_ =
@@ -42,7 +42,7 @@ type step = { node : int; from_committee : int; to_committee : int }
 
 let transition_plan ~from_ ~to_ ~batch =
   if batch <= 0 then
-    Repro_sim.Sim_error.invalid "Assignment.transition_plan: batch %d not positive" batch;
+    Invariant.fail "Assignment.transition_plan: batch %d not positive" batch;
   let pending =
     List.map
       (fun node ->

@@ -116,7 +116,7 @@ let run ?(seed = 5L) ~n ~topology ~delta ~l_bits ?(byzantine_withhold = 0) () =
   let values = Array.to_list locked |> List.filter_map Fun.id |> List.sort_uniq Int64.compare in
   (match values with
   | [ _ ] -> ()
-  | _ -> Sim_error.invalid "Randomness.run: honest nodes disagree on rnd");
+  | _ -> Invariant.fail "Randomness.run: honest nodes disagree on rnd");
   {
     rnd = List.hd values;
     rounds;

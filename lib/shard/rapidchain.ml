@@ -5,7 +5,7 @@ type t = { utxos : Utxo.t array }
 
 let create ~shards =
   if shards <= 0 then
-    Repro_sim.Sim_error.invalid "Rapidchain.create: shards %d not positive" shards;
+    Repro_util.Invariant.fail "Rapidchain.create: shards %d not positive" shards;
   { utxos = Array.init shards (fun _ -> Utxo.create ()) }
 
 let utxo_of_shard t shard = t.utxos.(shard)

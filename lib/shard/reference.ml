@@ -66,7 +66,7 @@ let step t ~txid event =
   | None, Begin { participants } ->
       let distinct = List.sort_uniq Int.compare participants in
       (match distinct with
-      | [] -> Repro_sim.Sim_error.invalid "Reference.step: participants must be non-empty"
+      | [] -> Repro_util.Invariant.fail "Reference.step: participants must be non-empty"
       | _ :: _ -> ());
       let r = { state = Preparing (List.length distinct); participants = distinct; voted = [] } in
       Int_table.replace t.txs txid r;

@@ -15,7 +15,7 @@ let log2_pr_faulty ~total ~byzantine ~n rule = log_pr_faulty ~total ~byzantine ~
 
 let min_committee_size ~total ~fraction ~rule ~security_bits =
   if fraction < 0.0 || fraction >= 1.0 then
-    Repro_sim.Sim_error.invalid "Sizing.min_committee_size: fraction %g outside [0, 1)" fraction;
+    Invariant.fail "Sizing.min_committee_size: fraction %g outside [0, 1)" fraction;
   let byzantine = int_of_float (Float.round (fraction *. float_of_int total)) in
   let target = -.float_of_int security_bits in
   let rec search n =

@@ -19,7 +19,7 @@ let create engine =
     series =
       (match Stats.Series.create ~bin:1.0 with
       | Ok s -> s
-      | Error msg -> Sim_error.invalid "Commits.create: %s" msg);
+      | Error msg -> Invariant.fail "Commits.create: %s" msg);
   }
 
 let commit t ~count =

@@ -25,7 +25,7 @@ let schedule_at t ~time f =
   Heap.push t.queue time f
 
 let schedule t ~delay f =
-  if delay < 0.0 then Sim_error.invalid "Engine.schedule: negative delay";
+  if delay < 0.0 then Invariant.fail "Engine.schedule: negative delay";
   schedule_at t ~time:(!(t.clock) +. delay) f
 
 (* Fire the minimum event, whose key the caller has read as [time]. *)

@@ -5,14 +5,12 @@ type mode =
   | Split of { request_cap : int; consensus_cap : int }
 
 (* A FIFO ring over a power-of-two array that doubles up to [cap]: entry
-   [k] (0 = oldest) sits at [(head + k) land (size - 1)].  Each entry is a
-   message and the channel it arrived on, in two parallel arrays, so a
-   push or a take allocates nothing once the ring has grown and stores
-   one pointer. *)
+   [k] (0 = oldest) sits at [(head + k) land (size - 1)], so a push or a
+   take allocates nothing once the ring has grown and stores one
+   pointer. *)
 type 'msg ring = {
   cap : int; (* tail-drop above this many entries *)
   mutable msgs : 'msg array;
-  mutable chans : channel array;
   mutable head : int;
   mutable len : int;
 }
@@ -31,27 +29,22 @@ type 'msg t = {
    once. *)
 let vacant () : 'msg = Obj.magic 0
 
-let ring cap = { cap; msgs = [||]; chans = [||]; head = 0; len = 0 }
+let ring cap = { cap; msgs = [||]; head = 0; len = 0 }
 
 (* Double the array (from 16), unwrapping the entries to start at 0. *)
 let grow r =
   let size = Array.length r.msgs in
   let nsize = if size = 0 then 16 else 2 * size in
-  let msgs = Array.make nsize (vacant ()) and chans = Array.make nsize Request in
+  let msgs = Array.make nsize (vacant ()) in
   for k = 0 to r.len - 1 do
-    let j = (r.head + k) land (size - 1) in
-    Array.unsafe_set msgs k (Array.unsafe_get r.msgs j);
-    Array.unsafe_set chans k (Array.unsafe_get r.chans j)
+    Array.unsafe_set msgs k (Array.unsafe_get r.msgs ((r.head + k) land (size - 1)))
   done;
   r.msgs <- msgs;
-  r.chans <- chans;
   r.head <- 0
 
-let ring_push r channel msg =
+let ring_push r msg =
   if r.len = Array.length r.msgs then grow r;
-  let j = (r.head + r.len) land (Array.length r.msgs - 1) in
-  Array.unsafe_set r.msgs j msg;
-  Array.unsafe_set r.chans j channel;
+  Array.unsafe_set r.msgs ((r.head + r.len) land (Array.length r.msgs - 1)) msg;
   r.len <- r.len + 1
 
 (* The oldest entry's message; the caller has checked [r.len > 0]. *)
@@ -73,9 +66,10 @@ let ring_clear r =
 let create mode =
   let shared, requests, consensus =
     match mode with
-    | Shared cap when cap <= 0 -> Sim_error.invalid "Inbox.create: capacity must be positive"
+    | Shared cap when cap <= 0 ->
+        Repro_util.Invariant.fail "Inbox.create: capacity must be positive"
     | Split { request_cap; consensus_cap } when request_cap <= 0 || consensus_cap <= 0 ->
-        Sim_error.invalid "Inbox.create: capacity must be positive"
+        Repro_util.Invariant.fail "Inbox.create: capacity must be positive"
     | Shared cap -> (ring cap, ring 0, ring 0)
     | Split { request_cap; consensus_cap } -> (ring 0, ring request_cap, ring consensus_cap)
   in
@@ -95,7 +89,7 @@ let push t channel msg =
   in
   if r.len >= r.cap then drop t channel
   else begin
-    ring_push r channel msg;
+    ring_push r msg;
     true
   end
 
@@ -105,17 +99,9 @@ let next_ring t =
   | Shared _ -> t.shared
   | Split _ -> if t.consensus.len > 0 then t.consensus else t.requests
 
-let pop t =
-  let r = next_ring t in
-  if r.len = 0 then None
-  else begin
-    let channel = Array.unsafe_get r.chans r.head in
-    Some (channel, ring_take r)
-  end
-
 let take t =
   let r = next_ring t in
-  if r.len = 0 then Sim_error.invalid "Inbox.take: empty inbox";
+  if r.len = 0 then Repro_util.Invariant.fail "Inbox.take: empty inbox";
   ring_take r
 
 let length t = t.shared.len + t.requests.len + t.consensus.len

@@ -21,12 +21,10 @@ val push : 'msg t -> channel -> 'msg -> bool
 (** Enqueue; [false] means the message was tail-dropped because its queue
     was full. *)
 
-val pop : 'msg t -> (channel * 'msg) option
-(** In [Split] mode, consensus messages are served first. *)
-
 val take : 'msg t -> 'msg
-(** Removes and returns the message {!pop} would, without its channel and
-    without allocating.  Raises {!Sim_error.Invalid} on an empty inbox. *)
+(** Removes and returns the oldest message, without allocating; in [Split]
+    mode consensus messages are served first.
+    @raise Repro_util.Invariant.Violation on an empty inbox. *)
 
 val length : 'msg t -> int
 (** Total queued messages across channels. *)

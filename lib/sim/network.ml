@@ -31,16 +31,18 @@ let create engine ~topology =
     probe = Repro_obs.Probe.none;
   }
 
+let engine t = t.engine
+
 (* Ids are dense ([Network.spawn] hands out [base .. base+n-1]), so the
    node table is an array indexed by id; an id outside it reads as absent. *)
 let find t id = if id >= 0 && id < Array.length t.nodes then Array.unsafe_get t.nodes id else None
 
 let register_in_region t node ~region =
   let id = Node.id node in
-  if id < 0 then Sim_error.invalid "Network.register: negative node id";
-  if Option.is_some (find t id) then Sim_error.invalid "Network.register: duplicate node id";
+  if id < 0 then Invariant.fail "Network.register: negative node id";
+  if Option.is_some (find t id) then Invariant.fail "Network.register: duplicate node id";
   if region < 0 || region >= Topology.regions t.topology then
-    Sim_error.invalid "Network.register: region out of range";
+    Invariant.fail "Network.register: region out of range";
   let len = Array.length t.nodes in
   if id >= len then begin
     let nodes = Array.make (Int.max (2 * len) (id + 1)) None in
@@ -94,7 +96,7 @@ let send t ~src ~dst ~channel ~bytes msg =
   let src_region =
     match find t src_id with
     | Some (_, r) -> r
-    | None -> Sim_error.invalid "Network.send: source not registered"
+    | None -> Invariant.fail "Network.send: source not registered"
   in
   let departure = Engine.now t.engine +. Node.charged src in
   transmit t ~src_id ~src_region ~departure ~dst ~channel ~bytes msg

@@ -19,6 +19,8 @@ type verdict =
 
 val create : Engine.t -> topology:Topology.t -> 'msg t
 
+val engine : 'msg t -> Engine.t
+
 val register : 'msg t -> 'msg Node.t -> unit
 (** Make a node addressable; its region comes from
     [Topology.region_of_node].  Node ids must be non-negative and unique;

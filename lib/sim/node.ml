@@ -21,7 +21,7 @@ let id t = t.node_id
 
 
 let charge t cost =
-  if cost < 0.0 then Sim_error.invalid "Node.charge: negative cost";
+  if cost < 0.0 then Repro_util.Invariant.fail "Node.charge: negative cost";
   let cpu = t.cpu in
   let start = Float.max (Engine.now t.engine) cpu.busy_until in
   cpu.busy_until <- start +. cost;

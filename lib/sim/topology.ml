@@ -43,7 +43,7 @@ let constrained_lan ~latency_ms ~bandwidth_mbps =
 let lan () = constrained_lan ~latency_ms:0.3 ~bandwidth_mbps:1000.0
 
 let gcp n =
-  if n < 1 || n > 8 then Sim_error.invalid "Topology.gcp: regions must be in 1..8";
+  if n < 1 || n > 8 then Invariant.fail "Topology.gcp: regions must be in 1..8";
   let latency_s =
     Array.init n (fun i ->
         Array.init n (fun j ->
@@ -64,7 +64,7 @@ let region_of_node t node = node mod t.nregions
 
 let latency t rng ~src_region ~dst_region =
   if src_region < 0 || src_region >= t.nregions || dst_region < 0 || dst_region >= t.nregions
-  then Sim_error.invalid "Topology.latency: region out of range";
+  then Invariant.fail "Topology.latency: region out of range";
   let base = t.latency_s.(src_region).(dst_region) in
   let base = Float.max base intra_region_s in
   (* Symmetric relative jitter, truncated at zero. *)

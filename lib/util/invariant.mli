@@ -1,9 +1,10 @@
-(** Typed precondition failures for [Repro_util] (which cannot see
-    [Repro_sim.Sim_error] without a dependency cycle).
+(** Typed precondition failures, raised by every library from [Repro_util]
+    up (negative delay, bad region, duplicate registration, ...).
 
     Raised instead of the anonymous [Invalid_argument]/[Failure] that
-    ahl_lint rule R3 bans: a named exception states which layer rejected
-    the input, and callers can match on it without string-matching. *)
+    ahl_lint rule R3 bans: the message names the function that rejected
+    the input, and callers can match on one constructor without
+    string-matching stdlib exceptions. *)
 
 exception Violation of string
 

@@ -137,14 +137,12 @@ let make_fixture ?(variant = Config.ahl_plus) ?(n = 5) ?(byzantine = []) () =
     Hashtbl.replace executions m (ref [])
   done;
   let c, nodes =
-    Network.spawn network ~n ~inbox_mode:(Config.inbox_mode cfg) ~handle:Pbft.handle
-      (Pbft.create ~engine ~keystore ~costs:Cost_model.default ~config:cfg
-         ~adversary:{ Pbft.honest with Pbft.byzantine } ~enclave_base_id:0
-         ~execute:(fun ~member ~seq batch ->
-           let log = Hashtbl.find executions member in
-           log := (seq, List.map (fun r -> r.Types.req_id) batch) :: !log))
+    Pbft.spawn network ~keystore ~costs:Cost_model.default ~config:cfg
+      ~adversary:{ Pbft.honest with Pbft.byzantine }
+      ~execute:(fun ~member ~seq batch ->
+        let log = Hashtbl.find executions member in
+        log := (seq, List.map (fun r -> r.Types.req_id) batch) :: !log)
   in
-  Pbft.set_alive c (fun m -> not (Node.is_crashed nodes.(m)));
   Pbft.start c;
   { engine; nodes; committee = c; network; executions }
 
@@ -313,17 +311,16 @@ let test_pbft_observer_skips_byzantine () =
 let test_adversary_roster () =
   let rejects byzantine =
     let engine = Engine.create ~seed:1L in
+    let network = Network.create engine ~topology:(Topology.lan ()) in
     match
-      Pbft.create ~engine
+      Pbft.spawn network
         ~keystore:(Keys.create_keystore (Engine.rng engine))
         ~costs:Cost_model.default
         ~config:(Config.default Config.ahl ~n:5 ~topology:(Topology.lan ()))
-        ~adversary:{ Pbft.honest with Pbft.byzantine } ~enclave_base_id:0
-        ~send:(fun ~src:_ ~dst:_ ~channel:_ ~bytes:_ _ -> ())
-        ~charge:(fun ~member:_ _ -> ())
+        ~adversary:{ Pbft.honest with Pbft.byzantine }
         ~execute:(fun ~member:_ ~seq:_ _ -> ())
     with
-    | exception Sim_error.Invalid _ -> true
+    | exception Repro_util.Invariant.Violation _ -> true
     | _ -> false
   in
   Alcotest.(check bool) "id n rejected" true (rejects [ 1; 5 ]);
@@ -345,7 +342,7 @@ let test_adversary_random_selection () =
         ~workload:(Harness.Open_loop { rate = 100.0; clients = 2 })
         ()
     with
-    | exception Sim_error.Invalid _ -> true
+    | exception Repro_util.Invariant.Violation _ -> true
     | _ -> false
   in
   Alcotest.(check bool) "count above n raises" true raised;
@@ -362,7 +359,7 @@ let test_adversary_count_mismatch () =
         ~workload:(Harness.Open_loop { rate = 100.0; clients = 2 })
         ()
     with
-    | exception Sim_error.Invalid _ -> true
+    | exception Repro_util.Invariant.Violation _ -> true
     | _ -> false
   in
   Alcotest.(check bool) "count above the ids raises" true (raises ~byzantine:2 [ 0 ]);
@@ -786,6 +783,67 @@ let test_pbft_lagging_replica_catches_up () =
   (* Quiescence: everything the leader knows about has been executed. *)
   Alcotest.(check int) "leader backlog drained" 0 (Pbft.known_backlog fx.committee ~member:0)
 
+let test_pbft_swap_rejoins_at_the_anchor () =
+  (* Section 5.3 at the committee level: after a certified checkpoint, a
+     follower swapped for a newcomer comes back holding the observer's
+     certificate, not an empty log, and then executes new work in step
+     with its peers. *)
+  let fx = make_fixture ~n:4 () in
+  for i = 0 to 39 do
+    Engine.schedule fx.engine ~delay:(0.1 *. float_of_int i) (fun () -> submit fx ~req_id:i)
+  done;
+  Engine.run fx.engine ~until:10.0;
+  let anchor =
+    match Pbft.checkpoint_cert fx.committee ~member:(Pbft.observer fx.committee) with
+    | Some (seq, _, _) -> seq
+    | None -> Alcotest.fail "no certificate before the swap"
+  in
+  let log = Hashtbl.find fx.executions 3 in
+  let before = List.length !log in
+  Pbft.swap fx.committee ~member:3 ~window:1.0;
+  Alcotest.(check int) "newcomer starts empty" 0 (Pbft.last_executed fx.committee ~member:3);
+  Engine.run fx.engine ~until:12.0;
+  Alcotest.(check bool) "rejoined at or above the anchor" true
+    (Pbft.last_stable fx.committee ~member:3 >= anchor);
+  let rejoined = List.filteri (fun k _ -> k < List.length !log - before) !log in
+  Alcotest.(check bool) "nothing replayed below the anchor" true
+    (rejoined <> [] && List.for_all (fun (seq, _) -> seq > anchor) rejoined);
+  for i = 40 to 59 do
+    Engine.schedule fx.engine
+      ~delay:(0.1 *. float_of_int (i - 40))
+      (fun () -> submit fx ~req_id:i ~via:(i mod 3))
+  done;
+  Engine.run fx.engine ~until:25.0;
+  Alcotest.(check int) "executes in step"
+    (Pbft.last_executed fx.committee ~member:0)
+    (Pbft.last_executed fx.committee ~member:3);
+  Alcotest.(check int) "same execution root"
+    (Pbft.exec_root fx.committee ~member:0)
+    (Pbft.exec_root fx.committee ~member:3);
+  let ids = committed_ids fx ~member:3 in
+  List.iter
+    (fun i -> Alcotest.(check bool) (Printf.sprintf "req %d executed" i) true (List.mem i ids))
+    (List.init 20 (fun k -> 40 + k))
+
+let test_pbft_recover_live_member_fetches_nothing () =
+  (* [Pbft.recover] catches up only a member that was down: on a live one
+     it sends no Fetch, while the same call after a crash does. *)
+  let fx = make_fixture ~n:4 () in
+  let trace = Repro_obs.Trace.create () and ometrics = Repro_obs.Metrics.create () in
+  Pbft.set_probe fx.committee (Repro_obs.Probe.make ~trace ~metrics:ometrics);
+  for i = 0 to 19 do
+    Engine.schedule fx.engine ~delay:(0.1 *. float_of_int i) (fun () -> submit fx ~req_id:i)
+  done;
+  Engine.run fx.engine ~until:3.0;
+  Pbft.recover fx.committee ~member:2;
+  Engine.run fx.engine ~until:6.0;
+  Alcotest.(check int) "no fetch from a live member" 0
+    (obs_counter ometrics "ckpt.fetch.requests");
+  Pbft.crash fx.committee ~member:2;
+  Pbft.recover fx.committee ~member:2;
+  Alcotest.(check bool) "a crashed member fetches on recovery" true
+    (obs_counter ometrics "ckpt.fetch.requests" >= 1)
+
 let test_byzantine_attack_degrades_throughput () =
   (* Figure 8 right: the conflicting-message attack costs real throughput
      but does not halt the attested variants. *)
@@ -1069,6 +1127,10 @@ let () =
             test_harness_recovery_uses_fetch;
           Alcotest.test_case "lagging replica catches up" `Quick
             test_pbft_lagging_replica_catches_up;
+          Alcotest.test_case "swap rejoins at the anchor" `Quick
+            test_pbft_swap_rejoins_at_the_anchor;
+          Alcotest.test_case "recover on a live member fetches nothing" `Quick
+            test_pbft_recover_live_member_fetches_nothing;
           Alcotest.test_case "byzantine attack degrades" `Slow
             test_byzantine_attack_degrades_throughput;
           Alcotest.test_case "HL survives equivocators" `Quick

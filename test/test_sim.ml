@@ -83,7 +83,7 @@ let test_engine_nested_scheduling () =
 
 let test_engine_negative_delay_rejected () =
   let e = Engine.create ~seed:1L in
-  Alcotest.check_raises "negative delay" (Sim_error.Invalid "Engine.schedule: negative delay")
+  Alcotest.check_raises "negative delay" (Invariant.Violation "Engine.schedule: negative delay")
     (fun () -> Engine.schedule e ~delay:(-1.0) (fun () -> ()))
 
 let test_engine_schedule_at_past_clamps () =
@@ -123,7 +123,7 @@ let test_topology_gcp_regions () =
   check_float "gcp 4 cpu scale" 3.5 (Topology.cpu_scale (Topology.gcp 4))
 
 let test_topology_gcp_bad_count () =
-  Alcotest.check_raises "9 regions" (Sim_error.Invalid "Topology.gcp: regions must be in 1..8")
+  Alcotest.check_raises "9 regions" (Invariant.Violation "Topology.gcp: regions must be in 1..8")
     (fun () -> ignore (Topology.gcp 9))
 
 let test_topology_latency_positive_and_jittered () =
@@ -162,7 +162,7 @@ let test_inbox_shared_fifo () =
   ignore (Inbox.push q Inbox.Request "r1");
   ignore (Inbox.push q Inbox.Consensus "c1");
   ignore (Inbox.push q Inbox.Request "r2");
-  let order = List.init 3 (fun _ -> match Inbox.pop q with Some (_, m) -> m | None -> "?") in
+  let order = List.init 3 (fun _ -> Inbox.take q) in
   Alcotest.(check (list string)) "FIFO across channels" [ "r1"; "c1"; "r2" ] order
 
 let test_inbox_shared_drops_when_full () =
@@ -179,7 +179,7 @@ let test_inbox_split_priority () =
   ignore (Inbox.push q Inbox.Consensus "c1");
   ignore (Inbox.push q Inbox.Request "r2");
   ignore (Inbox.push q Inbox.Consensus "c2");
-  let order = List.init 4 (fun _ -> match Inbox.pop q with Some (_, m) -> m | None -> "?") in
+  let order = List.init 4 (fun _ -> Inbox.take q) in
   Alcotest.(check (list string)) "consensus first" [ "c1"; "c2"; "r1"; "r2" ] order
 
 let test_inbox_split_request_flood_spares_consensus () =
@@ -199,7 +199,7 @@ let test_inbox_clear () =
   Alcotest.(check int) "empty" 0 (Inbox.length q)
 
 let test_inbox_zero_capacity_rejected () =
-  Alcotest.check_raises "zero cap" (Sim_error.Invalid "Inbox.create: capacity must be positive")
+  Alcotest.check_raises "zero cap" (Invariant.Violation "Inbox.create: capacity must be positive")
     (fun () -> ignore (Inbox.create (Inbox.Shared 0)))
 
 (* ------------------------------------------------------------------ *)
@@ -291,8 +291,8 @@ let test_node_clocks () =
   Node.charge node 0.5;
   check_float "charge from an idle CPU starts now" 0.5 (Node.charged node);
   check_float "work counts when charged" 0.625 (Node.busy_fraction node);
-  Alcotest.check_raises "negative cost" (Sim_error.Invalid "Node.charge: negative cost") (fun () ->
-      Node.charge node (-0.1));
+  Alcotest.check_raises "negative cost" (Invariant.Violation "Node.charge: negative cost")
+    (fun () -> Node.charge node (-0.1));
   check_float "a refused charge changes nothing" 0.5 (Node.charged node);
   Node.charge node 10.0;
   Node.recover node;
@@ -444,7 +444,7 @@ let test_network_duplicate_registration () =
   let net = Network.create e ~topology:(Topology.lan ()) in
   let n = Node.create e ~id:0 ~inbox_mode:(Inbox.Shared 10) ~handler:(fun _ (_ : int) -> ()) in
   Network.register net n;
-  Alcotest.check_raises "dup" (Sim_error.Invalid "Network.register: duplicate node id") (fun () ->
+  Alcotest.check_raises "dup" (Invariant.Violation "Network.register: duplicate node id") (fun () ->
       Network.register net n)
 
 (* The node table is an array indexed by id: ids past its end, holes
@@ -472,9 +472,10 @@ let test_network_register_far_id () =
   Alcotest.(check int) "far node reached" 1 !hits;
   Alcotest.(check int) "hole below it absent" 1 (Network.delivered_count net);
   Alcotest.check_raises "dup past the old capacity"
-    (Sim_error.Invalid "Network.register: duplicate node id") (fun () -> Network.register net far);
+    (Invariant.Violation "Network.register: duplicate node id")
+    (fun () -> Network.register net far);
   let neg = Node.create e ~id:(-1) ~inbox_mode:(Inbox.Shared 10) ~handler:(fun _ _ -> ()) in
-  Alcotest.check_raises "negative id" (Sim_error.Invalid "Network.register: negative node id")
+  Alcotest.check_raises "negative id" (Invariant.Violation "Network.register: negative node id")
     (fun () -> Network.register net neg)
 
 (* ------------------------------------------------------------------ *)
@@ -566,11 +567,11 @@ let prop_inbox_never_exceeds_capacity =
         pushes)
 
 (* The ring-buffer inbox against a model of [Stdlib.Queue]s: one queue
-   of (channel, message) for Shared, one per channel for Split with
-   consensus served first.  Caps up to 40 and runs of up to 400 ops make
+   of messages for Shared, one per channel for Split with consensus
+   served first.  Caps up to 40 and runs of up to 400 ops make
    the rings wrap, grow past 16 and 32, tail-drop at capacity, and get
    reused after [clear]. *)
-type inbox_op = Push of Inbox.channel | Pop | Take | Clear
+type inbox_op = Push of Inbox.channel | Take | Clear
 
 let prop_inbox_matches_queue_model =
   let op =
@@ -579,8 +580,7 @@ let prop_inbox_matches_queue_model =
         [
           (5, return (Push Inbox.Request));
           (4, return (Push Inbox.Consensus));
-          (3, return Pop);
-          (3, return Take);
+          (6, return Take);
           (1, return Clear);
         ])
   in
@@ -604,7 +604,7 @@ let prop_inbox_matches_queue_model =
         let fits queue cap =
           if Queue.length queue >= cap then false
           else begin
-            Queue.add (channel, msg) queue;
+            Queue.add msg queue;
             true
           end
         in
@@ -617,7 +617,7 @@ let prop_inbox_matches_queue_model =
         if not ok then incr (match channel with Inbox.Request -> dropped_r | Inbox.Consensus -> dropped_c);
         ok
       in
-      let model_pop () =
+      let model_take () =
         match mode with
         | Inbox.Shared _ -> Queue.take_opt shared
         | Inbox.Split _ -> (
@@ -634,14 +634,13 @@ let prop_inbox_matches_queue_model =
                 let msg = !next in
                 incr next;
                 Inbox.push q channel msg = model_push channel msg
-            | Pop -> Inbox.pop q = model_pop ()
             | Take -> (
-                match model_pop () with
-                | Some (_, msg) -> Inbox.take q = msg
+                match model_take () with
+                | Some msg -> Inbox.take q = msg
                 | None -> (
                     match Inbox.take q with
                     | _ -> false
-                    | exception Sim_error.Invalid _ -> true))
+                    | exception Invariant.Violation _ -> true))
             | Clear ->
                 Inbox.clear q;
                 Queue.clear shared;
